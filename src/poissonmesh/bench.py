@@ -2,11 +2,12 @@
 
 The protocol: for each mesh size k, draw a fresh seeded random mesh, run the
 prepared evaluator ``repeats`` times sequentially, and record the mean and
-sample standard deviation of the wall time.  Input parsing and compilation
-happen once before timing starts; once-per-call symbolic construction and
-all per-point evaluation are inside the timed region.  A log10-log10
-ordinary-least-squares fit of mean time against mesh size summarizes the
-empirical scaling: slope near 1 means linear growth in the point count.
+sample standard deviation of the wall time.  Input parsing, symbolic
+construction and compilation happen once in ``prepare_*`` before timing
+starts; the timed region covers per-point evaluation and output layout.
+A log10-log10 ordinary-least-squares fit of mean time against mesh size
+summarizes the empirical scaling: slope near 1 means linear growth in the
+point count.
 
 ``benchmark_suite`` provides a fixed set of inputs — one per method — used
 by the scaling tests and the command-line ``bench`` subcommand.
@@ -122,7 +123,7 @@ def time_method(
     """Time a prepared evaluator over seeded random meshes of each size.
 
     Mesh generation is excluded from the timed region; each repeat times a
-    single full evaluator call (symbolic construction plus per-point work).
+    single evaluator call (per-point work and output layout only).
     Per size, garbage from earlier work is collected, then one untimed
     warm-up call pre-faults pages and rebuilds allocator arenas, and the
     cyclic garbage collector stays paused across the timed repeats (as
@@ -192,7 +193,7 @@ def fit_loglog(report: TimingReport) -> TimingReport:
 
 # One representative input per method: a 3D linear bivector with quadratic
 # Hamiltonian/Casimir data, a heavy flat-at-the-cone one-form for the
-# coboundary (so its symbolic construction cost is visible), a quartic
+# coboundary (a large derived field to build and compile), a quartic
 # bivector for the divergence-type methods (its divergence is nonzero, so
 # their timing reflects real per-point work rather than empty-result
 # assembly), and a pair of Casimirs on R^4 for the constructed-bivector

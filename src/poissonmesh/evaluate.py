@@ -1,13 +1,15 @@
 """Batch numerical evaluation of the symbolic operators over point meshes.
 
 Every public method maps (inputs, Mesh) to a BatchResult and comes in two
-pieces: ``prepare_*`` validates the inputs and compiles their expressions
-once, returning an evaluator closure; calling the evaluator with a mesh
-performs any once-per-call symbolic construction (Schouten, curl, normal
-form, minors) and then evaluates per point.  The ``num_*`` front ends chain
-the two.  Prepared evaluators are what the benchmark harness times, so the
-split also fixes the timed region: input parsing and compilation are outside
-it, derived symbolic work and all per-point evaluation are inside.
+pieces: ``prepare_*`` validates the inputs, builds the derived symbolic
+field once (Schouten bracket, sharp image, curl, normal form, minors) and
+compiles its coefficients, returning an evaluator closure; calling the
+evaluator with a mesh does only per-point work and output layout.  The
+``num_*`` front ends chain the two.  Prepared evaluators are what the
+benchmark harness times, so the split also fixes the timed region: parsing,
+symbolic construction and compilation are outside it, per-point evaluation
+and assembly are inside.  The gauge transformation is the one method that is
+not a compiled field: it inverts a matrix per point.
 
 Concurrency: meshes are processed in fixed-size row chunks (the chunk
 boundaries never depend on the worker count), and worker threads only spread
@@ -23,8 +25,8 @@ propagate into the output and are tallied in ``BatchResult.nonfinite``.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -36,22 +38,20 @@ from .expressions import (
     differentiate,
     fold_add,
     fold_mul,
-    fold_neg,
-    fold_sub,
     parse,
     partial_eval,
     to_source,
 )
 from .geometry import BatchResult, Mesh, Multivector, MultivectorError, as_mesh
 from .symbolic import (
-    _as_field,
-    _as_scalar_expression,
-    bivector_to_matrix_sym,
+    as_field,
     curl_sym,
     flaschka_ratiu_sym,
     linear_normal_form_r3,
     modular_vf_sym,
+    one_forms_bracket_sym,
     schouten_coboundary,
+    sharp_sym,
 )
 
 __all__ = [
@@ -133,43 +133,31 @@ def _compile_coeffs(mv: Multivector, params) -> dict[tuple, CompiledFunction]:
     }
 
 
-def _run_chunks(kernel, mesh: Mesh, workers: int | None):
-    """Concatenate ``kernel(points_slice)`` over fixed-size row chunks.
+def _run_chunks(kernel, mesh: Mesh, workers: int | None) -> None:
+    """Call ``kernel(points, rows)`` on fixed-size row chunks of the mesh.
 
-    The kernel returns one array or a tuple of arrays (first axis = rows).
-    Chunk boundaries are independent of the worker count, and threads only
-    distribute the same chunk list, so results are deterministic.
+    ``rows`` is the chunk's slice; the kernel writes its output into those
+    rows of arrays the caller allocated, so chunks are never copied or
+    joined.  Chunk boundaries are independent of the worker count and chunks
+    write disjoint rows, so results are deterministic.
     """
     pts = mesh.points
     k = len(pts)
-    spans = [(a, min(a + _CHUNK_ROWS, k)) for a in range(0, k, _CHUNK_ROWS)]
-    run = lambda span: kernel(pts[span[0] : span[1]])
+    spans = [slice(a, min(a + _CHUNK_ROWS, k)) for a in range(0, k, _CHUNK_ROWS)]
+    run = lambda rows: kernel(pts[rows], rows)
     if workers is None or workers <= 1 or len(spans) == 1:
-        parts = [run(span) for span in spans]
+        for rows in spans:
+            run(rows)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, spans))
-    if len(parts) == 1:
-        return parts[0]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(block, axis=0) for block in zip(*parts))
-    return np.concatenate(parts, axis=0)
+            list(pool.map(run, spans))  # re-raises a kernel's exception
 
 
-def _count_nonfinite(*arrays) -> int:
-    return int(sum(np.count_nonzero(~np.isfinite(a)) for a in arrays))
+def _count_nonfinite(values: np.ndarray) -> int:
+    return int(np.count_nonzero(~np.isfinite(values)))
 
 
-# --- Shared assembly helpers ------------------------------------------------
-
-
-def _column_kernel(fns: Mapping[tuple, CompiledFunction]):
-    keys = sorted(fns)
-
-    def kernel(pts):
-        return np.column_stack([fns[key].evaluate_block(pts) for key in keys])
-
-    return keys, kernel
+# --- Shared assembly ---------------------------------------------------------
 
 
 def _records_from_columns(keys, columns: np.ndarray) -> list:
@@ -180,33 +168,12 @@ def _records_from_columns(keys, columns: np.ndarray) -> list:
     return [dict(zip(keys, row)) for row in columns.tolist()]
 
 
-def _empty_records(k: int) -> list:
-    return [{} for _ in range(k)]
+def _multivector_result(sym: Multivector, fns, keys, mesh, options) -> BatchResult:
+    """Evaluate a compiled symbolic result over the mesh in the requested layout.
 
-
-def _matrix_block(keys, columns: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros((columns.shape[0], m, m))
-    for idx, (i, j) in enumerate(keys):
-        out[:, i - 1, j - 1] = columns[:, idx]
-        out[:, j - 1, i - 1] = -columns[:, idx]
-    return out
-
-
-def _vector_block(keys, columns: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros((columns.shape[0], m))
-    for idx, (i,) in enumerate(keys):
-        out[:, i - 1] = columns[:, idx]
-    return out
-
-
-def _vector_records(vectors: np.ndarray) -> list:
-    m = vectors.shape[1]
-    keys = [(i,) for i in range(1, m + 1)]
-    return _records_from_columns(keys, vectors)
-
-
-def _multivector_result(sym: Multivector, fns, mesh, options) -> BatchResult:
-    """Evaluate a symbolic result over the mesh in the requested layout."""
+    ``keys`` fixes the coefficient columns, in order; a key without a
+    compiled function is a structural zero and evaluates to a zero column.
+    """
     m = sym.dim
     degree = sym.degree
     if options.mode == "dense" and degree > 2:
@@ -214,50 +181,64 @@ def _multivector_result(sym: Multivector, fns, mesh, options) -> BatchResult:
             f"dense mode supports results of degree <= 2, got degree {degree}; "
             "use records mode"
         )
-    if not fns:
-        k = len(mesh)
-        if options.mode == "records":
-            return BatchResult("records", _empty_records(k), keys=())
-        if degree == 0:
-            return BatchResult("scalar", np.zeros(k))
-        if degree == 1:
-            return BatchResult("vector", np.zeros((k, m)))
-        return BatchResult("matrix", np.zeros((k, m, m)))
-    keys, kernel = _column_kernel(fns)
-    columns = _run_chunks(kernel, mesh, options.workers)
+
+    columns = np.zeros((len(mesh), len(keys)))
+
+    def kernel(pts, rows):
+        for idx, key in enumerate(keys):
+            if key in fns:
+                columns[rows, idx] = fns[key].evaluate_block(pts)
+
+    _run_chunks(kernel, mesh, options.workers)
     nonfinite = _count_nonfinite(columns)
     if options.mode == "records":
-        record_keys = ["value" if key == () else key for key in keys]
+        record_keys = tuple("value" if key == () else key for key in keys)
         return BatchResult(
             "records",
             _records_from_columns(record_keys, columns),
-            keys=tuple(record_keys),
+            keys=record_keys,
             nonfinite=nonfinite,
         )
-    if degree == 0:
-        return BatchResult("scalar", columns[:, 0], nonfinite=nonfinite)
-    if degree == 1:
-        return BatchResult(
-            "vector", _vector_block(keys, columns, m), nonfinite=nonfinite
-        )
-    return BatchResult(
-        "matrix", _matrix_block(keys, columns, m), nonfinite=nonfinite
-    )
+    out = np.zeros((len(mesh),) + (m,) * degree)
+    for idx, key in enumerate(keys):
+        out[(slice(None),) + tuple(i - 1 for i in key)] = columns[:, idx]
+        if degree == 2:
+            out[:, key[1] - 1, key[0] - 1] = -columns[:, idx]
+    kind = ("scalar", "vector", "matrix")[degree]
+    return BatchResult(kind, out, nonfinite=nonfinite)
+
+
+def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None):
+    """Compile ``sym`` once; the evaluator applies it to a mesh.
+
+    ``keys`` are the output coefficients, by default the structurally
+    nonzero ones; the vector methods key all m components, the bracket its
+    one value.
+    """
+    fns = _compile_coeffs(sym, options.params)
+    keys = tuple(sorted(fns)) if keys is None else keys
+
+    def evaluator(mesh) -> BatchResult:
+        mesh = _check_mesh(mesh, sym.dim)
+        return _multivector_result(sym, fns, keys, mesh, options)
+
+    return evaluator
+
+
+def _components(m: int) -> tuple:
+    return tuple((i,) for i in range(1, m + 1))
+
+
+def _as_expression(source, m: int) -> Expression:
+    return source if isinstance(source, Expression) else parse(str(source), m)
 
 
 # --- 1. Bivector evaluation -------------------------------------------------
 
 
 def prepare_bivector(P, options: EvalOptions | None = None, dim: int | None = None):
-    options = _opts(options)
-    P = _as_field(P, dim, 2, "num_bivector")
-    fns = _compile_coeffs(P, options.params)
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, P.dim)
-        return _multivector_result(P, fns, mesh, options)
-
-    return evaluator
+    P = as_field(P, dim, 2, "num_bivector")
+    return _field_evaluator(P, _opts(options))
 
 
 def num_bivector(P, mesh, options=None, dim=None) -> BatchResult:
@@ -269,23 +250,9 @@ def num_bivector(P, mesh, options=None, dim=None) -> BatchResult:
 
 
 def prepare_bivector_to_matrix(P, options=None, dim=None):
-    options = _opts(options)
-    P = _as_field(P, dim, 2, "num_bivector_to_matrix")
-    fns = _compile_coeffs(P, options.params)
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, P.dim)
-        if not fns:
-            return BatchResult("matrix", np.zeros((len(mesh), P.dim, P.dim)))
-        keys, kernel = _column_kernel(fns)
-        columns = _run_chunks(kernel, mesh, options.workers)
-        return BatchResult(
-            "matrix",
-            _matrix_block(keys, columns, P.dim),
-            nonfinite=_count_nonfinite(columns),
-        )
-
-    return evaluator
+    P = as_field(P, dim, 2, "num_bivector_to_matrix")
+    # The matrix form is a dense layout whatever the requested mode.
+    return _field_evaluator(P, replace(_opts(options), mode="dense"))
 
 
 def num_bivector_to_matrix(P, mesh, options=None, dim=None) -> BatchResult:
@@ -296,66 +263,10 @@ def num_bivector_to_matrix(P, mesh, options=None, dim=None) -> BatchResult:
 # --- 3. Hamiltonian vector field -------------------------------------------
 
 
-def _sharp_kernel(P_fns, m, covector_fns):
-    """Kernel computing -M @ covector via the sparse key loop.
-
-    ``covector_fns`` maps 1-based indices to compiled functions (missing
-    components are structural zeros).
-    """
-    items = sorted(P_fns.items())
-    needed = sorted({i for key in P_fns for i in key if i in covector_fns})
-
-    def kernel(pts):
-        out = np.zeros((len(pts), m))
-        cov = {i: covector_fns[i].evaluate_block(pts) for i in needed}
-        for (i, j), fn in items:
-            vals = fn.evaluate_block(pts)
-            if j in cov:
-                out[:, i - 1] -= vals * cov[j]
-            if i in cov:
-                out[:, j - 1] += vals * cov[i]
-        return out
-
-    return kernel
-
-
-def _gradient_fns(h: Expression, m: int, params) -> dict[int, CompiledFunction]:
-    out = {}
-    for i in range(1, m + 1):
-        d = differentiate(h, i)
-        if isinstance(d, Num) and d.value == 0.0:
-            continue
-        out[i] = compile_expression(d, m, params)
-    return out
-
-
-def _as_expression(source, m: int) -> Expression:
-    return source if isinstance(source, Expression) else parse(str(source), m)
-
-
 def prepare_hamiltonian_vf(P, h, options=None, dim=None):
-    options = _opts(options)
-    P = _as_field(P, dim, 2, "num_hamiltonian_vf")
-    m = P.dim
-    h_expr = _as_expression(h, m)
-    P_fns = _compile_coeffs(P, options.params)
-    grad = _gradient_fns(h_expr, m, options.params)
-    kernel = _sharp_kernel(P_fns, m, grad)
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, m)
-        vectors = _run_chunks(kernel, mesh, options.workers)
-        nonfinite = _count_nonfinite(vectors)
-        if options.mode == "records":
-            return BatchResult(
-                "records",
-                _vector_records(vectors),
-                keys=tuple((i,) for i in range(1, m + 1)),
-                nonfinite=nonfinite,
-            )
-        return BatchResult("vector", vectors, nonfinite=nonfinite)
-
-    return evaluator
+    P = as_field(P, dim, 2, "num_hamiltonian_vf")
+    field = schouten_coboundary(P, _as_expression(h, P.dim))
+    return _field_evaluator(field, _opts(options), _components(P.dim))
 
 
 def num_hamiltonian_vf(P, h, mesh, options=None, dim=None) -> BatchResult:
@@ -368,7 +279,7 @@ def num_hamiltonian_vf(P, h, mesh, options=None, dim=None) -> BatchResult:
 
 def prepare_poisson_bracket(P, f, g, options=None, dim=None):
     options = _opts(options)
-    P = _as_field(P, dim, 2, "num_poisson_bracket")
+    P = as_field(P, dim, 2, "num_poisson_bracket")
     m = P.dim
     f_expr = _as_expression(f, m)
     g_expr = _as_expression(g, m)
@@ -384,33 +295,10 @@ def prepare_poisson_bracket(P, f, g, options=None, dim=None):
             return BatchResult("scalar", np.zeros(len(mesh)))
 
         return zero_evaluator
-    P_fns = _compile_coeffs(P, options.params)
-    grad_f = _gradient_fns(f_expr, m, options.params)
-    grad_g = _gradient_fns(g_expr, m, options.params)
-    field_kernel = _sharp_kernel(P_fns, m, grad_f)
-    touched = sorted({i for key in P_fns for i in key})
-
-    def kernel(pts):
-        x_f = field_kernel(pts)
-        total = np.zeros(len(pts))
-        for i in touched:
-            if i in grad_g:
-                total += grad_g[i].evaluate_block(pts) * x_f[:, i - 1]
-        return total
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, m)
-        column = _run_chunks(kernel, mesh, options.workers)
-        nonfinite = _count_nonfinite(column)
-        if options.mode == "records":
-            return BatchResult(
-                "records",
-                [{"value": float(v)} for v in column],
-                nonfinite=nonfinite,
-            )
-        return BatchResult("scalar", column, nonfinite=nonfinite)
-
-    return evaluator
+    bracket: Expression = Num(0.0)
+    for (i,), x_i in schouten_coboundary(P, f_expr).items():
+        bracket = fold_add(bracket, fold_mul(differentiate(g_expr, i), x_i))
+    return _field_evaluator(Multivector.build(m, 0, bracket), options, ((),))
 
 
 def num_poisson_bracket(P, f, g, mesh, options=None, dim=None) -> BatchResult:
@@ -422,30 +310,8 @@ def num_poisson_bracket(P, f, g, mesh, options=None, dim=None) -> BatchResult:
 
 
 def prepare_sharp_morphism(P, alpha, options=None, dim=None):
-    options = _opts(options)
-    P = _as_field(P, dim, 2, "num_sharp_morphism")
-    m = P.dim
-    alpha = _as_field(alpha, m, 1, "num_sharp_morphism")
-    P_fns = _compile_coeffs(P, options.params)
-    alpha_fns = {
-        key[0]: fn for key, fn in _compile_coeffs(alpha, options.params).items()
-    }
-    kernel = _sharp_kernel(P_fns, m, alpha_fns)
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, m)
-        vectors = _run_chunks(kernel, mesh, options.workers)
-        nonfinite = _count_nonfinite(vectors)
-        if options.mode == "records":
-            return BatchResult(
-                "records",
-                _vector_records(vectors),
-                keys=tuple((i,) for i in range(1, m + 1)),
-                nonfinite=nonfinite,
-            )
-        return BatchResult("vector", vectors, nonfinite=nonfinite)
-
-    return evaluator
+    P = as_field(P, dim, 2, "num_sharp_morphism")
+    return _field_evaluator(sharp_sym(P, alpha), _opts(options), _components(P.dim))
 
 
 def num_sharp_morphism(P, alpha, mesh, options=None, dim=None) -> BatchResult:
@@ -457,19 +323,8 @@ def num_sharp_morphism(P, alpha, mesh, options=None, dim=None) -> BatchResult:
 
 
 def prepare_coboundary_operator(P, A, options=None, dim=None, degree=None):
-    options = _opts(options)
-    P = _as_field(P, dim, 2, "num_coboundary_operator")
-    if isinstance(A, (str, int, float, Expression)) and degree is None:
-        degree = 0
-    A = _as_field(A, P.dim, degree, "num_coboundary_operator")
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, P.dim)
-        sym = schouten_coboundary(P, A)
-        fns = _compile_coeffs(sym, options.params)
-        return _multivector_result(sym, fns, mesh, options)
-
-    return evaluator
+    P = as_field(P, dim, 2, "num_coboundary_operator")
+    return _field_evaluator(schouten_coboundary(P, A, degree=degree), _opts(options))
 
 
 def num_coboundary_operator(P, A, mesh, options=None, dim=None, degree=None):
@@ -481,17 +336,8 @@ def num_coboundary_operator(P, A, mesh, options=None, dim=None, degree=None):
 
 
 def prepare_modular_vf(P, f0="1", options=None, dim=None):
-    options = _opts(options)
-    P = _as_field(P, dim, 2, "num_modular_vf")
-    f0_expr = _as_scalar_expression(f0, P.dim)
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, P.dim)
-        sym = modular_vf_sym(P, f0_expr)
-        fns = _compile_coeffs(sym, options.params)
-        return _multivector_result(sym, fns, mesh, options)
-
-    return evaluator
+    P = as_field(P, dim, 2, "num_modular_vf")
+    return _field_evaluator(modular_vf_sym(P, f0), _opts(options))
 
 
 def num_modular_vf(P, f0="1", mesh=None, options=None, dim=None) -> BatchResult:
@@ -503,19 +349,8 @@ def num_modular_vf(P, f0="1", mesh=None, options=None, dim=None) -> BatchResult:
 
 
 def prepare_curl_operator(A, f0="1", options=None, dim=None, degree=None):
-    options = _opts(options)
-    A = _as_field(A, dim, degree, "num_curl_operator")
-    if A.degree < 1:
-        raise MultivectorError(f"curl expects degree >= 1, got {A.degree}")
-    f0_expr = _as_scalar_expression(f0, A.dim)
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, A.dim)
-        sym = curl_sym(A, f0_expr)
-        fns = _compile_coeffs(sym, options.params)
-        return _multivector_result(sym, fns, mesh, options)
-
-    return evaluator
+    A = as_field(A, dim, degree, "num_curl_operator")
+    return _field_evaluator(curl_sym(A, f0), _opts(options))
 
 
 def num_curl_operator(A, f0="1", mesh=None, options=None, dim=None, degree=None):
@@ -527,86 +362,9 @@ def num_curl_operator(A, f0="1", mesh=None, options=None, dim=None, degree=None)
 
 
 def prepare_one_forms_bracket(P, alpha, beta, options=None, dim=None):
-    """Numeric three-term assembly of the bracket of one-forms.
-
-    Per point: (antisymmetrized Jacobian of beta) @ sharp(alpha) minus the
-    alpha/beta swap, plus the gradient of the pairing <beta, sharp(alpha)>,
-    the latter built symbolically once and compiled.
-    """
-    options = _opts(options)
-    P = _as_field(P, dim, 2, "num_one_forms_bracket")
-    m = P.dim
-    alpha = _as_field(alpha, m, 1, "num_one_forms_bracket")
-    beta = _as_field(beta, m, 1, "num_one_forms_bracket")
-    params = options.params
-    P_fns = _compile_coeffs(P, params)
-
-    def jacobian_antisym(form: Multivector):
-        out = {}
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i == j:
-                    continue
-                entry = fold_sub(
-                    differentiate(form.coefficient((i,)), j),
-                    differentiate(form.coefficient((j,)), i),
-                )
-                if isinstance(entry, Num) and entry.value == 0.0:
-                    continue
-                out[(i, j)] = compile_expression(entry, m, params)
-        return out
-
-    jac_beta = jacobian_antisym(beta)
-    jac_alpha = jacobian_antisym(alpha)
-    alpha_fns = {key[0]: fn for key, fn in _compile_coeffs(alpha, params).items()}
-    beta_fns = {key[0]: fn for key, fn in _compile_coeffs(beta, params).items()}
-    sharp_alpha_kernel = _sharp_kernel(P_fns, m, alpha_fns)
-    sharp_beta_kernel = _sharp_kernel(P_fns, m, beta_fns)
-
-    # Pairing <beta, sharp(alpha)> assembled symbolically, then its gradient
-    # compiled; sharp(alpha) here reuses the matrix-product definition.
-    matrix = bivector_to_matrix_sym(P)
-    pairing: Expression = Num(0.0)
-    for k_idx in range(1, m + 1):
-        b_k = beta.coeffs.get((k_idx,))
-        if b_k is None:
-            continue
-        component: Expression = Num(0.0)
-        for j in range(1, m + 1):
-            a_j = alpha.coeffs.get((j,))
-            if a_j is None:
-                continue
-            component = fold_add(component, fold_mul(matrix.entry(k_idx, j), a_j))
-        pairing = fold_add(pairing, fold_mul(b_k, fold_neg(component)))
-    pairing_grad = _gradient_fns(pairing, m, params)
-
-    def kernel(pts):
-        rows = len(pts)
-        sharp_a = sharp_alpha_kernel(pts)
-        sharp_b = sharp_beta_kernel(pts)
-        out = np.zeros((rows, m))
-        for (i, j), fn in sorted(jac_beta.items()):
-            out[:, i - 1] += fn.evaluate_block(pts) * sharp_a[:, j - 1]
-        for (i, j), fn in sorted(jac_alpha.items()):
-            out[:, i - 1] -= fn.evaluate_block(pts) * sharp_b[:, j - 1]
-        for i, fn in sorted(pairing_grad.items()):
-            out[:, i - 1] += fn.evaluate_block(pts)
-        return out
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, m)
-        vectors = _run_chunks(kernel, mesh, options.workers)
-        nonfinite = _count_nonfinite(vectors)
-        if options.mode == "records":
-            return BatchResult(
-                "records",
-                _vector_records(vectors),
-                keys=tuple((i,) for i in range(1, m + 1)),
-                nonfinite=nonfinite,
-            )
-        return BatchResult("vector", vectors, nonfinite=nonfinite)
-
-    return evaluator
+    P = as_field(P, dim, 2, "num_one_forms_bracket")
+    field = one_forms_bracket_sym(P, alpha, beta)
+    return _field_evaluator(field, _opts(options), _components(P.dim))
 
 
 def num_one_forms_bracket(P, alpha, beta, mesh, options=None, dim=None):
@@ -619,39 +377,41 @@ def num_one_forms_bracket(P, alpha, beta, mesh, options=None, dim=None):
 
 def prepare_gauge_transformation(P, lam, options=None, dim=None):
     options = _opts(options)
-    P = _as_field(P, dim, 2, "num_gauge_transformation")
+    P = as_field(P, dim, 2, "num_gauge_transformation")
     m = P.dim
-    lam = _as_field(lam, m, 2, "num_gauge_transformation")
+    lam = as_field(lam, m, 2, "num_gauge_transformation")
     P_fns = _compile_coeffs(P, options.params)
     lam_fns = _compile_coeffs(lam, options.params)
     identity = np.eye(m)
 
-    def kernel(pts):
-        rows = len(pts)
-        M = np.zeros((rows, m, m))
-        for (i, j), fn in sorted(P_fns.items()):
-            vals = fn.evaluate_block(pts)
-            M[:, i - 1, j - 1] = vals
-            M[:, j - 1, i - 1] = -vals
-        L = np.zeros((rows, m, m))
-        for (i, j), fn in sorted(lam_fns.items()):
-            vals = fn.evaluate_block(pts)
-            L[:, i - 1, j - 1] = vals
-            L[:, j - 1, i - 1] = -vals
-        G = identity - L @ M
-        with np.errstate(all="ignore"):
-            dets = np.linalg.det(G)
-        valid = np.isfinite(dets) & (np.abs(dets) > GAUGE_SINGULAR_TOLERANCE)
-        out = np.full((rows, m, m), np.nan)
-        if valid.any():
-            with np.errstate(all="ignore"):
-                inverses = np.linalg.inv(G[valid])
-            out[valid] = M[valid] @ inverses
-        return out, valid
-
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, m)
-        out, valid = _run_chunks(kernel, mesh, options.workers)
+        out = np.full((len(mesh), m, m), np.nan)
+        valid = np.zeros(len(mesh), dtype=bool)
+
+        def kernel(pts, rows):
+            k = len(pts)
+            M = np.zeros((k, m, m))
+            for (i, j), fn in sorted(P_fns.items()):
+                vals = fn.evaluate_block(pts)
+                M[:, i - 1, j - 1] = vals
+                M[:, j - 1, i - 1] = -vals
+            L = np.zeros((k, m, m))
+            for (i, j), fn in sorted(lam_fns.items()):
+                vals = fn.evaluate_block(pts)
+                L[:, i - 1, j - 1] = vals
+                L[:, j - 1, i - 1] = -vals
+            G = identity - L @ M
+            with np.errstate(all="ignore"):
+                dets = np.linalg.det(G)
+            ok = np.isfinite(dets) & (np.abs(dets) > GAUGE_SINGULAR_TOLERANCE)
+            valid[rows] = ok
+            if ok.any():
+                with np.errstate(all="ignore"):
+                    inverses = np.linalg.inv(G[ok])
+                out[rows][ok] = M[ok] @ inverses
+
+        _run_chunks(kernel, mesh, options.workers)
         nonfinite = _count_nonfinite(out[valid]) if valid.any() else 0
         if options.mode == "records":
             keys = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
@@ -686,19 +446,16 @@ def num_gauge_transformation(P, lam, mesh, options=None, dim=None) -> BatchResul
 
 def prepare_linear_normal_form_r3(P, options=None):
     options = _opts(options)
-    P = _as_field(P, 3, 2, "num_linear_normal_form_r3")
+    rep = linear_normal_form_r3(P).representative
+    if options.mode == "dense":
+        return _field_evaluator(rep, options)
+    keys = rep.keys()
+    params = options.params
 
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, 3)
-        nf = linear_normal_form_r3(P)
-        rep = nf.representative
-        if options.mode == "dense":
-            fns = _compile_coeffs(rep, options.params)
-            return _multivector_result(rep, fns, mesh, options)
-        keys = rep.keys()
         records = []
         nonfinite = 0
-        params = options.params
         for point in mesh.points:
             rec = {}
             for key in keys:
@@ -728,23 +485,7 @@ def num_linear_normal_form_r3(P, mesh, options=None) -> BatchResult:
 
 
 def prepare_flaschka_ratiu_bivector(casimirs: Sequence, dim: int, options=None):
-    options = _opts(options)
-    if dim < 3:
-        raise MultivectorError(f"dimension must be >= 3, got {dim}")
-    if len(casimirs) != dim - 2:
-        raise MultivectorError(
-            f"expected {dim - 2} scalar functions for dimension {dim}, "
-            f"got {len(casimirs)}"
-        )
-    exprs = [_as_expression(src, dim) for src in casimirs]
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, dim)
-        sym = flaschka_ratiu_sym(exprs, dim)
-        fns = _compile_coeffs(sym, options.params)
-        return _multivector_result(sym, fns, mesh, options)
-
-    return evaluator
+    return _field_evaluator(flaschka_ratiu_sym(casimirs, dim), _opts(options))
 
 
 def num_flaschka_ratiu_bivector(casimirs, dim, mesh, options=None) -> BatchResult:

@@ -36,6 +36,7 @@ __all__ = [
     "CompiledFunction",
     "parse",
     "differentiate",
+    "differentiate_all",
     "compile_expression",
     "partial_eval",
     "to_source",
@@ -165,9 +166,25 @@ _BLOCK_CALLS: dict[str, Callable] = {
 # --- AST --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Expression:
-    """Base class for all expression nodes."""
+    """Base class for all expression nodes.
+
+    Nodes are immutable and compare structurally.  The structural hash and
+    the largest coordinate index are computed when a node is built, from its
+    children's cached values, and kept in slots: neither ever walks a tree.
+    Common-subexpression elimination hashes every node it visits, and every
+    field validation asks for the coordinate bound, so both depend on that.
+    """
+
+    __slots__ = ("_hash", "_top")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through __init__, which fills the
+        # cached slots (a hash is only valid in the process that made it).
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     def free_parameters(self) -> frozenset[str]:
         names: set[str] = set()
@@ -175,7 +192,7 @@ class Expression:
         return frozenset(names)
 
     def max_coordinate(self) -> int:
-        return _max_coordinate(self)
+        return self._top
 
     def evaluate(
         self,
@@ -189,60 +206,118 @@ class Expression:
         return to_source(self)
 
 
-@dataclass(frozen=True)
+def _node(cls):
+    """Frozen slotted dataclass with field-wise equality and the cached hash."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__hash__ = Expression.__hash__
+    return cls
+
+
+@_node
 class Num(Expression):
     value: float
 
+    def __init__(self, value: float):
+        _set_value(self, value)
+        _set_hash(self, hash((Num, value)))
+        _set_top(self, 0)
 
-@dataclass(frozen=True)
+
+@_node
 class Coord(Expression):
     index: int  # 1-based
 
+    def __init__(self, index: int):
+        _set_index(self, index)
+        _set_hash(self, hash((Coord, index)))
+        _set_top(self, index)
 
-@dataclass(frozen=True)
+
+@_node
 class Param(Expression):
     name: str
 
+    def __init__(self, name: str):
+        _set_name(self, name)
+        _set_hash(self, hash((Param, name)))
+        _set_top(self, 0)
 
-@dataclass(frozen=True)
+
+@_node
 class Neg(Expression):
     child: Expression
 
+    def __init__(self, child: Expression):
+        _set_child(self, child)
+        _set_hash(self, hash((Neg, child._hash)))
+        _set_top(self, child._top)
 
-@dataclass(frozen=True)
-class Add(Expression):
+
+@_node
+class _Binary(Expression):
     left: Expression
     right: Expression
 
-
-@dataclass(frozen=True)
-class Sub(Expression):
-    left: Expression
-    right: Expression
-
-
-@dataclass(frozen=True)
-class Mul(Expression):
-    left: Expression
-    right: Expression
+    def __init__(self, left: Expression, right: Expression):
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_hash(self, hash((type(self), left._hash, right._hash)))
+        _set_top(self, left._top if left._top > right._top else right._top)
 
 
-@dataclass(frozen=True)
-class Div(Expression):
-    left: Expression
-    right: Expression
+@_node
+class Add(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Pow(Expression):
-    left: Expression
-    right: Expression
+@_node
+class Sub(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
+@_node
+class Mul(_Binary):
+    pass
+
+
+@_node
+class Div(_Binary):
+    pass
+
+
+@_node
+class Pow(_Binary):
+    pass
+
+
+@_node
 class Call(Expression):
     fn: str
     arg: Expression
+
+    def __init__(self, fn: str, arg: Expression):
+        _set_fn(self, fn)
+        _set_arg(self, arg)
+        _set_hash(self, hash((Call, fn, arg._hash)))
+        _set_top(self, arg._top)
+
+
+# Nodes are frozen, so their __init__ fills the slots through the slot
+# descriptors' own setters: the cheapest way, and building nodes is the hot
+# path of parsing, differentiation and folding.
+_set_hash = Expression._hash.__set__
+_set_top = Expression._top.__set__
+_set_value = Num.value.__set__
+_set_index = Coord.index.__set__
+_set_name = Param.name.__set__
+_set_child = Neg.child.__set__
+_set_left = _Binary.left.__set__
+_set_right = _Binary.right.__set__
+_set_fn = Call.fn.__set__
+_set_arg = Call.arg.__set__
+
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
 
 
 def _collect_parameters(e: Expression, names: set[str]) -> None:
@@ -257,91 +332,81 @@ def _collect_parameters(e: Expression, names: set[str]) -> None:
         _collect_parameters(e.arg, names)
 
 
-def _max_coordinate(e: Expression) -> int:
-    if isinstance(e, Coord):
-        return e.index
-    if isinstance(e, Neg):
-        return _max_coordinate(e.child)
-    if isinstance(e, (Add, Sub, Mul, Div, Pow)):
-        return max(_max_coordinate(e.left), _max_coordinate(e.right))
-    if isinstance(e, Call):
-        return _max_coordinate(e.arg)
-    return 0
-
-
 # --- Folding constructors ---------------------------------------------------
 #
 # Every code path that builds expressions goes through these, so folded
 # forms are canonical: rendering and re-parsing reproduces the same tree.
 
 
-def _is_num(e: Expression, value: float | None = None) -> bool:
-    if not isinstance(e, Num):
-        return False
-    return value is None or e.value == value
-
-
 def fold_neg(u: Expression) -> Expression:
-    if isinstance(u, Num):
+    if type(u) is Num:
         return Num(-u.value)
-    if isinstance(u, Neg):
+    if type(u) is Neg:
         return u.child
-    if isinstance(u, Mul) and isinstance(u.left, Num):
+    if type(u) is Mul and type(u.left) is Num:
         return Mul(Num(-u.left.value), u.right)
     return Neg(u)
 
 
 def fold_add(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(_scalar_add(a.value, b.value))
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
+    if type(a) is Num:
+        if type(b) is Num:
+            return Num(_scalar_add(a.value, b.value))
+        if a.value == 0.0:
+            return b
+    elif type(b) is Num and b.value == 0.0:
         return a
     return Add(a, b)
 
 
 def fold_sub(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(_scalar_sub(a.value, b.value))
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
+    if type(b) is Num:
+        if type(a) is Num:
+            return Num(_scalar_sub(a.value, b.value))
+        if b.value == 0.0:
+            return a
+    elif type(a) is Num and a.value == 0.0:
         return fold_neg(b)
     return Sub(a, b)
 
 
 def fold_mul(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(_scalar_mul(a.value, b.value))
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return Num(0.0)
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
+    if type(a) is Num:
+        if type(b) is Num:
+            return Num(_scalar_mul(a.value, b.value))
+        if a.value == 0.0:
+            return _ZERO
+        if a.value == 1.0:
+            return b
+    elif type(b) is Num:
+        if b.value == 0.0:
+            return _ZERO
+        if b.value == 1.0:
+            return a
     return Mul(a, b)
 
 
 def fold_div(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(_scalar_div(a.value, b.value))
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(a, 0.0):
-        return Num(0.0)
+    if type(b) is Num:
+        if type(a) is Num:
+            return Num(_scalar_div(a.value, b.value))
+        if b.value == 1.0:
+            return a
+    if type(a) is Num and a.value == 0.0:
+        return _ZERO
     return Div(a, b)
 
 
 def fold_pow(a: Expression, b: Expression) -> Expression:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(_scalar_pow(a.value, b.value))
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(b, 0.0):
-        return Num(1.0)
-    if _is_num(a, 1.0):
-        return Num(1.0)
+    if type(b) is Num:
+        if type(a) is Num:
+            return Num(_scalar_pow(a.value, b.value))
+        if b.value == 1.0:
+            return a
+        if b.value == 0.0:
+            return _ONE
+    if type(a) is Num and a.value == 1.0:
+        return _ONE
     return Pow(a, b)
 
 
@@ -353,135 +418,120 @@ def fold_call(fn: str, arg: Expression) -> Expression:
 
 # --- Tokenizer and parser ---------------------------------------------------
 
-_NUM_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# Each match is one token with the whitespace before it; exactly one group
+# is non-empty: an operator, a number, an identifier, or a stray character.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\*\*|[-+*/()])"
+    r"|((?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_][A-Za-z_0-9]*)"
+    r"|(\S))"
+)
 _COORD_RE = re.compile(r"^x(\d+)$")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        ch = source[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if source.startswith("**", pos):
-            tokens.append(_Token("op", "**", pos))
-            pos += 2
-            continue
-        if ch in "+-*/()":
-            tokens.append(_Token("op", ch, pos))
-            pos += 1
-            continue
-        match = _NUM_RE.match(source, pos)
-        if match:
-            tokens.append(_Token("num", match.group(0), pos))
-            pos = match.end()
-            continue
-        match = _IDENT_RE.match(source, pos)
-        if match:
-            tokens.append(_Token("ident", match.group(0), pos))
-            pos = match.end()
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", pos)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token], dim: int):
-        self.tokens = tokens
+    """Recursive descent: sum := term (('+'|'-') term)*,
+    term := unary (('*'|'/') unary)*, unary := ('-'|'+') unary | power,
+    power := atom ('**' unary)?  (right associative, signed exponent).
+
+    Token kinds are 'num', 'ident', 'end' or, for an operator, the operator
+    itself.  Token positions are only needed for error messages, so they are
+    found again when one is raised.
+    """
+
+    def __init__(self, source: str, dim: int):
+        found = _TOKEN_RE.findall(source)
+        self.source = source
+        self.kinds = [
+            op or ("num" if num else "ident" if ident else "bad")
+            for op, num, ident, _ in found
+        ] + ["end"]
+        self.texts = [op or num or ident or bad for op, num, ident, bad in found] + [""]
         self.dim = dim
-        self.index = 0
+        self.at = 0  # index of the next token
+        if "bad" in self.kinds:
+            index = self.kinds.index("bad")
+            self.error(f"unexpected character {self.texts[index]!r}", index)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        token = self.tokens[self.index]
-        self.index += 1
-        return token
-
-    def expect_op(self, text: str) -> None:
-        token = self.peek()
-        if token.kind != "op" or token.text != text:
-            raise ExpressionError(f"expected {text!r}", token.pos)
-        self.advance()
+    def error(self, message: str, index: int):
+        starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(self.source)]
+        raise ExpressionError(message, (starts + [len(self.source)])[index])
 
     def parse_sum(self) -> Expression:
         node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            right = self.parse_term()
-            node = fold_add(node, right) if op == "+" else fold_sub(node, right)
-        return node
+        while True:
+            kind = self.kinds[self.at]
+            if kind == "+":
+                self.at += 1
+                node = fold_add(node, self.parse_term())
+            elif kind == "-":
+                self.at += 1
+                node = fold_sub(node, self.parse_term())
+            else:
+                return node
 
     def parse_term(self) -> Expression:
         node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            right = self.parse_unary()
-            node = fold_mul(node, right) if op == "*" else fold_div(node, right)
-        return node
+        while True:
+            kind = self.kinds[self.at]
+            if kind == "*":
+                self.at += 1
+                node = fold_mul(node, self.parse_unary())
+            elif kind == "/":
+                self.at += 1
+                node = fold_div(node, self.parse_unary())
+            else:
+                return node
 
     def parse_unary(self) -> Expression:
-        token = self.peek()
-        if token.kind == "op" and token.text == "-":
-            self.advance()
+        kind = self.kinds[self.at]
+        if kind == "-":
+            self.at += 1
             return fold_neg(self.parse_unary())
-        if token.kind == "op" and token.text == "+":
-            self.advance()
+        if kind == "+":
+            self.at += 1
             return self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self) -> Expression:
         base = self.parse_atom()
-        token = self.peek()
-        if token.kind == "op" and token.text == "**":
-            self.advance()
-            # Right associative; exponent may carry a unary sign.
-            exponent = self.parse_unary()
-            return fold_pow(base, exponent)
+        if self.kinds[self.at] == "**":
+            self.at += 1
+            return fold_pow(base, self.parse_unary())
         return base
 
+    def expect_close(self) -> None:
+        if self.kinds[self.at] != ")":
+            self.error("expected ')'", self.at)
+        self.at += 1
+
     def parse_atom(self) -> Expression:
-        token = self.advance()
-        if token.kind == "num":
-            return Num(float(token.text))
-        if token.kind == "ident":
-            if self.peek().kind == "op" and self.peek().text == "(":
-                if token.text not in _SCALAR_CALLS:
-                    raise ExpressionError(f"unknown function {token.text!r}", token.pos)
-                self.advance()
+        at = self.at
+        kind, text = self.kinds[at], self.texts[at]
+        self.at += 1
+        if kind == "num":
+            return Num(float(text))
+        if kind == "ident":
+            if self.kinds[self.at] == "(":
+                if text not in _SCALAR_CALLS:
+                    self.error(f"unknown function {text!r}", at)
+                self.at += 1
                 arg = self.parse_sum()
-                self.expect_op(")")
-                return fold_call(token.text, arg)
-            coord = _COORD_RE.match(token.text)
+                self.expect_close()
+                return fold_call(text, arg)
+            coord = _COORD_RE.match(text)
             if coord:
                 index = int(coord.group(1))
                 if index < 1 or index > self.dim:
-                    raise ExpressionError(
-                        f"coordinate {token.text} out of range for dimension {self.dim}",
-                        token.pos,
+                    self.error(
+                        f"coordinate {text} out of range for dimension {self.dim}", at
                     )
                 return Coord(index)
-            return Param(token.text)
-        if token.kind == "op" and token.text == "(":
+            return Param(text)
+        if kind == "(":
             node = self.parse_sum()
-            self.expect_op(")")
+            self.expect_close()
             return node
-        if token.kind == "end":
-            raise ExpressionError("unexpected end of input", token.pos)
-        raise ExpressionError(f"unexpected token {token.text!r}", token.pos)
+        if kind == "end":
+            self.error("unexpected end of input", at)
+        self.error(f"unexpected token {text!r}", at)
 
 
 def parse(source: str, dim: int) -> Expression:
@@ -495,11 +545,10 @@ def parse(source: str, dim: int) -> Expression:
         raise ExpressionError(f"dimension must be >= 1, got {dim}")
     if not isinstance(source, str):
         raise ExpressionError(f"expression source must be text, got {type(source).__name__}")
-    parser = _Parser(_tokenize(source), dim)
+    parser = _Parser(source, dim)
     node = parser.parse_sum()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExpressionError(f"unexpected token {trailing.text!r}", trailing.pos)
+    if parser.kinds[parser.at] != "end":
+        parser.error(f"unexpected token {parser.texts[parser.at]!r}", parser.at)
     return node
 
 
@@ -508,66 +557,100 @@ def parse(source: str, dim: int) -> Expression:
 
 def differentiate(e: Expression, index: int) -> Expression:
     """Symbolic partial derivative w.r.t. the 1-based coordinate ``index``."""
+    return differentiate_all([e], index)[0]
+
+
+def differentiate_all(exprs: Sequence[Expression], index: int) -> list[Expression]:
+    """Partial derivatives of several expressions w.r.t. one coordinate.
+
+    Equal to differentiating each on its own, but a subtree that occurs more
+    than once among them is differentiated once and its result shared.
+    """
     if index < 1:
         raise ExpressionError(f"coordinate index must be >= 1, got {index}")
-    if isinstance(e, (Num, Param)):
-        return Num(0.0)
-    if isinstance(e, Coord):
-        return Num(1.0 if e.index == index else 0.0)
-    if isinstance(e, Neg):
-        return fold_neg(differentiate(e.child, index))
-    if isinstance(e, Add):
-        return fold_add(differentiate(e.left, index), differentiate(e.right, index))
-    if isinstance(e, Sub):
-        return fold_sub(differentiate(e.left, index), differentiate(e.right, index))
-    if isinstance(e, Mul):
-        du = differentiate(e.left, index)
-        dv = differentiate(e.right, index)
-        return fold_add(fold_mul(du, e.right), fold_mul(e.left, dv))
-    if isinstance(e, Div):
-        du = differentiate(e.left, index)
-        dv = differentiate(e.right, index)
+    memo: dict = {}
+    return [_derivative(e, index, memo) for e in exprs]
+
+
+def _derivative(e: Expression, index: int, memo: dict) -> Expression:
+    """Derivative of ``e``; a composite subtree that occurs more than once
+    (up to structural equality) is differentiated once and its result shared."""
+    kind = type(e)
+    if kind is Coord:
+        return _ONE if e.index == index else _ZERO
+    if kind is Num or kind is Param:
+        return _ZERO
+    d = memo.get(e)
+    if d is not None:
+        return d
+    if kind is Mul:
+        du = _derivative(e.left, index, memo)
+        dv = _derivative(e.right, index, memo)
+        d = fold_add(fold_mul(du, e.right), fold_mul(e.left, dv))
+    elif kind is Add:
+        d = fold_add(_derivative(e.left, index, memo), _derivative(e.right, index, memo))
+    elif kind is Sub:
+        d = fold_sub(_derivative(e.left, index, memo), _derivative(e.right, index, memo))
+    elif kind is Neg:
+        d = fold_neg(_derivative(e.child, index, memo))
+    elif kind is Div:
+        du = _derivative(e.left, index, memo)
+        dv = _derivative(e.right, index, memo)
         numerator = fold_sub(fold_mul(du, e.right), fold_mul(e.left, dv))
-        return fold_div(numerator, fold_mul(e.right, e.right))
-    if isinstance(e, Pow):
-        du = differentiate(e.left, index)
-        if _max_coordinate(e.right) == 0:
-            # Exponent is constant in the coordinates: plain power rule.
-            lowered = fold_pow(e.left, fold_sub(e.right, Num(1.0)))
-            return fold_mul(fold_mul(e.right, lowered), du)
-        dv = differentiate(e.right, index)
-        logs = fold_add(
-            fold_mul(dv, fold_call("log", e.left)),
-            fold_div(fold_mul(e.right, du), e.left),
-        )
-        return fold_mul(e, logs)
-    if isinstance(e, Call):
-        du = differentiate(e.arg, index)
-        u = e.arg
-        if e.fn == "exp":
-            return fold_mul(e, du)
-        if e.fn == "log":
-            return fold_div(du, u)
-        if e.fn == "sqrt":
-            return fold_div(du, fold_mul(Num(2.0), e))
-        if e.fn == "abs":
-            # sign(0) = 0 exactly, so the derivative of |u| at u = 0 is 0.
-            return fold_mul(fold_call("sign", u), du)
-        if e.fn == "sign":
-            return Num(0.0)
-        if e.fn == "sin":
-            return fold_mul(fold_call("cos", u), du)
-        if e.fn == "cos":
-            return fold_neg(fold_mul(fold_call("sin", u), du))
-        if e.fn == "tan":
-            return fold_div(du, fold_pow(fold_call("cos", u), Num(2.0)))
-        if e.fn == "sinh":
-            return fold_mul(fold_call("cosh", u), du)
-        if e.fn == "cosh":
-            return fold_mul(fold_call("sinh", u), du)
-        if e.fn == "tanh":
-            return fold_div(du, fold_pow(fold_call("cosh", u), Num(2.0)))
-    raise ExpressionError(f"cannot differentiate node {type(e).__name__}")
+        d = fold_div(numerator, fold_mul(e.right, e.right))
+    elif kind is Pow:
+        d = _power_derivative(e, index, memo)
+    elif kind is Call:
+        d = _call_derivative(e, _derivative(e.arg, index, memo))
+    else:
+        raise ExpressionError(f"cannot differentiate node {kind.__name__}")
+    memo[e] = d
+    return d
+
+
+def _power_derivative(e: Pow, index: int, memo: dict) -> Expression:
+    du = _derivative(e.left, index, memo)
+    if e.right.max_coordinate() == 0:
+        # Exponent is constant in the coordinates: plain power rule, which
+        # folds to zero with du (the base is never a number).
+        if type(du) is Num and du.value == 0.0:
+            return _ZERO
+        lowered = fold_pow(e.left, fold_sub(e.right, _ONE))
+        return fold_mul(fold_mul(e.right, lowered), du)
+    dv = _derivative(e.right, index, memo)
+    logs = fold_add(
+        fold_mul(dv, fold_call("log", e.left)),
+        fold_div(fold_mul(e.right, du), e.left),
+    )
+    return fold_mul(e, logs)
+
+
+def _call_derivative(e: Call, du: Expression) -> Expression:
+    u = e.arg
+    if e.fn == "exp":
+        return fold_mul(e, du)
+    if e.fn == "log":
+        return fold_div(du, u)
+    if e.fn == "sqrt":
+        return fold_div(du, fold_mul(Num(2.0), e))
+    if e.fn == "abs":
+        # sign(0) = 0 exactly, so the derivative of |u| at u = 0 is 0.
+        return fold_mul(fold_call("sign", u), du)
+    if e.fn == "sign":
+        return _ZERO
+    if e.fn == "sin":
+        return fold_mul(fold_call("cos", u), du)
+    if e.fn == "cos":
+        return fold_neg(fold_mul(fold_call("sin", u), du))
+    if e.fn == "tan":
+        return fold_div(du, fold_pow(fold_call("cos", u), Num(2.0)))
+    if e.fn == "sinh":
+        return fold_mul(fold_call("cosh", u), du)
+    if e.fn == "cosh":
+        return fold_mul(fold_call("sinh", u), du)
+    if e.fn == "tanh":
+        return fold_div(du, fold_pow(fold_call("cosh", u), Num(2.0)))
+    raise ExpressionError(f"cannot differentiate function {e.fn!r}")
 
 
 # --- Rendering --------------------------------------------------------------
@@ -784,67 +867,45 @@ class CompiledFunction:
 _BINARY_OPS = {Add: _OP_ADD, Sub: _OP_SUB, Mul: _OP_MUL, Div: _OP_DIV, Pow: _OP_POW}
 
 
-def _children(e: Expression) -> tuple:
-    if isinstance(e, Neg):
-        return (e.child,)
-    if isinstance(e, Call):
-        return (e.arg,)
-    if type(e) in _BINARY_OPS:
-        return (e.left, e.right)
-    return ()
-
-
-def _count_composites(e: Expression, counts: dict) -> None:
-    """Count textual occurrences of composite subtrees, not descending into
-    repeats: a subtree inside a shared parent is covered by the parent's slot
-    unless it also occurs elsewhere on its own."""
-    if isinstance(e, (Num, Coord, Param)):
-        return
-    seen = counts.get(e, 0)
-    counts[e] = seen + 1
-    if seen:
-        return
-    for child in _children(e):
-        _count_composites(child, counts)
-
-
 def _emit(
-    e: Expression,
-    params: Mapping[str, float],
-    out: list,
-    counts: Mapping,
-    slot_of: dict,
+    node: Expression, program: list, names: set, bound: list, end_of: dict, repeats: list
 ) -> None:
-    if isinstance(e, Num):
-        out.append((_OP_CONST, float(e.value)))
+    """Append the post-order program of ``node``; a subtree seen before is a
+    LOAD of its end index, and a parameter a push of its name, both replaced
+    once the whole expression is emitted."""
+    kind = type(node)
+    if kind is Num:
+        program.append((_OP_CONST, float(node.value)))
         return
-    if isinstance(e, Coord):
-        out.append((_OP_COORD, e.index - 1))
+    if kind is Coord:
+        program.append((_OP_COORD, node.index - 1))
         return
-    if isinstance(e, Param):
-        out.append((_OP_CONST, float(params[e.name])))
+    if kind is Param:
+        names.add(node.name)
+        bound.append(len(program))
+        program.append((_OP_CONST, node.name))
         return
-    slot = slot_of.get(e)
-    if slot is not None:
-        out.append((_OP_LOAD, slot))
+    end = end_of.get(node)
+    if end is not None:
+        repeats.append(len(program))
+        program.append((_OP_LOAD, end))
         return
-    if isinstance(e, Neg):
-        _emit(e.child, params, out, counts, slot_of)
-        out.append((_OP_NEG, None))
-    elif isinstance(e, Call):
-        _emit(e.arg, params, out, counts, slot_of)
-        out.append((_OP_CALL, e.fn))
+    if kind is Neg:
+        _emit(node.child, program, names, bound, end_of, repeats)
+        program.append((_OP_NEG, None))
+    elif kind is Call:
+        _emit(node.arg, program, names, bound, end_of, repeats)
+        # Carry a (scalar fn, block ufunc) pair so neither evaluation path
+        # pays a name lookup per call.
+        program.append((_OP_CALL, (_SCALAR_CALLS[node.fn], _BLOCK_CALLS[node.fn])))
     else:
-        op = _BINARY_OPS.get(type(e))
+        op = _BINARY_OPS.get(kind)
         if op is None:
-            raise ExpressionError(f"cannot compile node {type(e).__name__}")
-        _emit(e.left, params, out, counts, slot_of)
-        _emit(e.right, params, out, counts, slot_of)
-        out.append((op, None))
-    if counts.get(e, 0) > 1:
-        slot = len(slot_of)
-        slot_of[e] = slot
-        out.append((_OP_TEE, slot))
+            raise ExpressionError(f"cannot compile node {kind.__name__}")
+        _emit(node.left, program, names, bound, end_of, repeats)
+        _emit(node.right, program, names, bound, end_of, repeats)
+        program.append((op, None))
+    end_of[node] = len(program) - 1
 
 
 def compile_expression(
@@ -856,31 +917,35 @@ def compile_expression(
     does not cover the expression's free parameters.
     """
     params = dict(params or {})
-    missing = sorted(e.free_parameters() - set(params))
+    program: list = []
+    names: set = set()
+    bound: list = []  # indices of the parameter pushes
+    end_of: dict = {}  # composite subtree -> index of its last instruction
+    repeats: list = []  # indices of the LOADs of subtrees seen before
+    _emit(e, program, names, bound, end_of, repeats)
+    missing = sorted(names - set(params))
     if missing:
         raise UnboundParameterError(missing)
     top = e.max_coordinate()
     if top > dim:
         raise ExpressionError(f"expression uses x{top}, beyond dimension {dim}")
-    counts: dict = {}
-    _count_composites(e, counts)
-    program: list = []
-    slot_of: dict = {}
-    _emit(e, params, program, counts, slot_of)
-    # Call instructions carry a (scalar fn, block ufunc) pair so neither
-    # evaluation path pays a name lookup per call.
+    # A subtree that occurs again is stored (TEE) right after its first
+    # computation, slots numbered in that order, and reloaded at each repeat;
+    # a subtree inside a reloaded one is not visited again.
+    for index in bound:
+        program[index] = (_OP_CONST, float(params[program[index][1]]))
+    ends = sorted({program[index][1] for index in repeats})
+    slot_at = {end: slot for slot, end in enumerate(ends)}
+    for index in repeats:
+        program[index] = (_OP_LOAD, slot_at[program[index][1]])
     resolved = []
-    for op, arg in program:
-        if op == _OP_CALL:
-            resolved.append((op, (_SCALAR_CALLS[arg], _BLOCK_CALLS[arg])))
-        else:
-            resolved.append((op, arg))
-    return CompiledFunction(resolved, dim, e, n_slots=len(slot_of))
-
-
-# Alias matching the op name used throughout the docs; kept out of __all__
-# so star imports do not shadow the builtin.
-compile = compile_expression
+    start = 0
+    for slot, end in enumerate(ends):
+        resolved += program[start : end + 1]
+        resolved.append((_OP_TEE, slot))
+        start = end + 1
+    resolved += program[start:]
+    return CompiledFunction(resolved, dim, e, n_slots=len(ends))
 
 
 # --- Partial evaluation -----------------------------------------------------

@@ -48,7 +48,7 @@ def _coerce_key(key, degree: int, dim: int) -> tuple[int, ...]:
     if isinstance(key, int):
         key = (key,)
     try:
-        tup = tuple(int(i) for i in key)
+        tup = tuple(map(int, key))
     except TypeError:
         raise MultivectorError(f"key {key!r} is not an index tuple")
     if len(tup) != degree:
@@ -58,8 +58,9 @@ def _coerce_key(key, degree: int, dim: int) -> tuple[int, ...]:
     for i in tup:
         if i < 1 or i > dim:
             raise MultivectorError(f"key {tup} has index {i} outside 1..{dim}")
-    if any(a >= b for a, b in zip(tup, tup[1:])):
-        raise MultivectorError(f"key {tup} is not strictly increasing")
+    for a, b in zip(tup, tup[1:]):
+        if a >= b:
+            raise MultivectorError(f"key {tup} is not strictly increasing")
     return tup
 
 

@@ -15,10 +15,19 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .expressions import (
+    Add,
+    Call,
+    Coord,
+    Div,
     Expression,
+    Mul,
+    Neg,
     Num,
     Param,
+    Pow,
+    Sub,
     differentiate,
+    differentiate_all,
     fold_add,
     fold_div,
     fold_mul,
@@ -29,6 +38,8 @@ from .expressions import (
 from .geometry import Multivector, MultivectorError, validate_multivector
 
 __all__ = [
+    "as_field",
+    "as_scalar_expression",
     "SymbolicMatrix",
     "NormalFormClass",
     "bivector_to_matrix_sym",
@@ -42,12 +53,17 @@ __all__ = [
 ]
 
 
-def _as_field(
+def as_field(
     data: Union[Multivector, Mapping, str, int, float],
     dim: int | None,
     degree: int | None,
     what: str,
 ) -> Multivector:
+    """Validate a field given as a Multivector, coefficient map or scalar.
+
+    ``what`` names the caller in the error raised when raw data arrives
+    without a dimension.
+    """
     if isinstance(data, Multivector):
         return validate_multivector(data, data.dim if dim is None else dim, degree)
     if dim is None:
@@ -57,7 +73,8 @@ def _as_field(
     return validate_multivector(data, dim, degree)
 
 
-def _as_scalar_expression(f0, dim: int) -> Expression:
+def as_scalar_expression(f0, dim: int) -> Expression:
+    """A scalar function (text, number, Expression or degree-0 field); None is 1."""
     if f0 is None:
         return Num(1.0)
     if isinstance(f0, Multivector):
@@ -114,7 +131,7 @@ def bivector_to_matrix_sym(
     P: Union[Multivector, Mapping], dim: int | None = None
 ) -> SymbolicMatrix:
     """Matrix M with M[i][j] = coefficient (i, j), lower half negated."""
-    P = _as_field(P, dim, 2, "bivector_to_matrix_sym")
+    P = as_field(P, dim, 2, "bivector_to_matrix_sym")
     m = P.dim
     rows = []
     for i in range(1, m + 1):
@@ -135,20 +152,21 @@ def sharp_sym(
     alpha: Union[Multivector, Mapping],
     dim: int | None = None,
 ) -> Multivector:
-    """Image of the one-form alpha under the sharp map: -M alpha."""
-    P = _as_field(P, dim, 2, "sharp_sym")
-    alpha = _as_field(alpha, P.dim, 1, "sharp_sym")
+    """Image of the one-form alpha under the sharp map: -M alpha.
+
+    Component j is built as sum_k M[k][j] alpha_k (M is antisymmetric), so
+    terms that cancel exactly evaluate to +0.0, as a numeric sum would.
+    """
+    P = as_field(P, dim, 2, "sharp_sym")
+    alpha = as_field(alpha, P.dim, 1, "sharp_sym")
     matrix = bivector_to_matrix_sym(P)
     m = P.dim
     out = {}
     for j in range(1, m + 1):
         total: Expression = Num(0.0)
-        for k in range(1, m + 1):
-            ak = alpha.coeffs.get((k,))
-            if ak is None:
-                continue
-            total = fold_add(total, fold_mul(matrix.entry(j, k), ak))
-        out[(j,)] = fold_neg(total)
+        for (k,), ak in alpha.items():
+            total = fold_add(total, fold_mul(matrix.entry(k, j), ak))
+        out[(j,)] = total
     return Multivector.build(m, 1, out)
 
 
@@ -176,13 +194,12 @@ def _xi_derivative(field: Multivector, l: int) -> dict:
 
 
 def _x_derivative(field: Multivector, l: int) -> dict:
-    out: dict = {}
-    for key, coeff in field.items():
-        d = differentiate(coeff, l)
-        if isinstance(d, Num) and d.value == 0.0:
-            continue
-        out[key] = d
-    return out
+    partials = differentiate_all(list(field.coeffs.values()), l)
+    return {
+        key: d
+        for key, d in zip(field.coeffs, partials)
+        if not (isinstance(d, Num) and d.value == 0.0)
+    }
 
 
 def _grassmann_product_into(acc: dict, left: Mapping, right: Mapping) -> None:
@@ -208,10 +225,10 @@ def schouten_coboundary(
     For a degree-0 argument this is the Hamiltonian field -M grad A; at top
     degree (a = m) the bracket is the zero multivector of degree m + 1.
     """
-    P = _as_field(P, dim, 2, "schouten_coboundary")
+    P = as_field(P, dim, 2, "schouten_coboundary")
     if isinstance(A, (str, int, float, Expression)) and degree is None:
         degree = 0
-    A = _as_field(A, P.dim, degree, "schouten_coboundary")
+    A = as_field(A, P.dim, degree, "schouten_coboundary")
     m = P.dim
     out: dict = {}
     for l in range(1, m + 1):
@@ -231,15 +248,20 @@ def _euclidean_divergence(field: Multivector) -> dict:
     """Divergence w.r.t. the standard volume, degree a -> a - 1."""
     m = field.dim
     a = field.degree
+    keys = sorted(field.coeffs)
+    partials = {}  # (key, l) -> d coefficient / d x_l, for l in key
+    for l in range(1, m + 1):
+        with_l = [key for key in keys if l in key]
+        derivs = differentiate_all([field.coeffs[key] for key in with_l], l)
+        partials.update(((key, l), d) for key, d in zip(with_l, derivs))
     out: dict = {}
-    for key in sorted(field.coeffs):
-        coeff = field.coeffs[key]
+    for key in keys:
         comp = _complement(key, m)
         eps_key = _perm_sign(key + comp)
         for pos, l in enumerate(key):
             reduced = key[:pos] + key[pos + 1 :]
             reduced_comp = _complement(reduced, m)
-            d = differentiate(coeff, l)
+            d = partials[key, l]
             if isinstance(d, Num) and d.value == 0.0:
                 continue
             sigma = (-1) ** sum(1 for c in comp if c < l)
@@ -264,11 +286,11 @@ def curl_sym(
     Defined by  i_{curl(A)} Omega = d(i_A Omega); for a general volume this
     is (1/f0) times the Euclidean divergence of f0 * A.
     """
-    A = _as_field(A, dim, degree, "curl_sym")
+    A = as_field(A, dim, degree, "curl_sym")
     if A.degree < 1:
         raise MultivectorError(f"curl expects degree >= 1, got {A.degree}")
     m = A.dim
-    f0e = _as_scalar_expression(f0, m)
+    f0e = as_scalar_expression(f0, m)
     trivial_volume = isinstance(f0e, Num) and f0e.value == 1.0
     if trivial_volume:
         scaled = A
@@ -286,7 +308,7 @@ def modular_vf_sym(
     P: Union[Multivector, Mapping], f0=None, dim: int | None = None
 ) -> Multivector:
     """Modular vector field of a bivector w.r.t. the volume f0 * Omega0."""
-    P = _as_field(P, dim, 2, "modular_vf_sym")
+    P = as_field(P, dim, 2, "modular_vf_sym")
     return curl_sym(P, f0)
 
 
@@ -328,9 +350,8 @@ def flaschka_ratiu_sym(
             f"got {len(casimirs)}"
         )
     exprs = [k if isinstance(k, Expression) else parse(str(k), dim) for k in casimirs]
-    gradients = [
-        [differentiate(k, j) for j in range(1, dim + 1)] for k in exprs
-    ]
+    columns = [differentiate_all(exprs, j) for j in range(1, dim + 1)]
+    gradients = [[column[r] for column in columns] for r in range(dim - 2)]
     out = {}
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
@@ -360,8 +381,6 @@ class NormalFormClass:
 
 def _linear_form(e: Expression, key) -> np.ndarray:
     """Coefficients (c0, c1, c2, c3) of a homogeneous-linear expression."""
-    from .expressions import Add, Call, Coord, Div, Mul, Neg, Pow, Sub
-
     if isinstance(e, Num):
         return np.array([e.value, 0.0, 0.0, 0.0])
     if isinstance(e, Coord):
@@ -414,12 +433,12 @@ _REPRESENTATIVES = {
 _MODULUS_CLASSES = {"aff_rotation", "aff_boost"}
 
 
-def _make_class(label: str) -> NormalFormClass:
-    return NormalFormClass(
-        label,
-        Multivector.build(3, 2, _REPRESENTATIVES[label]),
-        label in _MODULUS_CLASSES,
+_CLASSES = {
+    label: NormalFormClass(
+        label, Multivector.build(3, 2, rep), label in _MODULUS_CLASSES
     )
+    for label, rep in _REPRESENTATIVES.items()
+}
 
 
 def linear_normal_form_r3(P: Union[Multivector, Mapping]) -> NormalFormClass:
@@ -430,7 +449,7 @@ def linear_normal_form_r3(P: Union[Multivector, Mapping]) -> NormalFormClass:
     the skew part determine it.  The bivector is assumed to satisfy the
     Jacobi identity (S a = 0); that precondition is not checked.
     """
-    P = _as_field(P, 3, 2, "linear_normal_form_r3")
+    P = as_field(P, 3, 2, "linear_normal_form_r3")
     if P.dim != 3:
         raise MultivectorError(f"normal forms are defined on R^3, got dimension {P.dim}")
     rows = [
@@ -458,18 +477,18 @@ def linear_normal_form_r3(P: Union[Multivector, Mapping]) -> NormalFormClass:
     definite = rank > 0 and (npos == rank or nneg == rank)
     if a_zero:
         if rank == 0:
-            return _make_class("trivial")
+            return _CLASSES["trivial"]
         if rank == 1:
-            return _make_class("heisenberg")
+            return _CLASSES["heisenberg"]
         if rank == 2:
-            return _make_class("e2" if definite else "e11")
-        return _make_class("so3" if definite else "sl2")
+            return _CLASSES["e2" if definite else "e11"]
+        return _CLASSES["so3" if definite else "sl2"]
     if rank == 0:
-        return _make_class("aff_diag")
+        return _CLASSES["aff_diag"]
     if rank == 1:
-        return _make_class("aff_jordan")
+        return _CLASSES["aff_jordan"]
     if rank == 2:
-        return _make_class("aff_rotation" if definite else "aff_boost")
+        return _CLASSES["aff_rotation" if definite else "aff_boost"]
     raise MultivectorError(
         "linear bivector has full-rank symmetric part with a non-zero axial "
         "vector; no Poisson structure has this form"
@@ -491,24 +510,25 @@ def one_forms_bracket_sym(
     minus the same expression with alpha and beta swapped, plus the
     gradient of the pairing <beta, sharp(alpha)>.
     """
-    P = _as_field(P, dim, 2, "one_forms_bracket_sym")
+    P = as_field(P, dim, 2, "one_forms_bracket_sym")
     m = P.dim
-    alpha = _as_field(alpha, m, 1, "one_forms_bracket_sym")
-    beta = _as_field(beta, m, 1, "one_forms_bracket_sym")
+    alpha = as_field(alpha, m, 1, "one_forms_bracket_sym")
+    beta = as_field(beta, m, 1, "one_forms_bracket_sym")
     sharp_a = sharp_sym(P, alpha)
     sharp_b = sharp_sym(P, beta)
 
-    def antisym_times_sharp(gamma: Multivector, sharp_img: Multivector, i: int) -> Expression:
-        total: Expression = Num(0.0)
-        for j in range(1, m + 1):
-            sj = sharp_img.coeffs.get((j,))
-            if sj is None:
-                continue
-            g_i = gamma.coefficient((i,))
-            g_j = gamma.coefficient((j,))
-            jac = fold_sub(differentiate(g_i, j), differentiate(g_j, i))
-            total = fold_add(total, fold_mul(jac, sj))
-        return total
+    def partials(gamma: Multivector) -> list:
+        """partials(gamma)[j - 1][k - 1] = d gamma_k / dx_j."""
+        coeffs = [gamma.coefficient((k,)) for k in range(1, m + 1)]
+        return [differentiate_all(coeffs, j) for j in range(1, m + 1)]
+
+    d_alpha, d_beta = partials(alpha), partials(beta)
+
+    def antisym_terms(d_gamma: list, sharp_img: Multivector, i: int):
+        """(d gamma_i/dx_j - d gamma_j/dx_i) sharp_img_j for each j."""
+        for (j,), s_j in sharp_img.items():
+            jac = fold_sub(d_gamma[j - 1][i - 1], d_gamma[i - 1][j - 1])
+            yield fold_mul(jac, s_j)
 
     pairing: Expression = Num(0.0)
     for k in range(1, m + 1):
@@ -520,8 +540,12 @@ def one_forms_bracket_sym(
 
     out = {}
     for i in range(1, m + 1):
-        t1 = antisym_times_sharp(beta, sharp_a, i)
-        t2 = antisym_times_sharp(alpha, sharp_b, i)
-        t3 = differentiate(pairing, i)
-        out[(i,)] = fold_add(fold_sub(t1, t2), t3)
+        # One running sum, term by term: compiled, it rounds exactly like a
+        # numeric assembly of the three terms in this order.
+        total: Expression = Num(0.0)
+        for term in antisym_terms(d_beta, sharp_a, i):
+            total = fold_add(total, term)
+        for term in antisym_terms(d_alpha, sharp_b, i):
+            total = fold_sub(total, term)
+        out[(i,)] = fold_add(total, differentiate(pairing, i))
     return Multivector.build(m, 1, out)

@@ -20,7 +20,6 @@ from poissonmesh.geometry import (
     corners_mesh,
     random_mesh,
 )
-from poissonmesh.symbolic import one_forms_bracket_sym, sharp_sym
 
 SEED = 20250825
 
@@ -40,19 +39,35 @@ def hamiltonian_product_mesh():
     return as_mesh(pts)
 
 
-def compiled_vector(mv: Multivector, params=None):
-    """Compiled per-component functions of a degree-1 field, index -> fn."""
-    return {
-        key[0]: compile_expression(coeff, mv.dim, params or {})
-        for key, coeff in mv.items()
-    }
-
-
-def eval_symbolic_vector(mv: Multivector, mesh, params=None) -> np.ndarray:
-    out = np.zeros((len(mesh.points), mv.dim))
-    for idx, fn in compiled_vector(mv, params).items():
-        out[:, idx - 1] = fn.evaluate_block(mesh.points)
+def evaluated_one_form(raw, mesh) -> np.ndarray:
+    """(k, m) values of a one-form given as coefficient text, zeros elsewhere."""
+    m = mesh.dim
+    out = np.zeros((len(mesh), m))
+    for (i,), text in raw.items():
+        out[:, i - 1] = compile_expression(parse(text, m), m).evaluate_block(
+            mesh.points
+        )
     return out
+
+
+def pointwise_one_form(raw, m: int):
+    """point -> (m,) values of a one-form given as coefficient text."""
+    fns = {i: compile_expression(parse(text, m), m) for (i,), text in raw.items()}
+    return lambda p: np.array([fns[i](p) if i in fns else 0.0 for i in range(1, m + 1)])
+
+
+def pointwise_matrix(P_raw, m: int):
+    """point -> (m, m) antisymmetric matrix form of a bivector."""
+    fns = {key: compile_expression(parse(text, m), m) for key, text in P_raw.items()}
+
+    def matrix(p):
+        out = np.zeros((m, m))
+        for (i, j), fn in fns.items():
+            out[i - 1, j - 1] = fn(p)
+            out[j - 1, i - 1] = -out[i - 1, j - 1]
+        return out
+
+    return matrix
 
 
 class TestBivector:
@@ -249,14 +264,12 @@ class TestSharpMorphism:
         res = ev.num_sharp_morphism(g.SO3, g.RADIAL_ONE_FORM_R3, mesh, DENSE, dim=3)
         assert np.all(res.data == 0.0)
 
-    def test_agrees_with_symbolic_sharp(self):
+    def test_agrees_with_matrix_product(self):
         mesh = random_mesh(200, 3, seed=SEED + 6)
         alpha = {(1,): "x2*x3", (2,): "-x1", (3,): "x1 + x2**2"}
         res = ev.num_sharp_morphism(g.SL2, alpha, mesh, DENSE, dim=3)
-        sym = sharp_sym(
-            Multivector.build(3, 2, g.SL2), Multivector.build(3, 1, alpha)
-        )
-        expected = eval_symbolic_vector(sym, mesh)
+        M = ev.num_bivector_to_matrix(g.SL2, mesh, dim=3).data
+        expected = -np.einsum("kij,kj->ki", M, evaluated_one_form(alpha, mesh))
         scale = max(1.0, np.max(np.abs(expected)))
         assert np.max(np.abs(res.data - expected)) <= 1e-9 * scale
 
@@ -393,9 +406,10 @@ class TestOneFormsBracket:
         assert res.keys == tuple((i,) for i in range(1, 7))
         assert res.data[0][(2,)] == pytest.approx(2.0, abs=1e-9)
 
-    def test_matches_symbolic_route(self):
-        # The numeric three-term assembly must agree with the purely
-        # symbolic bracket construction.
+    def test_matches_numeric_three_term_formula(self):
+        # Reference per point: (J_beta - J_beta^T) sharp(alpha) minus the
+        # alpha/beta swap, plus grad <beta, sharp(alpha)>, with sharp = -M
+        # and every derivative taken by central finite differences.
         mesh = random_mesh(120, 3, seed=SEED + 13)
         cases = [
             (g.SO3, {(1,): "x2", (2,): "x3**2", (3,): "x1*x2"},
@@ -403,14 +417,28 @@ class TestOneFormsBracket:
             (g.SL2, {(1,): "x1*x3", (2,): "-x2"}, {(2,): "x1", (3,): "x3**2"}),
         ]
         for P_raw, a_raw, b_raw in cases:
-            P = Multivector.build(3, 2, P_raw)
-            alpha = Multivector.build(3, 1, a_raw)
-            beta = Multivector.build(3, 1, b_raw)
-            sym = one_forms_bracket_sym(P, alpha, beta)
-            expected = eval_symbolic_vector(sym, mesh)
+            matrix = pointwise_matrix(P_raw, 3)
+            alpha = pointwise_one_form(a_raw, 3)
+            beta = pointwise_one_form(b_raw, 3)
+
+            def antisym_jacobian(form, p):
+                J = np.array(
+                    [oracles.fd_gradient(lambda q: form(q)[i], p, 3) for i in range(3)]
+                )
+                return J - J.T
+
+            def pairing(p):
+                return beta(p) @ (-matrix(p) @ alpha(p))
+
+            expected = np.array([
+                antisym_jacobian(beta, p) @ (-matrix(p) @ alpha(p))
+                - antisym_jacobian(alpha, p) @ (-matrix(p) @ beta(p))
+                + oracles.fd_gradient(pairing, p, 3)
+                for p in mesh.points
+            ])
             res = ev.num_one_forms_bracket(P_raw, a_raw, b_raw, mesh, DENSE, dim=3)
             scale = max(1.0, np.max(np.abs(expected)))
-            assert np.max(np.abs(res.data - expected)) <= 1e-9 * scale
+            assert np.max(np.abs(res.data - expected)) <= 1e-6 * scale
 
     def test_antisymmetry(self):
         mesh = random_mesh(100, 3, seed=SEED + 14)

@@ -249,6 +249,28 @@ class TestDifferentiate:
 # --- Compilation and evaluation ---------------------------------------------
 
 
+class TestNodeIdentity:
+    def test_separately_built_trees_are_equal_and_hash_equal(self):
+        a = ex.parse("x1*sin(x2) - x3**2/a", 3)
+        b = ex.parse("x1*sin(x2) - x3**2/a", 3)
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_node_type_is_part_of_equality(self):
+        a, b = ex.Coord(1), ex.Coord(2)
+        assert ex.Add(a, b) != ex.Mul(a, b)
+        assert ex.Add(a, b) != ex.Add(b, a)
+
+    def test_nodes_have_no_instance_dict(self):
+        x = ex.Coord(1)
+        nodes = [ex.Num(1.0), x, ex.Param("a"), ex.Neg(x), ex.Call("sin", x)]
+        nodes += [cls(x, x) for cls in (ex.Add, ex.Sub, ex.Mul, ex.Div, ex.Pow)]
+        for node in nodes:
+            hash(node)
+            assert not hasattr(node, "__dict__"), type(node).__name__
+
+
 class TestCompile:
     def test_compiled_matches_tree_walk(self):
         rng = np.random.default_rng(11)
@@ -319,6 +341,20 @@ class TestCompile:
     def test_purity(self):
         f = ex.compile_expression(ex.parse("x1**2 + 1", 1), 1)
         assert f([3.0]) == f([3.0]) == 10.0
+
+    def test_repeated_subtree_gets_one_slot(self):
+        # The two operands are parsed separately, so only structural
+        # equality (not identity) can find the repeat.
+        left = ex.parse("x1*x2 + 1", 2)
+        right = ex.parse("x1*x2 + 1", 2)
+        assert left is not right
+        f = ex.compile_expression(ex.fold_add(left, right), 2)
+        ops = [op for op, _ in f.program]
+        assert ops.count(ex._OP_TEE) == 1
+        assert ops.count(ex._OP_LOAD) == 1
+        assert f.n_slots == 1
+        assert f([2.0, 3.0]) == 14.0
+        assert f.evaluate_block(np.array([[2.0, 3.0]]))[0] == 14.0
 
 
 # --- Partial evaluation -----------------------------------------------------
