@@ -327,14 +327,18 @@ def cmd_eval(args) -> int:
     options = EvalOptions(
         mode=mode, params=_parse_params(args.param), workers=args.workers
     )
+    t0 = time.perf_counter()
     dim, evaluator = _build_case(args, options)
+    t1 = time.perf_counter()
     mesh = _load_mesh_arg(args.mesh, args.dim if args.dim is not None else dim)
-    start = time.perf_counter()
+    t2 = time.perf_counter()
     result = evaluator(mesh)
-    elapsed = time.perf_counter() - start
+    t3 = time.perf_counter()
     write_result(result, args.out, fmt)
+    t4 = time.perf_counter()
     print(
-        f"{len(mesh.points)} points, {elapsed:.3f} s, "
+        f"{len(mesh.points)} points, prepare {t1 - t0:.3f} s, load {t2 - t1:.3f} s, "
+        f"eval {t3 - t2:.3f} s, write {t4 - t3:.3f} s, "
         f"{result.nonfinite} non-finite"
     )
     return EXIT_OK
@@ -486,6 +490,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except RecursionError:
+        # The expression core walks trees recursively, so a very long
+        # expression (a sum of about 500 or more terms) exceeds the
+        # interpreter's recursion limit.
+        print(
+            "error: invalid input: an expression is nested too deeply to "
+            "process; split it into smaller expressions",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -15,10 +15,13 @@ Concurrency: meshes are processed in fixed-size row chunks (the chunk
 boundaries never depend on the worker count), and worker threads only spread
 the same chunk list, so outputs are bitwise identical for any worker count.
 
-Output layout: ``records`` mode yields one mapping per mesh point (the
-benchmarked mode); ``dense`` mode yields a scalar column (k,), a vector
-block (k, m), or an antisymmetric matrix block (k, m, m).  Results of degree
-three or higher are records-only.  Non-finite values (poles on the mesh)
+Output layout: every method evaluates float64 coefficient columns and lays
+them out with the same two helpers.  ``records`` mode yields one mapping per
+mesh point (the benchmarked mode); ``dense`` mode yields a scalar column
+(k,), a vector block (k, m), or an antisymmetric matrix block (k, m, m).
+Results of degree three or higher are records-only.  Only a normal form with
+an unbound modulus differs: its records keep the modulus as residual text,
+so each point is partially evaluated.  Non-finite values (poles on the mesh)
 propagate into the output and are tallied in ``BatchResult.nonfinite``.
 """
 
@@ -160,12 +163,31 @@ def _count_nonfinite(values: np.ndarray) -> int:
 # --- Shared assembly ---------------------------------------------------------
 
 
-def _records_from_columns(keys, columns: np.ndarray) -> list:
+def _records_from_columns(keys, columns, k: int) -> list:
+    """One dict per row from one 1-D column per key (``block.T`` of a block);
+    a bool column (the gauge's ``valid``) gives Python bools."""
     keys = list(keys)
-    # tolist() converts the whole block to Python floats at C speed; building
-    # each row dict from the ready list is several times faster than indexing
-    # the array per entry.
-    return [dict(zip(keys, row)) for row in columns.tolist()]
+    if not keys:
+        return [{} for _ in range(k)]
+    records = []
+    # tolist() converts a column to Python scalars at C speed; zipping the
+    # ready lists into row dicts is several times faster than indexing the
+    # arrays per entry.  Converting one chunk of rows at a time bounds the
+    # lists, which only feed the dicts, so the records alone set the peak.
+    for start in range(0, k, _CHUNK_ROWS):
+        lists = [column[start : start + _CHUNK_ROWS].tolist() for column in columns]
+        records += [dict(zip(keys, row)) for row in zip(*lists)]
+    return records
+
+
+def _dense_fill(out: np.ndarray, keys, columns) -> None:
+    """Write one column per coefficient key into a dense (k,) / (k, m) /
+    (k, m, m) block; a bivector key also fills its transposed entry with
+    the negated column, so matrix blocks come out antisymmetric."""
+    for key, column in zip(keys, columns):
+        out[(slice(None),) + tuple(i - 1 for i in key)] = column
+        if len(key) == 2:
+            out[:, key[1] - 1, key[0] - 1] = -column
 
 
 def _multivector_result(sym: Multivector, fns, keys, mesh, options) -> BatchResult:
@@ -195,15 +217,12 @@ def _multivector_result(sym: Multivector, fns, keys, mesh, options) -> BatchResu
         record_keys = tuple("value" if key == () else key for key in keys)
         return BatchResult(
             "records",
-            _records_from_columns(record_keys, columns),
+            _records_from_columns(record_keys, columns.T, len(mesh)),
             keys=record_keys,
             nonfinite=nonfinite,
         )
     out = np.zeros((len(mesh),) + (m,) * degree)
-    for idx, key in enumerate(keys):
-        out[(slice(None),) + tuple(i - 1 for i in key)] = columns[:, idx]
-        if degree == 2:
-            out[:, key[1] - 1, key[0] - 1] = -columns[:, idx]
+    _dense_fill(out, keys, columns.T)
     kind = ("scalar", "vector", "matrix")[degree]
     return BatchResult(kind, out, nonfinite=nonfinite)
 
@@ -283,21 +302,12 @@ def prepare_poisson_bracket(P, f, g, options=None, dim=None):
     m = P.dim
     f_expr = _as_expression(f, m)
     g_expr = _as_expression(g, m)
-    if f_expr == g_expr:
-        # Structurally identical canonical ASTs bracket to zero; skip all
-        # evaluation (and any unbound-parameter complaints with it).
-        def zero_evaluator(mesh) -> BatchResult:
-            mesh = _check_mesh(mesh, m)
-            if options.mode == "records":
-                return BatchResult(
-                    "records", [{"value": 0.0} for _ in range(len(mesh))]
-                )
-            return BatchResult("scalar", np.zeros(len(mesh)))
-
-        return zero_evaluator
     bracket: Expression = Num(0.0)
-    for (i,), x_i in schouten_coboundary(P, f_expr).items():
-        bracket = fold_add(bracket, fold_mul(differentiate(g_expr, i), x_i))
+    # Structurally identical canonical ASTs bracket to zero: the zero field
+    # compiles nothing, so an unbound parameter in f is not an error.
+    if f_expr != g_expr:
+        for (i,), x_i in schouten_coboundary(P, f_expr).items():
+            bracket = fold_add(bracket, fold_mul(differentiate(g_expr, i), x_i))
     return _field_evaluator(Multivector.build(m, 0, bracket), options, ((),))
 
 
@@ -383,6 +393,7 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
     P_fns = _compile_coeffs(P, options.params)
     lam_fns = _compile_coeffs(lam, options.params)
     identity = np.eye(m)
+    upper = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
 
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, m)
@@ -392,15 +403,9 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
         def kernel(pts, rows):
             k = len(pts)
             M = np.zeros((k, m, m))
-            for (i, j), fn in sorted(P_fns.items()):
-                vals = fn.evaluate_block(pts)
-                M[:, i - 1, j - 1] = vals
-                M[:, j - 1, i - 1] = -vals
+            _dense_fill(M, P_fns, (fn.evaluate_block(pts) for fn in P_fns.values()))
             L = np.zeros((k, m, m))
-            for (i, j), fn in sorted(lam_fns.items()):
-                vals = fn.evaluate_block(pts)
-                L[:, i - 1, j - 1] = vals
-                L[:, j - 1, i - 1] = -vals
+            _dense_fill(L, lam_fns, (fn.evaluate_block(pts) for fn in lam_fns.values()))
             G = identity - L @ M
             with np.errstate(all="ignore"):
                 dets = np.linalg.det(G)
@@ -414,18 +419,10 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
         _run_chunks(kernel, mesh, options.workers)
         nonfinite = _count_nonfinite(out[valid]) if valid.any() else 0
         if options.mode == "records":
-            keys = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-            records = []
-            for row in range(out.shape[0]):
-                rec = {key: float(out[row, key[0] - 1, key[1] - 1]) for key in keys}
-                rec["valid"] = bool(valid[row])
-                records.append(rec)
+            columns = [out[:, i - 1, j - 1] for i, j in upper] + [valid]
+            records = _records_from_columns(upper + ["valid"], columns, len(mesh))
             return BatchResult(
-                "records",
-                records,
-                keys=tuple(keys),
-                valid=valid,
-                nonfinite=nonfinite,
+                "records", records, keys=tuple(upper), valid=valid, nonfinite=nonfinite
             )
         return BatchResult("matrix", out, valid=valid, nonfinite=nonfinite)
 
@@ -447,8 +444,9 @@ def num_gauge_transformation(P, lam, mesh, options=None, dim=None) -> BatchResul
 def prepare_linear_normal_form_r3(P, options=None):
     options = _opts(options)
     rep = linear_normal_form_r3(P).representative
-    if options.mode == "dense":
+    if options.mode == "dense" or rep.free_parameters().issubset(options.params):
         return _field_evaluator(rep, options)
+    # The class modulus is unbound: records keep it as residual text.
     keys = rep.keys()
     params = options.params
 
@@ -475,8 +473,8 @@ def prepare_linear_normal_form_r3(P, options=None):
 def num_linear_normal_form_r3(P, mesh, options=None) -> BatchResult:
     """Evaluate the normal-form representative of a linear bivector on R^3.
 
-    Records mode may contain residual text in the modulus parameter `a`;
-    dense mode requires `a` bound through the options.
+    Records mode contains residual text in the modulus parameter `a` only
+    while `a` is unbound; dense mode requires `a` bound through the options.
     """
     return prepare_linear_normal_form_r3(P, options)(mesh)
 

@@ -7,7 +7,10 @@ differentiation and partial evaluation apply numeric constant folding plus
 the 0/1 identities, and nothing else (no algebraic simplification), so the
 printed form of a result stays predictable.
 
-Singular evaluations never raise: they produce IEEE inf/-inf/nan.
+Numeric evaluation has one path: ``compile_expression`` turns a tree into a
+stack program and ``CompiledFunction.evaluate_block`` runs it over a block
+of points with NumPy; a single point is a 1-row block.  Singular
+evaluations never raise: they produce IEEE inf/-inf/nan.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ class UnboundParameterError(ExpressionError):
 
 # --- Scalar arithmetic ------------------------------------------------------
 #
-# Fast path is plain Python floats; anything the float type refuses
+# Constant folding, and the constant-only operations of a compiled program,
+# use plain Python floats; anything the float type refuses
 # (division by zero, overflow in **, complex results) falls back to numpy
 # float64 with errors suppressed so the IEEE result comes through.
 
@@ -193,14 +197,6 @@ class Expression:
 
     def max_coordinate(self) -> int:
         return self._top
-
-    def evaluate(
-        self,
-        point: Sequence[float],
-        params: Mapping[str, float] | None = None,
-    ) -> float:
-        """Tree-walk evaluation at a single point."""
-        return _tree_eval(self, point, params or {})
 
     def __str__(self) -> str:
         return to_source(self)
@@ -723,35 +719,6 @@ def to_source(e: Expression) -> str:
     return _render(e, 0)
 
 
-# --- Tree-walk evaluation ---------------------------------------------------
-
-
-def _tree_eval(e: Expression, point: Sequence[float], params: Mapping[str, float]) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Coord):
-        return float(point[e.index - 1])
-    if isinstance(e, Param):
-        if e.name not in params:
-            raise UnboundParameterError([e.name])
-        return float(params[e.name])
-    if isinstance(e, Neg):
-        return -_tree_eval(e.child, point, params)
-    if isinstance(e, Add):
-        return _scalar_add(_tree_eval(e.left, point, params), _tree_eval(e.right, point, params))
-    if isinstance(e, Sub):
-        return _scalar_sub(_tree_eval(e.left, point, params), _tree_eval(e.right, point, params))
-    if isinstance(e, Mul):
-        return _scalar_mul(_tree_eval(e.left, point, params), _tree_eval(e.right, point, params))
-    if isinstance(e, Div):
-        return _scalar_div(_tree_eval(e.left, point, params), _tree_eval(e.right, point, params))
-    if isinstance(e, Pow):
-        return _scalar_pow(_tree_eval(e.left, point, params), _tree_eval(e.right, point, params))
-    if isinstance(e, Call):
-        return _SCALAR_CALLS[e.fn](_tree_eval(e.arg, point, params))
-    raise ExpressionError(f"cannot evaluate node {type(e).__name__}")
-
-
 # --- Compilation ------------------------------------------------------------
 
 _OP_CONST = 0
@@ -787,11 +754,12 @@ class CompiledFunction:
     """A flat post-order instruction program over a value stack.
 
     Instances are pure functions of the evaluation point: all parameters
-    were bound at compilation time.  ``__call__`` evaluates one point;
-    ``evaluate_block`` evaluates a whole (k, m) array of points at once.
+    were bound at compilation time.  ``evaluate_block`` evaluates a whole
+    (k, m) array of points at once and is the only evaluator; ``__call__``
+    evaluates one point as a 1-row block, so it runs the same arithmetic.
     A subexpression appearing more than once is computed at its first
-    occurrence, stored in a value slot, and re-pushed afterwards, so both
-    paths evaluate it exactly once per point (or per block).
+    occurrence, stored in a value slot, and re-pushed afterwards, so it is
+    evaluated once per block.
     """
 
     __slots__ = ("program", "dim", "expression", "n_slots")
@@ -805,26 +773,9 @@ class CompiledFunction:
         self.n_slots = n_slots
 
     def __call__(self, point: Sequence[float]) -> float:
-        stack: list[float] = []
-        push = stack.append
-        slots = [0.0] * self.n_slots
-        for op, arg in self.program:
-            if op == _OP_CONST:
-                push(arg)
-            elif op == _OP_COORD:
-                push(float(point[arg]))
-            elif op == _OP_NEG:
-                stack[-1] = -stack[-1]
-            elif op == _OP_CALL:
-                stack[-1] = arg[0](stack[-1])
-            elif op == _OP_TEE:
-                slots[arg] = stack[-1]
-            elif op == _OP_LOAD:
-                push(slots[arg])
-            else:
-                b = stack.pop()
-                stack[-1] = _SCALAR_BINARY[op](stack[-1], b)
-        return stack[0]
+        """Evaluate at one point, as a 1-row block."""
+        row = np.asarray(point, dtype=float).reshape(1, -1)
+        return float(self.evaluate_block(row)[0])
 
     def evaluate_block(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at every row of ``points`` (shape (k, m)) -> shape (k,)."""
@@ -844,9 +795,9 @@ class CompiledFunction:
                 elif op == _OP_CALL:
                     top = stack[-1]
                     if isinstance(top, float):
-                        stack[-1] = float(arg[1](np.float64(top)))
+                        stack[-1] = float(arg(np.float64(top)))
                     else:
-                        stack[-1] = arg[1](top)
+                        stack[-1] = arg(top)
                 elif op == _OP_TEE:
                     slots[arg] = stack[-1]
                 elif op == _OP_LOAD:
@@ -895,9 +846,8 @@ def _emit(
         program.append((_OP_NEG, None))
     elif kind is Call:
         _emit(node.arg, program, names, bound, end_of, repeats)
-        # Carry a (scalar fn, block ufunc) pair so neither evaluation path
-        # pays a name lookup per call.
-        program.append((_OP_CALL, (_SCALAR_CALLS[node.fn], _BLOCK_CALLS[node.fn])))
+        # Carry the ufunc itself so evaluation pays no name lookup per call.
+        program.append((_OP_CALL, _BLOCK_CALLS[node.fn]))
     else:
         op = _BINARY_OPS.get(kind)
         if op is None:

@@ -45,6 +45,8 @@ class TestEval:
         assert code == 0
         summary = capsys.readouterr().out
         assert "8 points" in summary and "0 non-finite" in summary
+        for phase in ("prepare", "load", "eval", "write"):
+            assert f"{phase} " in summary
         rows = read_jsonl(out)
         assert len(rows) == 8
         for row, expected in zip(rows, g.SO3_CORNER_RECORDS):
@@ -323,6 +325,20 @@ class TestExitCodes:
             "--mesh", "corners", "--out", tmp_path / "out.jsonl",
         )
         assert code == cli.EXIT_VALIDATION
+
+    def test_very_long_expression_is_validation(self, tmp_path, capsys):
+        h = tmp_path / "h.txt"
+        h.write_text(" + ".join(f"x1*x2**{i}" for i in range(1000)) + "\n")
+        out = tmp_path / "out.jsonl"
+        code = run_cli(
+            "eval", "num_hamiltonian_vf",
+            "--bivector", EXAMPLES / "so3.json",
+            "--h", f"@{h}",
+            "--mesh", "corners", "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_output_file_on_failure(self, tmp_path):
         out = tmp_path / "out.jsonl"

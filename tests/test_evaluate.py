@@ -224,9 +224,13 @@ class TestPoissonBracket:
         # evaluation: an unbound parameter inside must not be an error.
         mesh = random_mesh(16, 3, seed=SEED)
         res = ev.num_poisson_bracket(g.SO3, "c*x1", "c*x1", mesh, DENSE, dim=3)
+        assert res.kind == "scalar"
         assert np.array_equal(res.data, np.zeros(16))
         rec = ev.num_poisson_bracket(g.SO3, "c*x1", "c*x1", mesh, dim=3)
         assert rec.data[0] == {"value": 0.0}
+        # The zero field goes through the shared layout like any bracket.
+        assert rec.keys == ("value",)
+        assert res.nonfinite == rec.nonfinite == 0
 
     def test_matches_coefficient_expansion(self):
         mesh = random_mesh(150, 4, seed=SEED + 3)
@@ -519,6 +523,30 @@ class TestGaugeTransformation:
         assert np.isnan(res.data[0][(1, 2)])
         assert res.data[1][(1, 2)] == pytest.approx(0.5)
 
+    def test_records_equal_dense_upper_triangle(self, monkeypatch):
+        # Small chunks, so records are assembled across chunk boundaries.
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
+        # Rows 0 and 2 are singular (x3 = -1 with lam = dx1^dx2).
+        pts = [(0.0, 0.0, -1.0), (0.5, 0.0, 0.0), (0.0, 2.0, -1.0)]
+        pts += random_mesh(40, 3, seed=SEED + 19).points.tolist()
+        mesh = as_mesh(pts)
+        lam = {(1, 2): "1", (2, 3): "0.5*x1"}
+        dense = ev.num_gauge_transformation(g.SO3, lam, mesh, DENSE, dim=3)
+        rec = ev.num_gauge_transformation(g.SO3, lam, mesh, dim=3)
+        assert rec.keys == ((1, 2), (1, 3), (2, 3))
+        assert not dense.valid[0] and not dense.valid[2]
+        assert np.array_equal(rec.valid, dense.valid)
+        assert rec.nonfinite == dense.nonfinite
+        assert len(rec.data) == len(mesh)
+        for row, record in enumerate(rec.data):
+            assert list(record) == [*rec.keys, "valid"]
+            assert type(record["valid"]) is bool
+            assert record["valid"] == bool(dense.valid[row])
+            for i, j in rec.keys:
+                expected = dense.data[row, i - 1, j - 1]
+                assert type(record[(i, j)]) is float
+                assert np.float64(record[(i, j)]).tobytes() == expected.tobytes()
+
     def test_zero_gauge_is_identity(self):
         mesh = random_mesh(32, 6, seed=SEED + 18)
         res = ev.num_gauge_transformation(g.TWIST_R6, {}, mesh, DENSE, dim=6)
@@ -567,6 +595,23 @@ class TestNormalFormR3:
         assert all(
             isinstance(v, float) for record in rec.data for v in record.values()
         )
+
+    def test_records_equal_dense_entries_bitwise(self, monkeypatch):
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
+        mesh = random_mesh(70, 3, seed=SEED + 20)
+        for P, params in ((g.SO3, {}), (g.LINEAR_MIXED_R3, {"a": 1.0})):
+            dense = ev.num_linear_normal_form_r3(
+                P, mesh, EvalOptions(mode="dense", params=params)
+            )
+            rec = ev.num_linear_normal_form_r3(P, mesh, EvalOptions(params=params))
+            assert rec.keys and rec.nonfinite == dense.nonfinite == 0
+            assert len(rec.data) == len(mesh)
+            for row, record in zip(dense.data, rec.data):
+                assert tuple(record) == rec.keys
+                for (i, j), value in record.items():
+                    assert type(value) is float
+                    expected = row[i - 1, j - 1]
+                    assert np.float64(value).tobytes() == expected.tobytes()
 
     def test_zero_bivector_gives_empty_records(self):
         res = ev.num_linear_normal_form_r3({}, corners_mesh(3))

@@ -13,17 +13,6 @@ from corpus import DERIVATIVE_CORPUS
 from oracles import central_fd
 
 
-def within_ulp(a: float, b: float, n: int = 1) -> bool:
-    if math.isnan(a) and math.isnan(b):
-        return True
-    if a == b:
-        return True
-    x = a
-    for _ in range(n):
-        x = math.nextafter(x, b)
-    return x == b
-
-
 # --- Parsing ----------------------------------------------------------------
 
 
@@ -216,31 +205,31 @@ class TestDifferentiate:
             d_combo = ex.differentiate(combo, i)
             df = ex.differentiate(f, i)
             dg = ex.differentiate(g, i)
+            d_combo, df, dg = (ex.compile_expression(d, 2) for d in (d_combo, df, dg))
             for p in rng.random((50, 2)) * 4 - 2:
-                lhs = d_combo.evaluate(p)
-                rhs = 3 * df.evaluate(p) - 2 * dg.evaluate(p)
+                lhs = d_combo(p)
+                rhs = 3 * df(p) - 2 * dg(p)
                 assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
     def test_abs_derivative_is_zero_at_zero(self):
-        d = ex.differentiate(ex.parse("abs(x1)", 1), 1)
-        assert d.evaluate([0.0]) == 0.0
-        assert ex.compile_expression(d, 1)([0.0]) == 0.0
-        assert d.evaluate([2.5]) == 1.0
-        assert d.evaluate([-2.5]) == -1.0
+        d = ex.compile_expression(ex.differentiate(ex.parse("abs(x1)", 1), 1), 1)
+        assert d([0.0]) == 0.0
+        assert d([2.5]) == 1.0
+        assert d([-2.5]) == -1.0
 
     def test_power_rule_with_symbolic_exponent(self):
         e = ex.parse("x1**a", 1)
         d = ex.differentiate(e, 1)
-        val = d.evaluate([2.0], {"a": 3.0})
+        val = ex.compile_expression(d, 1, {"a": 3.0})([2.0])
         assert abs(val - 12.0) < 1e-12
 
     def test_general_power(self):
         e = ex.parse("x1**x2", 2)
-        d1 = ex.differentiate(e, 1)
-        d2 = ex.differentiate(e, 2)
+        d1 = ex.compile_expression(ex.differentiate(e, 1), 2)
+        d2 = ex.compile_expression(ex.differentiate(e, 2), 2)
         p = [1.7, 2.3]
-        assert abs(d1.evaluate(p) - 2.3 * 1.7**1.3) < 1e-12
-        assert abs(d2.evaluate(p) - (1.7**2.3) * math.log(1.7)) < 1e-12
+        assert abs(d1(p) - 2.3 * 1.7**1.3) < 1e-12
+        assert abs(d2(p) - (1.7**2.3) * math.log(1.7)) < 1e-12
 
     def test_parameters_have_zero_derivative(self):
         assert ex.differentiate(ex.parse("a", 1), 1) == ex.Num(0.0)
@@ -272,26 +261,42 @@ class TestNodeIdentity:
 
 
 class TestCompile:
-    def test_compiled_matches_tree_walk(self):
+    def test_compiled_matches_sympy_at_40_digits(self):
+        # Independent reference: sympy reads the source text itself and
+        # mpmath evaluates it at 40 significant digits.
+        sympy = pytest.importorskip("sympy")
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(11)
         for entry in DERIVATIVE_CORPUS:
-            e = ex.parse(entry.source, entry.dim)
-            f = ex.compile_expression(e, entry.dim, entry.params)
+            f = ex.compile_expression(
+                ex.parse(entry.source, entry.dim), entry.dim, entry.params
+            )
+            coords = sympy.symbols(f"x1:{entry.dim + 1}")
+            names = {str(c): c for c in coords} | {"abs": sympy.Abs}
+            reference = sympy.sympify(entry.source, locals=names).subs(entry.params)
+            exact = sympy.lambdify(coords, reference, modules="mpmath")
             for p in entry.sample(rng, 25):
-                assert within_ulp(f(p), e.evaluate(p, entry.params))
+                with mpmath.workdps(40):
+                    expected = float(exact(*(mpmath.mpf(float(v)) for v in p)))
+                assert math.isclose(f(p), expected, rel_tol=1e-12, abs_tol=1e-12), (
+                    entry.source,
+                    p,
+                )
 
     def test_block_matches_scalar(self):
+        # A point is evaluated as a 1-row block, so it must reproduce its
+        # row of a many-row block bit for bit.
         rng = np.random.default_rng(13)
         for entry in DERIVATIVE_CORPUS:
             e = ex.parse(entry.source, entry.dim)
             f = ex.compile_expression(e, entry.dim, entry.params)
             points = entry.sample(rng, 50)
             block = f.evaluate_block(points)
-            # numpy's vectorized transcendentals may differ from libm by an
-            # ulp per call, which cancellation can amplify; compare with a
-            # tight tolerance rather than ulp equality.
             for row, expected in zip(points, block):
-                assert math.isclose(float(expected), f(row), rel_tol=1e-12, abs_tol=1e-12)
+                assert np.float64(f(row)).tobytes() == expected.tobytes(), (
+                    entry.source,
+                    row,
+                )
 
     def test_unbound_parameter_lists_names(self):
         e = ex.parse("a*x1 + b", 1)
