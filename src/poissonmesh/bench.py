@@ -57,6 +57,7 @@ class TimingReport:
     repeats: int
     seed: int
     workers: int | None = None
+    mode: str = "records"  # the output layout the evaluator was timed in
     environment: str = ""
     slope: float | None = None
     intercept: float | None = None
@@ -90,6 +91,7 @@ class TimingReport:
             "repeats": self.repeats,
             "seed": self.seed,
             "workers": self.workers,
+            "mode": self.mode,
             "environment": self.environment,
         }
 
@@ -103,6 +105,7 @@ class TimingReport:
             repeats=int(data["repeats"]),
             seed=int(data["seed"]),
             workers=data.get("workers"),
+            mode=data.get("mode", "records"),
             environment=data.get("environment", ""),
             slope=data.get("slope"),
             intercept=data.get("intercept"),
@@ -119,6 +122,7 @@ def time_method(
     seed: int = 0,
     workers: int | None = None,
     environment: str | None = None,
+    mode: str = "records",
 ) -> TimingReport:
     """Time a prepared evaluator over seeded random meshes of each size.
 
@@ -162,6 +166,7 @@ def time_method(
         repeats=repeats,
         seed=seed,
         workers=workers,
+        mode=mode,
         environment=(
             default_environment() if environment is None else environment
         ),
@@ -315,6 +320,7 @@ def run_benchmark(
         repeats=repeats,
         seed=seed,
         workers=workers,
+        mode=mode,
     )
     if len(report.sizes) >= 2:
         report = fit_loglog(report)

@@ -7,21 +7,28 @@ validation failure, 3 expression parse failure, 4 unbound parameter,
 
 Output formats: ``jsonl`` (one JSON object per mesh point; coefficient keys
 are comma-joined index tuples under "coeffs", with a "valid" flag where the
-method produces one), ``npy`` (a float64 tensor shaped (k,), (k, m), or
+method produces one; a dense result, such as the always-dense
+``num_bivector_to_matrix``, gives {"matrix": [[...], ...]}, {"vector": [...]}
+or {"value": ...} lines), ``npy`` (a float64 tensor shaped (k,), (k, m), or
 (k, m, m); a sibling ``<out>.valid.npy`` carries the validity mask when
 present), and ``csv`` (the same tensor flattened to one row per point).
 ``jsonl`` uses the records output mode; ``npy`` and ``csv`` use dense mode.
+Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
+(csv: nan, inf, -inf).  jsonl is written one 65,536-row chunk at a time.
+Every file, ``mesh`` output included, is written beside its target and then
+renamed into place, so a failed write leaves no partial file.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import operator
 import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -34,6 +41,7 @@ from .geometry import (
     Mesh,
     Multivector,
     MultivectorError,
+    atomic_write,
     corners_mesh,
     load_mesh,
     random_mesh,
@@ -227,65 +235,56 @@ def _build_case(args, options: EvalOptions):
 # --- Output writing ---------------------------------------------------------
 
 
-def _key_to_text(key) -> str:
-    if isinstance(key, tuple):
-        return ",".join(str(i) for i in key)
-    return str(key)
+_CHUNK_ROWS = 65536  # output lines formatted per chunk
+_SLOT = "%s"  # a value's place in a line template, quoted until the template is done
+_NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _record_to_json_obj(record: dict) -> dict:
-    coeffs = {}
-    obj = {"coeffs": coeffs}
-    for key, value in record.items():
-        if key == "valid":
-            obj["valid"] = bool(value)
-            continue
-        coeffs[_key_to_text(key)] = value
-    return obj
+def _json_tokens(column: list) -> list:
+    """Each value as ``json.dumps`` writes it: a float is its repr, except
+    for the NaN, Infinity and -Infinity tokens."""
+    try:
+        reprs = list(map(float.__repr__, column))
+    except TypeError:  # residual text or valid flags
+        return list(map(json.dumps, column))
+    return list(map(_NONFINITE_TOKENS.get, reprs, reprs))
 
 
-def result_to_jsonl(result: BatchResult) -> str:
-    lines = []
+def _write_jsonl(result: BatchResult, fh) -> None:
+    """Fill one line template per result, one chunk of rows at a time.
+
+    A record's slots are its ``keys``, then its valid flag; a dense row's
+    are its entries in row-major order.
+    """
     if result.kind == "records":
-        for record in result.data:
-            lines.append(json.dumps(_record_to_json_obj(record)))
-    elif result.kind == "matrix":
-        for row in result.data:
-            lines.append(json.dumps({"matrix": row.tolist()}))
-    elif result.kind == "vector":
-        for row in result.data:
-            lines.append(json.dumps({"vector": row.tolist()}))
+        data = result.data
+        keys = result.keys + (("valid",) if result.valid is not None else ())
+        getters = [operator.itemgetter(key) for key in keys]
+        skeleton = {"coeffs": {
+            ",".join(map(str, key)) if isinstance(key, tuple) else key: _SLOT
+            for key in result.keys
+        }}
+        if result.valid is not None:
+            skeleton["valid"] = _SLOT
     else:
-        for value in result.data:
-            lines.append(json.dumps({"value": float(value)}))
-    return "\n".join(lines) + "\n"
-
-
-def _atomic_write_text(path: str, text: str):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _atomic_write_npy(path: str, array: np.ndarray):
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            np.save(fh, array)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        data = result.data.reshape(len(result.data), -1)
+        name = "value" if result.kind == "scalar" else result.kind
+        skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
+    template = json.dumps(skeleton).replace(json.dumps(_SLOT), _SLOT) + "\n"
+    for start in range(0, len(data), _CHUNK_ROWS):
+        rows = data[start : start + _CHUNK_ROWS]
+        # One column at a time, so only its tokens outlive it.
+        if result.kind == "records":
+            columns = (list(map(get, rows)) for get in getters)
+        else:
+            columns = (column.tolist() for column in rows.T)
+        tokens = itertools.chain.from_iterable(zip(*map(_json_tokens, columns)))
+        fh.write(((template * len(rows)) % tuple(tokens)).encode())
 
 
 def write_result(result: BatchResult, path: str, fmt: str):
     if fmt == "jsonl":
-        _atomic_write_text(path, result_to_jsonl(result))
+        atomic_write(path, lambda fh: _write_jsonl(result, fh))
         return
     if result.kind == "records":
         raise MultivectorError(
@@ -293,29 +292,20 @@ def write_result(result: BatchResult, path: str, fmt: str):
         )
     data = np.asarray(result.data, dtype=np.float64)
     if fmt == "npy":
-        _atomic_write_npy(path, data)
+        atomic_write(path, lambda fh: np.save(fh, data))
         if result.valid is not None:
-            _atomic_write_npy(f"{path}.valid.npy", np.asarray(result.valid))
+            atomic_write(f"{path}.valid.npy", lambda fh: np.save(fh, result.valid))
         return
     if fmt == "csv":
         flat = data.reshape(len(data), -1)
-        rows = "\n".join(
-            ",".join(f"{v:.17g}" for v in row) for row in flat
-        )
-        _atomic_write_text(path, rows + "\n")
+        atomic_write(path, lambda fh: np.savetxt(fh, flat, fmt="%.17g", delimiter=","))
         return
     raise MultivectorError(f"unknown output format {fmt!r}")
 
 
 def _infer_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
     suffix = Path(path).suffix.lower()
-    if suffix == ".npy":
-        return "npy"
-    if suffix == ".csv":
-        return "csv"
-    return "jsonl"
+    return explicit or {".npy": "npy", ".csv": "csv"}.get(suffix, "jsonl")
 
 
 # --- Subcommands ------------------------------------------------------------
@@ -345,13 +335,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    if args.dim is None:
+        raise MultivectorError(f"mesh {args.kind} requires --dim")
     if args.kind == "corners":
-        if args.dim is None:
-            raise MultivectorError("mesh corners requires --dim")
         mesh = corners_mesh(args.dim)
     else:
-        if args.dim is None:
-            raise MultivectorError("mesh random requires --dim")
         mesh = random_mesh(args.k, args.dim, seed=args.seed)
     save_mesh(mesh, args.out)
     print(f"wrote {len(mesh.points)} x {mesh.dim} mesh to {args.out}")
@@ -370,32 +358,18 @@ def cmd_bench(args) -> int:
     )
     if custom:
         dim, evaluator = _build_case(args, options)
-        report = bench_mod.time_method(
-            args.method,
-            evaluator,
-            dim,
-            sizes,
-            repeats=args.repeats,
-            seed=args.seed,
-            workers=args.workers,
-        )
-        report = bench_mod.fit_loglog(report)
     else:
-        suite = bench_mod.benchmark_suite()
-        report = bench_mod.run_benchmark(
-            suite[args.method],
-            sizes,
-            repeats=args.repeats,
-            seed=args.seed,
-            workers=args.workers,
-            params=_parse_params(args.param),
-        )
-    _atomic_write_text(
-        args.out, json.dumps(report.to_json_dict(), indent=2) + "\n"
-    )
+        case = bench_mod.benchmark_suite()[args.method]
+        dim, evaluator = case.dim, case.factory(options)
+    report = bench_mod.fit_loglog(bench_mod.time_method(
+        args.method, evaluator, dim, sizes, repeats=args.repeats, seed=args.seed,
+        workers=args.workers, mode=options.mode,
+    ))
+    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    atomic_write(args.out, lambda fh: fh.write(text.encode()))
     print(
-        f"{args.method}: slope={report.slope:.3f} r2={report.r2:.4f} "
-        f"-> {args.out}"
+        f"{args.method} ({report.mode}): slope={report.slope:.3f} "
+        f"r2={report.r2:.4f} -> {args.out}"
     )
     return EXIT_OK
 

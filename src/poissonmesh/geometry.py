@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +35,7 @@ __all__ = [
     "as_mesh",
     "save_mesh",
     "load_mesh",
+    "atomic_write",
 ]
 
 
@@ -274,13 +276,26 @@ def random_mesh(k: int, dim: int, seed: int) -> Mesh:
     return Mesh(rng.random((k, dim), dtype=np.float64))
 
 
+def atomic_write(path, write: Callable[[BinaryIO], object]) -> None:
+    """Create or replace ``path`` with what ``write`` writes to a binary handle
+    on a temporary file beside it; on failure ``path`` keeps its old content."""
+    tmp = f"{os.fspath(path)}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def save_mesh(mesh: Mesh, path: str) -> None:
     """Write a mesh as .npy (float64, shape (k, m)) or .csv (row per point)."""
     text = str(path)
     if text.endswith(".npy"):
-        np.save(text, mesh.points)
+        atomic_write(text, lambda fh: np.save(fh, mesh.points))
     elif text.endswith(".csv"):
-        np.savetxt(text, mesh.points, delimiter=",", fmt="%.17g")
+        atomic_write(text, lambda fh: np.savetxt(fh, mesh.points, delimiter=",", fmt="%.17g"))
     else:
         raise ValueError(f"unsupported mesh format: {text}")
 
@@ -307,7 +322,9 @@ class BatchResult:
     kind 'vector': data is (k, m).
     kind 'matrix': data is (k, m, m).
     kind 'records': data is a list of k dicts mapping index tuples to
-    floats or residual text; ``keys`` fixes the common key order.
+    floats or residual text; ``keys`` fixes the common key order.  Every
+    record holds exactly ``keys``, in that order, then ``"valid"`` (a
+    bool) when ``valid`` is set; the jsonl writer reads records by these keys.
     ``valid`` (optional) marks points where the operation was defined;
     ``nonfinite`` counts non-finite coefficient evaluations.
     """

@@ -51,6 +51,13 @@ class TestTimingReport:
         again = TimingReport.from_json_dict(report.to_json_dict())
         assert again == report
 
+    def test_mode_round_trips_and_defaults_to_records(self):
+        report = make_report([10, 20], [0.1, 0.2], mode="dense")
+        data = report.to_json_dict()
+        assert TimingReport.from_json_dict(data).mode == "dense"
+        del data["mode"]  # a report written before the field existed
+        assert TimingReport.from_json_dict(data).mode == "records"
+
 
 class TestFitLoglog:
     def test_exact_linear_power_law(self):
@@ -147,4 +154,5 @@ class TestBenchmarkSuite:
         assert report.slope is not None
         assert report.r2 is not None
         assert report.workers == 2
+        assert report.mode == "records"
         assert report.method == "num_sharp_morphism"

@@ -11,7 +11,7 @@ import pytest
 
 import goldens as g
 from poissonmesh import cli
-from poissonmesh.geometry import Multivector, as_mesh, save_mesh
+from poissonmesh.geometry import BatchResult, Multivector, as_mesh, save_mesh
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_data"
 
@@ -32,6 +32,79 @@ def coeffs_to_tuples(obj) -> dict:
         else:
             out[tuple(int(p) for p in key.split(","))] = value
     return out
+
+
+def _poles_bivector(tmp_path) -> Path:
+    """A bivector with NaN, +-Infinity and -0.0 entries on ``_poles_mesh``."""
+    path = tmp_path / "poles.json"
+    path.write_text(
+        Multivector.build(3, 2, {(1, 2): "x2/x1", (1, 3): "-x2/x1", (2, 3): "-x2"}).to_json()
+    )
+    return path
+
+
+def _poles_mesh(tmp_path) -> Path:
+    path = tmp_path / "poles.csv"
+    save_mesh(as_mesh([(0.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]), str(path))
+    return path
+
+
+def _zero_bivector(tmp_path) -> Path:
+    path = tmp_path / "zero.json"
+    path.write_text(Multivector.build(3, 2, {}).to_json())
+    return path
+
+
+def _singular_gauge(tmp_path) -> list:
+    lam = tmp_path / "lam.json"
+    lam.write_text(Multivector.build(3, 2, {(1, 2): "1"}).to_json())
+    mesh = tmp_path / "mesh.csv"
+    save_mesh(as_mesh([(0.0, 0.0, -1.0), (0.0, 0.0, 1.0)]), str(mesh))
+    return ["--bivector", EXAMPLES / "so3.json", "--lam", lam, "--mesh", mesh]
+
+
+# Every jsonl line shape the CLI writes: eval arguments (without --out) and a
+# check on the output lines.
+JSONL_CASES = {
+    "records": lambda tmp: (
+        ["num_bivector", "--dim", 3, "--bivector", EXAMPLES / "so3.json",
+         "--mesh", "corners"],
+        lambda lines: len(lines) == 8 and all('"coeffs": {"1,2": ' in l for l in lines),
+    ),
+    "matrix": lambda tmp: (
+        ["num_bivector_to_matrix", "--bivector", EXAMPLES / "sl2.json",
+         "--mesh", "corners"],
+        lambda lines: [json.loads(l)["matrix"] for l in lines]
+        == g.SL2_CORNER_MATRICES.tolist(),
+    ),
+    "poles": lambda tmp: (
+        ["num_bivector", "--bivector", _poles_bivector(tmp),
+         "--mesh", _poles_mesh(tmp)],
+        lambda lines: lines == [
+            '{"coeffs": {"1,2": NaN, "1,3": NaN, "2,3": -0.0}}',
+            '{"coeffs": {"1,2": Infinity, "1,3": -Infinity, "2,3": -1.0}}',
+            '{"coeffs": {"1,2": -Infinity, "1,3": Infinity, "2,3": 1.0}}',
+        ],
+    ),
+    "normal_form_unbound": lambda tmp: (
+        ["num_linear_normal_form_r3", "--bivector",
+         EXAMPLES / "linear_mixed_r3.json", "--mesh", "corners"],
+        lambda lines: [coeffs_to_tuples(json.loads(l)) for l in lines]
+        == g.NORMAL_FORM_RECORDS
+        and any(isinstance(v, str) for l in lines for v in json.loads(l)["coeffs"].values()),
+    ),
+    "normal_form_trivial": lambda tmp: (
+        ["num_linear_normal_form_r3", "--bivector", _zero_bivector(tmp),
+         "--mesh", "corners"],
+        lambda lines: lines == ['{"coeffs": {}}'] * 8,
+    ),
+    "gauge_singular": lambda tmp: (
+        ["num_gauge_transformation", *_singular_gauge(tmp)],
+        lambda lines: lines[0]
+        == '{"coeffs": {"1,2": NaN, "1,3": NaN, "2,3": NaN}, "valid": false}'
+        and lines[1].endswith(', "valid": true}'),
+    ),
+}
 
 
 class TestEval:
@@ -55,15 +128,31 @@ class TestEval:
             for key, val in expected.items():
                 assert got[key] == pytest.approx(val, abs=1e-9)
 
-    def test_jsonl_round_trip_byte_identical(self, tmp_path):
-        out = tmp_path / "so3.jsonl"
-        assert run_cli(
-            "eval", "num_bivector", "--dim", 3,
-            "--bivector", EXAMPLES / "so3.json",
-            "--mesh", "corners", "--out", out,
-        ) == 0
-        for line in out.read_text().splitlines():
+    @pytest.mark.parametrize("case", sorted(JSONL_CASES))
+    def test_jsonl_round_trip_byte_identical(self, tmp_path, case):
+        argv, expected = JSONL_CASES[case](tmp_path)
+        out = tmp_path / "out.jsonl"
+        assert run_cli("eval", *argv, "--out", out) == 0
+        lines = out.read_text().splitlines()
+        for line in lines:
             assert json.dumps(json.loads(line)) == line
+        assert expected(lines)
+
+    def test_csv_non_finite_and_negative_zero(self, tmp_path):
+        out_csv = tmp_path / "out.csv"
+        out_npy = tmp_path / "out.npy"
+        for out in (out_csv, out_npy):
+            assert run_cli(
+                "eval", "num_bivector", "--bivector", _poles_bivector(tmp_path),
+                "--mesh", _poles_mesh(tmp_path), "--out", out,
+            ) == 0
+        expected = "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n"
+            for row in np.load(out_npy).reshape(3, -1)
+        )
+        assert out_csv.read_text() == expected
+        assert out_csv.read_text().splitlines()[0] == "0,nan,nan,nan,0,-0,nan,0,0"
+        assert {"inf", "-inf"} <= set(out_csv.read_text().replace("\n", ",").split(","))
 
     def test_matrix_form_npy(self, tmp_path):
         out = tmp_path / "sl2.npy"
@@ -270,6 +359,27 @@ class TestEval:
         assert filecmp.cmp(outs[0], outs[1], shallow=False)
 
 
+@pytest.mark.parametrize("writer", ["save_mesh", "write_result"])
+@pytest.mark.parametrize("suffix", [".csv", ".npy"])
+def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer, suffix):
+    target = tmp_path / f"out{suffix}"
+    target.write_bytes(b"old bytes\n")
+
+    def fail_midway(fh, *args, **kwargs):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savetxt" if suffix == ".csv" else "save", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        if writer == "save_mesh":
+            save_mesh(as_mesh([(0.0, 1.0)]), str(target))
+        else:
+            result = BatchResult("scalar", np.zeros(2), valid=np.ones(2, dtype=bool))
+            cli.write_result(result, str(target), suffix[1:])
+    assert target.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
 class TestExitCodes:
     def test_missing_input_file_is_io_failure(self, tmp_path):
         code = run_cli(
@@ -382,7 +492,7 @@ class TestMesh:
 
 
 class TestBench:
-    def test_report_schema(self, tmp_path):
+    def test_report_schema(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = run_cli(
             "bench", "--method", "num_bivector",
@@ -393,8 +503,10 @@ class TestBench:
         report = json.loads(out.read_text())
         assert set(report) == {
             "method", "sizes", "mean_s", "std_s", "slope", "intercept",
-            "r2", "repeats", "seed", "workers", "environment",
+            "r2", "repeats", "seed", "workers", "mode", "environment",
         }
+        assert report["mode"] == "records"
+        assert "num_bivector (records): slope=" in capsys.readouterr().out
         assert report["method"] == "num_bivector"
         assert report["sizes"] == [200, 400]
         assert len(report["mean_s"]) == 2
