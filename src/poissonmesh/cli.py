@@ -238,6 +238,7 @@ def _build_case(args, options: EvalOptions):
 _CHUNK_ROWS = 65536  # output lines formatted per chunk
 _SLOT = "%s"  # a value's place in a line template, quoted until the template is done
 _NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_BOOL_TOKENS = ("false", "true")
 
 
 def _json_tokens(column: list) -> list:
@@ -245,7 +246,7 @@ def _json_tokens(column: list) -> list:
     for the NaN, Infinity and -Infinity tokens."""
     try:
         reprs = list(map(float.__repr__, column))
-    except TypeError:  # residual text or valid flags
+    except TypeError:  # residual text
         return list(map(json.dumps, column))
     return list(map(_NONFINITE_TOKENS.get, reprs, reprs))
 
@@ -258,8 +259,7 @@ def _write_jsonl(result: BatchResult, fh) -> None:
     """
     if result.kind == "records":
         data = result.data
-        keys = result.keys + (("valid",) if result.valid is not None else ())
-        getters = [operator.itemgetter(key) for key in keys]
+        getters = [operator.itemgetter(key) for key in result.keys]
         skeleton = {"coeffs": {
             ",".join(map(str, key)) if isinstance(key, tuple) else key: _SLOT
             for key in result.keys
@@ -275,10 +275,14 @@ def _write_jsonl(result: BatchResult, fh) -> None:
         rows = data[start : start + _CHUNK_ROWS]
         # One column at a time, so only its tokens outlive it.
         if result.kind == "records":
-            columns = (list(map(get, rows)) for get in getters)
+            columns = [_json_tokens(list(map(get, rows))) for get in getters]
+            if result.valid is not None:
+                valid = result.valid[start : start + _CHUNK_ROWS]
+                columns.append([_BOOL_TOKENS[flag] for flag in valid.tolist()])
         else:
-            columns = (column.tolist() for column in rows.T)
-        tokens = itertools.chain.from_iterable(zip(*map(_json_tokens, columns)))
+            columns = [_json_tokens(column.tolist()) for column in rows.T]
+        tokens = itertools.chain.from_iterable(zip(*columns))
+        del columns  # so the spent chain frees this chunk's tokens
         fh.write(((template * len(rows)) % tuple(tokens)).encode())
 
 

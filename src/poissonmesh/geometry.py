@@ -324,7 +324,8 @@ class BatchResult:
     kind 'records': data is a list of k dicts mapping index tuples to
     floats or residual text; ``keys`` fixes the common key order.  Every
     record holds exactly ``keys``, in that order, then ``"valid"`` (a
-    bool) when ``valid`` is set; the jsonl writer reads records by these keys.
+    bool) when ``valid`` is set; the jsonl writer reads values by these keys
+    and the flags from ``valid``.
     ``valid`` (optional) marks points where the operation was defined;
     ``nonfinite`` counts non-finite coefficient evaluations.
     """

@@ -25,6 +25,30 @@ SEED = 20250825
 
 DENSE = EvalOptions(mode="dense")
 
+# G = I - Lambda M has G[0, 0] = 0 everywhere, so every column pivots;
+# det G = (x1 x2 x3)^2.
+GAUGE_ALL_PIVOT_R4 = (
+    {(1, 2): "-1", (1, 3): "x2", (2, 4): "x3"},
+    {(1, 2): "1", (3, 4): "x1"},
+)
+
+
+def _gauge_elimination_cases() -> list:
+    rng = np.random.default_rng(SEED + 23)
+    cases = [
+        pytest.param(
+            m,
+            oracles.random_multivector_dict(rng, m, 2),
+            oracles.random_multivector_dict(rng, m, 2),
+            id=f"random-r{m}",
+        )
+        for m in (2, 3, 4, 5)
+    ]
+    return cases + [pytest.param(4, *GAUGE_ALL_PIVOT_R4, id="all-pivot-r4")]
+
+
+GAUGE_ELIMINATION_CASES = _gauge_elimination_cases()
+
 
 def hamiltonian_product_mesh():
     pts = [
@@ -552,6 +576,57 @@ class TestGaugeTransformation:
         res = ev.num_gauge_transformation(g.TWIST_R6, {}, mesh, DENSE, dim=6)
         M = ev.num_bivector_to_matrix(g.TWIST_R6, mesh, dim=6).data
         assert res.data == pytest.approx(M, abs=1e-12)
+
+    @pytest.mark.parametrize("m, P, lam", GAUGE_ELIMINATION_CASES)
+    def test_elimination_matches_inverse(self, m, P, lam, monkeypatch):
+        pts = np.random.default_rng(SEED + 24).uniform(-1.0, 1.0, size=(300, m))
+        for i in range(min(m, 3)):
+            pts[i, i] = 0.0  # singular for the all-pivot case
+        mesh = as_mesh(pts)
+        res = ev.num_gauge_transformation(P, lam, mesh, DENSE, dim=m)
+        M = ev.num_bivector_to_matrix(P, mesh, dim=m).data
+        L = ev.num_bivector_to_matrix(lam, mesh, dim=m).data
+        G = np.eye(m) - L @ M
+        det = np.abs(np.linalg.det(G))
+        decided = (det < 0.5e-12) | (det > 2e-12)
+        assert np.array_equal(res.valid[decided], det[decided] > 1e-12)
+        ok = res.valid
+        assert ok.sum() > 250
+        assert np.isnan(res.data[~ok]).all()
+        expected = M[ok] @ np.linalg.inv(G[ok])
+        scale = np.maximum(1.0, np.abs(expected).max(axis=(1, 2)))
+        error = np.abs(res.data[ok] - expected).max(axis=(1, 2))
+        assert np.all(error <= 1e-14 * scale * np.linalg.cond(G[ok]))
+        # Chunks cut through the mesh, and threads share them, bitwise.
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
+        serial = ev.num_gauge_transformation(P, lam, mesh, DENSE, dim=m)
+        threaded = ev.num_gauge_transformation(
+            P, lam, mesh, EvalOptions(mode="dense", workers=2), dim=m
+        )
+        assert np.array_equal(serial.valid, ok)
+        assert np.array_equal(threaded.valid, ok)
+        assert serial.data.tobytes() == threaded.data.tobytes()
+
+    @pytest.mark.parametrize("s", [2.0**-20, 2.0**20])
+    def test_singular_tolerance_under_rescaling(self, s):
+        # I - Lambda M is unchanged by P -> sP, Lambda -> Lambda/s, so the
+        # mask is too and the output scales by s; a power of two keeps both
+        # exact, since the elimination is linear in M.
+        # With x1 = 0, det(I - Lambda M) = (1 + x3)^2: 0, 1, 0, 1e-10, 1e-14.
+        pts = [(0.0, 0.0, -1.0), (0.0, 0.5, 0.0), (0.0, 2.0, -1.0)]
+        pts += [(0.0, 0.5, -1.0 + 1e-5), (0.0, 0.5, -1.0 + 1e-7)]
+        pts += random_mesh(200, 3, seed=SEED + 25).points.tolist()
+        mesh = as_mesh(pts)
+        lam = {(1, 2): "1", (2, 3): "0.5*x1"}
+        base = ev.num_gauge_transformation(g.SO3, lam, mesh, DENSE, dim=3)
+        scaled = ev.num_gauge_transformation(
+            {key: f"({c})*{s!r}" for key, c in g.SO3.items()},
+            {key: f"({c})*{1 / s!r}" for key, c in lam.items()},
+            mesh, DENSE, dim=3,
+        )
+        assert base.valid.tolist()[:5] == [False, True, False, True, False]
+        assert np.array_equal(scaled.valid, base.valid)
+        assert scaled.data.tobytes() == (base.data * s).tobytes()
 
     def test_lambda_dimension_mismatch(self):
         with pytest.raises(MultivectorError):
