@@ -3,27 +3,27 @@
 Every public method maps (inputs, Mesh) to a BatchResult and comes in two
 pieces: ``prepare_*`` validates the inputs, builds the derived symbolic
 field once (Schouten bracket, sharp image, curl, normal form, minors) and
-compiles its coefficients, returning an evaluator closure; calling the
-evaluator with a mesh does only per-point work and output layout.  The
-``num_*`` front ends chain the two.  Prepared evaluators are what the
-benchmark harness times, so the split also fixes the timed region: parsing,
-symbolic construction and compilation are outside it, per-point evaluation
-and assembly are inside.  The gauge transformation is the one method that is
-not a compiled field: it solves a linear system per point, by one Gauss-Jordan
-elimination over a chunk's points at once, one column per matrix entry.
+compiles all its coefficients into one program, returning an evaluator
+closure; calling the evaluator with a mesh does only per-point work and
+output layout.  The ``num_*`` front ends chain the two.  Prepared evaluators
+are what the benchmark harness times, so the split also fixes the timed
+region: parsing, symbolic construction and compilation are outside it,
+per-point evaluation and assembly are inside.  The gauge transformation's
+program computes P and Lambda, which feed a linear solve per point: one
+Gauss-Jordan elimination over a chunk's points at once.
 
 Concurrency: meshes are processed in fixed-size row chunks (the chunk
 boundaries never depend on the worker count), and worker threads only spread
 the same chunk list, so outputs are bitwise identical for any worker count.
 
-Output layout: every method evaluates float64 coefficient columns and lays
-them out with the same two helpers.  ``records`` mode yields one mapping per
-mesh point (the benchmarked mode); ``dense`` mode yields a scalar column
-(k,), a vector block (k, m), or an antisymmetric matrix block (k, m, m).
-Results of degree three or higher are records-only.  Only a normal form with
-an unbound modulus differs: its records keep the modulus as residual text,
-so each point is partially evaluated.  Non-finite values (poles on the mesh)
-propagate into the output and are tallied in ``BatchResult.nonfinite``.
+Output layout: a program writes each coefficient straight into the result.
+``records`` mode fills a (coefficients, k) block, then one mapping per point;
+``dense`` mode yields a scalar column (k,), a vector block (k, m), or an
+antisymmetric matrix block (k, m, m); degree three and up is records-only.
+Only a normal form with an unbound modulus differs: its records keep the
+modulus as residual text, so each point is partially evaluated.  Non-finite
+values (poles on the mesh) propagate into the output and are tallied in
+``BatchResult.nonfinite``.
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .expressions import (
-    CompiledFunction,
     Expression,
     Num,
-    compile_expression,
+    compile_expressions,
     differentiate,
     fold_add,
     fold_mul,
@@ -131,12 +130,6 @@ def _check_mesh(mesh, m: int) -> Mesh:
     return mesh
 
 
-def _compile_coeffs(mv: Multivector, params) -> dict[tuple, CompiledFunction]:
-    return {
-        key: compile_expression(coeff, mv.dim, params) for key, coeff in mv.items()
-    }
-
-
 def _run_chunks(kernel, mesh: Mesh, workers: int | None) -> None:
     """Call ``kernel(points, rows)`` on fixed-size row chunks of the mesh.
 
@@ -165,8 +158,8 @@ def _count_nonfinite(values: np.ndarray) -> int:
 
 
 def _records_from_columns(keys, columns, k: int) -> list:
-    """One dict per row from one 1-D column per key (``block.T`` of a block);
-    a bool column (the gauge's ``valid``) gives Python bools."""
+    """One dict per row from one 1-D column per key (the rows of a
+    (keys, k) block); a bool column (the gauge's ``valid``) gives Python bools."""
     keys = list(keys)
     if not keys:
         return [{} for _ in range(k)]
@@ -181,66 +174,57 @@ def _records_from_columns(keys, columns, k: int) -> list:
     return records
 
 
-def _dense_fill(out: np.ndarray, keys, columns) -> None:
-    """Write one column per coefficient key into a dense (k,) / (k, m) /
-    (k, m, m) block; a bivector key also fills its transposed entry with
-    the negated column, so matrix blocks come out antisymmetric."""
-    for key, column in zip(keys, columns):
-        out[(slice(None),) + tuple(i - 1 for i in key)] = column
-        if len(key) == 2:
-            out[:, key[1] - 1, key[0] - 1] = -column
-
-
-def _multivector_result(sym: Multivector, fns, keys, mesh, options) -> BatchResult:
-    """Evaluate a compiled symbolic result over the mesh in the requested layout.
-
-    ``keys`` fixes the coefficient columns, in order; a key without a
-    compiled function is a structural zero and evaluates to a zero column.
-    """
-    m = sym.dim
-    degree = sym.degree
-    if options.mode == "dense" and degree > 2:
-        raise MultivectorError(
-            f"dense mode supports results of degree <= 2, got degree {degree}; "
-            "use records mode"
-        )
-
-    columns = np.zeros((len(mesh), len(keys)))
-
-    def kernel(pts, rows):
-        for idx, key in enumerate(keys):
-            if key in fns:
-                columns[rows, idx] = fns[key].evaluate_block(pts)
-
-    _run_chunks(kernel, mesh, options.workers)
-    nonfinite = _count_nonfinite(columns)
-    if options.mode == "records":
-        record_keys = tuple("value" if key == () else key for key in keys)
-        return BatchResult(
-            "records",
-            _records_from_columns(record_keys, columns.T, len(mesh)),
-            keys=record_keys,
-            nonfinite=nonfinite,
-        )
-    out = np.zeros((len(mesh),) + (m,) * degree)
-    _dense_fill(out, keys, columns.T)
-    kind = ("scalar", "vector", "matrix")[degree]
-    return BatchResult(kind, out, nonfinite=nonfinite)
-
-
 def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None):
-    """Compile ``sym`` once; the evaluator applies it to a mesh.
+    """Compile ``sym`` once, to one program; the evaluator applies it to a mesh.
 
-    ``keys`` are the output coefficients, by default the structurally
-    nonzero ones; the vector methods key all m components, the bracket its
-    one value.
+    ``keys`` are the output coefficients, by default the structurally nonzero
+    ones; the vector methods key all m components, the bracket its one value.
+    Each output goes straight to its row of a (len(keys), k) records block or
+    its entry of the dense block, a bivector's negation to the transposed one.
     """
-    fns = _compile_coeffs(sym, options.params)
-    keys = tuple(sorted(fns)) if keys is None else keys
+    m, degree = sym.dim, sym.degree
+    records = options.mode == "records"
+    keys = tuple(sorted(sym.keys())) if keys is None else keys
+    fn = compile_expressions([sym.coefficient(key) for key in keys], m, options.params)
+    targets = [
+        ((j,), None) if records else
+        ((slice(None), *(i - 1 for i in key)),
+         (slice(None), key[1] - 1, key[0] - 1) if len(key) == 2 else None)
+        for j, key in enumerate(keys)
+    ]
 
     def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, sym.dim)
-        return _multivector_result(sym, fns, keys, mesh, options)
+        mesh = _check_mesh(mesh, m)
+        if not records and degree > 2:
+            raise MultivectorError(
+                f"dense mode supports results of degree <= 2, got degree {degree}; "
+                "use records mode"
+            )
+        shape = (len(keys), len(mesh)) if records else (len(mesh),) + (m,) * degree
+        block = np.zeros(shape)
+        counts = []
+
+        def kernel(pts, rows):
+            view = block[:, rows] if records else block[rows]
+
+            def sink(j, value):
+                direct, transposed = targets[j]
+                view[direct] = value
+                if transposed is not None:
+                    np.negative(value, out=view[transposed])
+
+            fn.run(pts, sink)
+            counts.append(_count_nonfinite(view))
+
+        _run_chunks(kernel, mesh, options.workers)
+        # Counted per coefficient: a matrix block holds each one twice.
+        nonfinite = sum(counts) // (2 if degree == 2 and not records else 1)
+        if records:
+            record_keys = tuple("value" if key == () else key for key in keys)
+            rows = _records_from_columns(record_keys, block, len(mesh))
+            return BatchResult("records", rows, keys=record_keys, nonfinite=nonfinite)
+        kind = ("scalar", "vector", "matrix")[degree]
+        return BatchResult(kind, block, nonfinite=nonfinite)
 
     return evaluator
 
@@ -305,7 +289,7 @@ def prepare_poisson_bracket(P, f, g, options=None, dim=None):
     g_expr = _as_expression(g, m)
     bracket: Expression = Num(0.0)
     # Structurally identical canonical ASTs bracket to zero: the zero field
-    # compiles nothing, so an unbound parameter in f is not an error.
+    # compiles to a constant, so an unbound parameter in f is not an error.
     if f_expr != g_expr:
         for (i,), x_i in schouten_coboundary(P, f_expr).items():
             bracket = fold_add(bracket, fold_mul(differentiate(g_expr, i), x_i))
@@ -391,8 +375,9 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
     P = as_field(P, dim, 2, "num_gauge_transformation")
     m = P.dim
     lam = as_field(lam, m, 2, "num_gauge_transformation")
-    P_fns = _compile_coeffs(P, options.params)
-    lam_fns = _compile_coeffs(lam, options.params)
+    # One program, P's outputs first: M is complete before Lambda's arrive.
+    items, n_P = [*P.items(), *lam.items()], len(P.keys())
+    fn = compile_expressions([coeff for _, coeff in items], m, options.params)
     upper = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
 
     def evaluator(mesh) -> BatchResult:
@@ -406,17 +391,22 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
             # (m, 2m, points), so each step is a whole-column operation.
             k = len(pts)
             A = np.zeros((m, 2 * m, k))
+            A[range(m), range(m)] = 1.0
             right = A[:, m:].transpose(2, 1, 0)  # right[r] is M, then X, at point r
-            _dense_fill(right, P_fns, (fn.evaluate_block(pts) for fn in P_fns.values()))
             det = np.ones(k)  # the product of the pivots: det G up to its sign
             buf = np.empty((2 * m, k))
-            # G^T = I + M^T Lambda; key (a, b) gives Lambda[a, b] = -Lambda[b, a].
-            A[range(m), range(m)] = 1.0
+
+            def sink(j, value):
+                a, b = items[j][0]
+                if j < n_P:  # M^T: A[b, m + a] = M[a, b] = -M[b, a]
+                    A[b - 1, m + a - 1] = value
+                    np.negative(value, out=A[a - 1, m + b - 1])
+                else:  # G^T = I + M^T Lambda, Lambda[a, b] = -Lambda[b, a]
+                    A[:, b - 1] += A[:, m + a - 1] * value
+                    A[:, a - 1] -= A[:, m + b - 1] * value
+
+            fn.run(pts, sink)
             with np.errstate(all="ignore"):
-                for (a, b), fn in lam_fns.items():
-                    lam_ab = fn.evaluate_block(pts)
-                    A[:, b - 1] += A[:, m + a - 1] * lam_ab
-                    A[:, a - 1] -= A[:, m + b - 1] * lam_ab
                 for c in range(m):
                     pivot = np.abs(A[c:, c]).argmax(axis=0) + c
                     # Swap the pivot row into row c (det G only changes sign).

@@ -7,10 +7,10 @@ differentiation and partial evaluation apply numeric constant folding plus
 the 0/1 identities, and nothing else (no algebraic simplification), so the
 printed form of a result stays predictable.
 
-Numeric evaluation has one path: ``compile_expression`` turns a tree into a
-stack program and ``CompiledFunction.evaluate_block`` runs it over a block
-of points with NumPy; a single point is a 1-row block.  Singular
-evaluations never raise: they produce IEEE inf/-inf/nan.
+Numeric evaluation has one path: ``compile_expressions`` turns trees into one
+stack program with an output per tree, ``CompiledFunction.run`` runs it over a
+block of points with NumPy, and one tree or one point is its smallest case.
+Singular evaluations never raise: they produce IEEE inf/-inf/nan.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
     "differentiate",
     "differentiate_all",
     "compile_expression",
+    "compile_expressions",
     "partial_eval",
     "to_source",
 ]
@@ -732,6 +733,8 @@ _OP_NEG = 7
 _OP_CALL = 8
 _OP_TEE = 9  # copy the top of the stack into a value slot
 _OP_LOAD = 10  # push a previously stored slot value
+_OP_FREE = 11  # release a slot after its last LOAD
+_OP_OUT = 12  # pop an output value into the sink
 
 _SCALAR_BINARY = {
     _OP_ADD: _scalar_add,
@@ -754,19 +757,17 @@ class CompiledFunction:
     """A flat post-order instruction program over a value stack.
 
     Instances are pure functions of the evaluation point: all parameters
-    were bound at compilation time.  ``evaluate_block`` evaluates a whole
-    (k, m) array of points at once and is the only evaluator; ``__call__``
-    evaluates one point as a 1-row block, so it runs the same arithmetic.
-    A subexpression appearing more than once is computed at its first
-    occurrence, stored in a value slot, and re-pushed afterwards, so it is
-    evaluated once per block.
+    were bound at compilation time.  Each output (``expression``, or the tuple
+    from ``compile_expressions``) ends in an op that hands it to a sink.
+    ``run`` is the only evaluator; ``evaluate_block`` is its one-output case
+    and ``__call__`` a 1-row block.  A subexpression appearing more than once,
+    in one output or across outputs, is computed once per block, kept in a
+    value slot until its last use.
     """
 
     __slots__ = ("program", "dim", "expression", "n_slots")
 
-    def __init__(
-        self, program: list, dim: int, expression: Expression, n_slots: int = 0
-    ):
+    def __init__(self, program: list, dim: int, expression, n_slots: int = 0):
         self.program = program
         self.dim = dim
         self.expression = expression
@@ -778,12 +779,19 @@ class CompiledFunction:
         return float(self.evaluate_block(row)[0])
 
     def evaluate_block(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of ``points`` (shape (k, m)) -> shape (k,)."""
+        """Evaluate a single-output program at every row of ``points``
+        (shape (k, m)) -> shape (k,)."""
+        out = np.empty(len(points))
+        self.run(points, lambda _, value: np.copyto(out, value))
+        return out
+
+    def run(self, points: np.ndarray, sink: Callable) -> None:
+        """Run at every row of ``points`` (k, m); output ``j`` calls
+        ``sink(j, value)`` with a float or a (k,) array the sink may only read."""
         points = np.asarray(points, dtype=float)
-        k = points.shape[0]
         stack: list = []
         push = stack.append
-        slots: list = [0.0] * self.n_slots
+        slots: list = [None] * self.n_slots
         with np.errstate(all="ignore"):
             for op, arg in self.program:
                 if op == _OP_CONST:
@@ -802,6 +810,10 @@ class CompiledFunction:
                     slots[arg] = stack[-1]
                 elif op == _OP_LOAD:
                     push(slots[arg])
+                elif op == _OP_FREE:
+                    slots[arg] = None
+                elif op == _OP_OUT:
+                    sink(arg, stack.pop())
                 else:
                     b = stack.pop()
                     a = stack[-1]
@@ -809,53 +821,9 @@ class CompiledFunction:
                         stack[-1] = _SCALAR_BINARY[op](a, b)
                     else:
                         stack[-1] = _BLOCK_BINARY[op](a, b)
-        top = stack[0]
-        if isinstance(top, float):
-            return np.full(k, top)
-        return np.array(top, dtype=float, copy=True)
 
 
 _BINARY_OPS = {Add: _OP_ADD, Sub: _OP_SUB, Mul: _OP_MUL, Div: _OP_DIV, Pow: _OP_POW}
-
-
-def _emit(
-    node: Expression, program: list, names: set, bound: list, end_of: dict, repeats: list
-) -> None:
-    """Append the post-order program of ``node``; a subtree seen before is a
-    LOAD of its end index, and a parameter a push of its name, both replaced
-    once the whole expression is emitted."""
-    kind = type(node)
-    if kind is Num:
-        program.append((_OP_CONST, float(node.value)))
-        return
-    if kind is Coord:
-        program.append((_OP_COORD, node.index - 1))
-        return
-    if kind is Param:
-        names.add(node.name)
-        bound.append(len(program))
-        program.append((_OP_CONST, node.name))
-        return
-    end = end_of.get(node)
-    if end is not None:
-        repeats.append(len(program))
-        program.append((_OP_LOAD, end))
-        return
-    if kind is Neg:
-        _emit(node.child, program, names, bound, end_of, repeats)
-        program.append((_OP_NEG, None))
-    elif kind is Call:
-        _emit(node.arg, program, names, bound, end_of, repeats)
-        # Carry the ufunc itself so evaluation pays no name lookup per call.
-        program.append((_OP_CALL, _BLOCK_CALLS[node.fn]))
-    else:
-        op = _BINARY_OPS.get(kind)
-        if op is None:
-            raise ExpressionError(f"cannot compile node {kind.__name__}")
-        _emit(node.left, program, names, bound, end_of, repeats)
-        _emit(node.right, program, names, bound, end_of, repeats)
-        program.append((op, None))
-    end_of[node] = len(program) - 1
 
 
 def compile_expression(
@@ -866,36 +834,77 @@ def compile_expression(
     Raises UnboundParameterError listing the missing names if ``params``
     does not cover the expression's free parameters.
     """
+    fn = compile_expressions([e], dim, params)
+    fn.expression = e
+    return fn
+
+
+def compile_expressions(
+    exprs: Sequence[Expression], dim: int, params: Mapping[str, float] | None = None
+) -> CompiledFunction:
+    """Compile ``exprs`` into one program whose output ``j`` is ``exprs[j]``;
+    a subtree they share is computed once.  Raises as ``compile_expression``."""
     params = dict(params or {})
     program: list = []
-    names: set = set()
-    bound: list = []  # indices of the parameter pushes
+    names: set = set()  # parameters used; a missing one raises below
     end_of: dict = {}  # composite subtree -> index of its last instruction
     repeats: list = []  # indices of the LOADs of subtrees seen before
-    _emit(e, program, names, bound, end_of, repeats)
+    # Post-order by an explicit stack, so depth is unbounded: a node is checked
+    # for a repeat when popped, as a recursive walk would on reaching it, and
+    # an (instruction, node) pair finishes a node whose operands are emitted.
+    append = program.append
+    for out, root in enumerate(exprs):
+        todo = [root]
+        while todo:
+            node = todo.pop()
+            kind = type(node)
+            if kind is tuple:
+                append(node[0])
+                end_of[node[1]] = len(program) - 1
+            elif kind is Num:
+                append((_OP_CONST, float(node.value)))
+            elif kind is Coord:
+                append((_OP_COORD, node.index - 1))
+            elif kind is Param:
+                names.add(node.name)
+                value = float(params[node.name]) if node.name in params else None
+                append((_OP_CONST, value))
+            elif (end := end_of.get(node)) is not None:
+                repeats.append(len(program))
+                append((_OP_LOAD, end))
+            elif (op := _BINARY_OPS.get(kind)) is not None:
+                todo += (((op, None), node), node.right, node.left)
+            elif kind is Neg:
+                todo += (((_OP_NEG, None), node), node.child)
+            elif kind is Call:
+                # Carry the ufunc itself so evaluation pays no name lookup per call.
+                todo += (((_OP_CALL, _BLOCK_CALLS[node.fn]), node), node.arg)
+            else:
+                raise ExpressionError(f"cannot compile node {kind.__name__}")
+        append((_OP_OUT, out))
     missing = sorted(names - set(params))
     if missing:
         raise UnboundParameterError(missing)
-    top = e.max_coordinate()
+    top = max((e.max_coordinate() for e in exprs), default=0)
     if top > dim:
         raise ExpressionError(f"expression uses x{top}, beyond dimension {dim}")
-    # A subtree that occurs again is stored (TEE) right after its first
-    # computation, slots numbered in that order, and reloaded at each repeat;
-    # a subtree inside a reloaded one is not visited again.
-    for index in bound:
-        program[index] = (_OP_CONST, float(params[program[index][1]]))
+    # A repeated subtree is stored (TEE) right after its first computation,
+    # slots numbered in that order, reloaded at each repeat and released (FREE)
+    # after the last; a subtree inside a reloaded one is not visited again.
     ends = sorted({program[index][1] for index in repeats})
     slot_at = {end: slot for slot, end in enumerate(ends)}
     for index in repeats:
         program[index] = (_OP_LOAD, slot_at[program[index][1]])
-    resolved = []
-    start = 0
-    for slot, end in enumerate(ends):
-        resolved += program[start : end + 1]
-        resolved.append((_OP_TEE, slot))
-        start = end + 1
+    last_load = {program[index][1]: index for index in repeats}  # slot -> index
+    inserts = [(end, (_OP_TEE, slot)) for slot, end in enumerate(ends)]
+    inserts += [(index, (_OP_FREE, slot)) for slot, index in last_load.items()]
+    resolved, start = [], 0
+    for index, instruction in sorted(inserts):
+        resolved += program[start : index + 1]
+        resolved.append(instruction)
+        start = index + 1
     resolved += program[start:]
-    return CompiledFunction(resolved, dim, e, n_slots=len(ends))
+    return CompiledFunction(resolved, dim, tuple(exprs), n_slots=len(ends))
 
 
 # --- Partial evaluation -----------------------------------------------------

@@ -5,12 +5,16 @@ import pytest
 
 import goldens as g
 import oracles
+from poissonmesh import bench
 from poissonmesh import evaluate as ev
 from poissonmesh.evaluate import EvalOptions, MeshDimensionError
 from poissonmesh.expressions import (
+    Num,
     UnboundParameterError,
     compile_expression,
     differentiate,
+    fold_add,
+    fold_mul,
     parse,
 )
 from poissonmesh.geometry import (
@@ -19,6 +23,16 @@ from poissonmesh.geometry import (
     as_mesh,
     corners_mesh,
     random_mesh,
+)
+from poissonmesh.symbolic import (
+    as_field,
+    curl_sym,
+    flaschka_ratiu_sym,
+    linear_normal_form_r3,
+    modular_vf_sym,
+    one_forms_bracket_sym,
+    schouten_coboundary,
+    sharp_sym,
 )
 
 SEED = 20250825
@@ -816,3 +830,143 @@ class TestNonFinitePropagation:
         )
         assert res.nonfinite == 1
         assert not np.isfinite(res.data[0])
+
+
+# --- One program per result ---------------------------------------------------
+
+
+def suite_reference_fields() -> dict:
+    """method -> (symbolic result, output keys or None for its nonzero keys),
+    built from the benchmark_suite() inputs as prepare_* builds them."""
+    b = bench
+    P = as_field(b._P3, 3, 2, "P")
+    h, g_ = parse(b._H3, 3), parse(b._G3, 3)
+    bracket = Num(0.0)
+    for (i,), x_i in schouten_coboundary(P, h).items():
+        bracket = fold_add(bracket, fold_mul(differentiate(g_, i), x_i))
+    components = ((1,), (2,), (3,))
+    Q = as_field(b._Q3, 3, 2, "Q")
+    return {
+        "num_bivector": (P, None),
+        "num_bivector_to_matrix": (as_field(b._E3, 3, 2, "E"), None),
+        "num_hamiltonian_vf": (schouten_coboundary(P, h), components),
+        "num_poisson_bracket": (Multivector.build(3, 0, bracket), ((),)),
+        "num_sharp_morphism": (sharp_sym(P, b._ALPHA3), components),
+        "num_coboundary_operator": (
+            schouten_coboundary(P, b._HEAVY_ONE_FORM, degree=1), None
+        ),
+        "num_modular_vf": (modular_vf_sym(Q, "exp(x3)"), None),
+        "num_curl_operator": (curl_sym(Q, "1"), None),
+        "num_one_forms_bracket": (
+            one_forms_bracket_sym(P, b._ALPHA3, b._BETA3), components
+        ),
+        "num_linear_normal_form_r3": (
+            linear_normal_form_r3(b._P3_NEG).representative, None
+        ),
+        "num_flaschka_ratiu_bivector": (flaschka_ratiu_sym(b._CASIMIRS4, 4), None),
+    }
+
+
+def per_coefficient_reference(field, keys, mesh):
+    """Each coefficient compiled and evaluated on its own: the (keys, k)
+    columns, the dense block laid out with NumPy, and the non-finite count."""
+    coeffs = dict(field.items())
+    keys = tuple(sorted(coeffs)) if keys is None else keys
+    columns = np.zeros((len(keys), len(mesh)))
+    for row, key in enumerate(keys):
+        if key in coeffs:
+            fn = compile_expression(coeffs[key], field.dim)
+            columns[row] = fn.evaluate_block(mesh.points)
+    dense = np.zeros((len(mesh),) + (field.dim,) * field.degree)
+    for key, column in zip(keys, columns):
+        dense[(slice(None), *(i - 1 for i in key))] = column
+        if len(key) == 2:
+            dense[:, key[1] - 1, key[0] - 1] = -column
+    return keys, columns, dense, int(np.count_nonzero(~np.isfinite(columns)))
+
+
+def pole_mesh(dim: int):
+    """Random points plus the heavy one-form's poles and cone, and points
+    where the suite's gauge is singular (det G = 1 -+ 2 x3 (x1 - x2) = 0)."""
+    pts = np.random.default_rng(SEED + 30).uniform(-1.5, 1.5, size=(150, dim))
+    pts[:3] = 0.0
+    pts[3:6, :2] = 0.0
+    pts[6:9, 2] = np.hypot(pts[6:9, 0], pts[6:9, 1])
+    pts[9:11, :3] = [(0.5, 0.0, 1.0), (0.0, 0.5, 1.0)]
+    return as_mesh(pts)
+
+
+class TestOneProgramPerResult:
+    def test_one_compile_per_prepare(self, monkeypatch):
+        calls = []
+        compile_expressions = ev.compile_expressions
+
+        def counting(exprs, dim, params=None):
+            calls.append(len(exprs))
+            return compile_expressions(exprs, dim, params)
+
+        monkeypatch.setattr(ev, "compile_expressions", counting)
+        for case in bench.benchmark_suite().values():
+            for options in (EvalOptions(), DENSE):
+                calls.clear()
+                evaluator = case.factory(options)
+                assert len(calls) == 1, case.method
+                evaluator(random_mesh(20, case.dim, seed=SEED))
+                assert len(calls) == 1, case.method
+                if case.method == "num_gauge_transformation":
+                    assert calls == [6]  # P's three coefficients, then Lambda's
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("mode", ["records", "dense"])
+    def test_suite_matches_per_coefficient_reference(self, mode, workers, monkeypatch):
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
+        options = EvalOptions(mode=mode, workers=workers)
+        references = suite_reference_fields()
+        poles = 0
+        for method, case in bench.benchmark_suite().items():
+            mesh = pole_mesh(case.dim)
+            res = case.factory(options)(mesh)
+            if method == "num_gauge_transformation":
+                self.check_gauge(res, mesh, mode)
+                continue
+            keys, columns, dense, nonfinite = per_coefficient_reference(
+                *references[method], mesh
+            )
+            assert res.nonfinite == nonfinite, method
+            poles += nonfinite
+            if res.kind == "records":
+                assert res.keys == tuple("value" if k == () else k for k in keys)
+                assert all(tuple(rec) == res.keys for rec in res.data), method
+                values = np.array([list(rec.values()) for rec in res.data])
+                assert values.T.tobytes() == columns.tobytes(), method
+            else:
+                assert res.data.shape == dense.shape, method
+                assert res.data.tobytes() == dense.tobytes(), method
+        assert poles > 0
+
+    @staticmethod
+    def check_gauge(res, mesh, mode):
+        P = per_coefficient_reference(as_field(bench._P3, 3, 2, "P"), None, mesh)[2]
+        L = per_coefficient_reference(
+            as_field(bench._LAMBDA3, 3, 2, "L"), None, mesh
+        )[2]
+        G = np.eye(3) - L @ P
+        det = np.abs(np.linalg.det(G))
+        decided = (det < 0.5e-12) | (det > 2e-12)
+        assert np.array_equal(res.valid[decided], det[decided] > 1e-12)
+        ok = res.valid
+        if mode == "records":
+            data = np.zeros((len(mesh), 3, 3))
+            for row, rec in enumerate(res.data):
+                assert tuple(rec) == (*res.keys, "valid") and rec["valid"] == ok[row]
+                for i, j in res.keys:
+                    data[row, i - 1, j - 1] = rec[(i, j)]
+                    data[row, j - 1, i - 1] = -rec[(i, j)]
+        else:
+            data = res.data
+        assert ok.sum() > 100 and not ok.all()
+        assert np.isnan(data[~ok][:, [0, 0, 1], [1, 2, 2]]).all()
+        expected = P[ok] @ np.linalg.inv(G[ok])
+        scale = np.maximum(1.0, np.abs(expected).max(axis=(1, 2)))
+        error = np.abs(data[ok] - expected).max(axis=(1, 2))
+        assert np.all(error <= 1e-14 * scale * np.linalg.cond(G[ok]))

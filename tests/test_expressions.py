@@ -361,6 +361,49 @@ class TestCompile:
         assert f([2.0, 3.0]) == 14.0
         assert f.evaluate_block(np.array([[2.0, 3.0]]))[0] == 14.0
 
+    def test_subtree_shared_across_outputs_is_computed_once(self):
+        exprs = [ex.parse("exp(x1*x2)*x1", 2), ex.parse("x2 - exp(x1*x2)", 2)]
+        f = ex.compile_expressions(exprs, 2)
+        assert [arg for op, arg in f.program if op == ex._OP_CALL] == [np.exp]
+        assert [arg for op, arg in f.program if op == ex._OP_OUT] == [0, 1]
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(9, 2))
+        outputs = {}
+        f.run(points, lambda j, value: outputs.setdefault(j, np.copy(value)))
+        for j, e in enumerate(exprs):
+            alone = ex.compile_expression(e, 2).evaluate_block(points)
+            assert outputs[j].tobytes() == alone.tobytes()
+
+    def test_every_slot_freed_once_after_its_last_load(self):
+        exprs = [ex.parse(entry.source, entry.dim) for entry in DERIVATIVE_CORPUS]
+        exprs = [ex.differentiate(e, 1) for e in exprs if e.max_coordinate() <= 3]
+        programs = [ex.compile_expression(e, 3, {"a": 1.5, "b": -2.0}) for e in exprs]
+        programs.append(ex.compile_expressions(exprs, 3, {"a": 1.5, "b": -2.0}))
+        assert sum(f.n_slots for f in programs) > 10
+        slot_ops = (ex._OP_TEE, ex._OP_LOAD, ex._OP_FREE)
+        for f in programs:
+            for slot in range(f.n_slots):
+                at = [
+                    i
+                    for i, (op, arg) in enumerate(f.program)
+                    if op in slot_ops and arg == slot
+                ]
+                ops = [f.program[i][0] for i in at]
+                assert ops.count(ex._OP_TEE) == 1 and ops[0] == ex._OP_TEE
+                assert ops.count(ex._OP_FREE) == 1 and ops[-1] == ex._OP_FREE
+                assert f.program[at[-1] - 1] == (ex._OP_LOAD, slot)
+
+    def test_very_long_sum_compiles_and_evaluates(self):
+        # Far deeper than the interpreter's recursion limit.
+        n = 10_000
+        e = ex.parse(" + ".join(f"x1*x2**{i}" for i in range(1, n + 1)), 2)
+        f = ex.compile_expression(e, 2)
+        points = np.random.default_rng(4).uniform(0.5, 1.0, size=(8, 2))
+        expected = points[:, 0] * points[:, 1]
+        for i in range(2, n + 1):
+            expected = expected + points[:, 0] * points[:, 1] ** float(i)
+        assert f.evaluate_block(points).tobytes() == expected.tobytes()
+        assert f(points[0]) == expected[0]
+
 
 # --- Partial evaluation -----------------------------------------------------
 
