@@ -127,7 +127,7 @@ def time_method(
     """Time a prepared evaluator over seeded random meshes of each size.
 
     Mesh generation is excluded from the timed region; each repeat times a
-    single evaluator call (per-point work and output layout only).
+    single evaluator call and one read of its ``data`` (records build there).
     Per size, garbage from earlier work is collected, then one untimed
     warm-up call pre-faults pages and rebuilds allocator arenas, and the
     cyclic garbage collector stays paused across the timed repeats (as
@@ -143,13 +143,13 @@ def time_method(
         for index, k in enumerate(sizes):
             mesh = random_mesh(k, dim, seed=seed + index)
             gc.collect()
-            evaluator(mesh)
+            evaluator(mesh).data
             if gc_was_enabled:
                 gc.disable()
             samples = []
             for _ in range(repeats):
                 start = time.perf_counter()
-                evaluator(mesh)
+                evaluator(mesh).data
                 samples.append(time.perf_counter() - start)
             if gc_was_enabled:
                 gc.enable()

@@ -14,7 +14,7 @@ or {"value": ...} lines), ``npy`` (a float64 tensor shaped (k,), (k, m), or
 present), and ``csv`` (the same tensor flattened to one row per point).
 ``jsonl`` uses the records output mode; ``npy`` and ``csv`` use dense mode.
 Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
-(csv: nan, inf, -inf).  jsonl is written one 65,536-row chunk at a time.
+(csv: nan, inf, -inf).  jsonl and csv are written 16,384 rows at a time.
 Every file, ``mesh`` output included, is written beside its target and then
 renamed into place, so a failed write leaves no partial file.
 """
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import operator
 import os
 import sys
 import time
@@ -41,10 +40,12 @@ from .geometry import (
     Mesh,
     Multivector,
     MultivectorError,
+    _row_chunks,
     atomic_write,
     corners_mesh,
     load_mesh,
     random_mesh,
+    save_csv,
     save_mesh,
 )
 
@@ -235,7 +236,6 @@ def _build_case(args, options: EvalOptions):
 # --- Output writing ---------------------------------------------------------
 
 
-_CHUNK_ROWS = 65536  # output lines formatted per chunk
 _SLOT = "%s"  # a value's place in a line template, quoted until the template is done
 _NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _BOOL_TOKENS = ("false", "true")
@@ -254,36 +254,31 @@ def _json_tokens(column: list) -> list:
 def _write_jsonl(result: BatchResult, fh) -> None:
     """Fill one line template per result, one chunk of rows at a time.
 
-    A record's slots are its ``keys``, then its valid flag; a dense row's
-    are its entries in row-major order.
+    A record's slots are its ``keys``, read from ``columns``, then its valid
+    flag; a dense row's are its entries in row-major order.
     """
+    valid = None
     if result.kind == "records":
-        data = result.data
-        getters = [operator.itemgetter(key) for key in result.keys]
+        columns, valid = result.columns, result.valid
         skeleton = {"coeffs": {
             ",".join(map(str, key)) if isinstance(key, tuple) else key: _SLOT
             for key in result.keys
         }}
-        if result.valid is not None:
+        if valid is not None:
             skeleton["valid"] = _SLOT
     else:
-        data = result.data.reshape(len(result.data), -1)
+        columns = result.data.reshape(len(result), -1).T
         name = "value" if result.kind == "scalar" else result.kind
         skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
     template = json.dumps(skeleton).replace(json.dumps(_SLOT), _SLOT) + "\n"
-    for start in range(0, len(data), _CHUNK_ROWS):
-        rows = data[start : start + _CHUNK_ROWS]
+    for span in _row_chunks(len(result)):
         # One column at a time, so only its tokens outlive it.
-        if result.kind == "records":
-            columns = [_json_tokens(list(map(get, rows))) for get in getters]
-            if result.valid is not None:
-                valid = result.valid[start : start + _CHUNK_ROWS]
-                columns.append([_BOOL_TOKENS[flag] for flag in valid.tolist()])
-        else:
-            columns = [_json_tokens(column.tolist()) for column in rows.T]
-        tokens = itertools.chain.from_iterable(zip(*columns))
-        del columns  # so the spent chain frees this chunk's tokens
-        fh.write(((template * len(rows)) % tuple(tokens)).encode())
+        tokens = [_json_tokens(column[span].tolist()) for column in columns]
+        if valid is not None:
+            tokens.append([_BOOL_TOKENS[flag] for flag in valid[span].tolist()])
+        rows = itertools.chain.from_iterable(zip(*tokens))
+        del tokens  # so the spent chain frees this chunk's tokens
+        fh.write(((template * (span.stop - span.start)) % tuple(rows)).encode())
 
 
 def write_result(result: BatchResult, path: str, fmt: str):
@@ -301,8 +296,7 @@ def write_result(result: BatchResult, path: str, fmt: str):
             atomic_write(f"{path}.valid.npy", lambda fh: np.save(fh, result.valid))
         return
     if fmt == "csv":
-        flat = data.reshape(len(data), -1)
-        atomic_write(path, lambda fh: np.savetxt(fh, flat, fmt="%.17g", delimiter=","))
+        save_csv(path, data.reshape(len(data), -1))
         return
     raise MultivectorError(f"unknown output format {fmt!r}")
 

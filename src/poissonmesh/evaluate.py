@@ -17,13 +17,13 @@ boundaries never depend on the worker count), and worker threads only spread
 the same chunk list, so outputs are bitwise identical for any worker count.
 
 Output layout: a program writes each coefficient straight into the result.
-``records`` mode fills a (coefficients, k) block, then one mapping per point;
-``dense`` mode yields a scalar column (k,), a vector block (k, m), or an
-antisymmetric matrix block (k, m, m); degree three and up is records-only.
-Only a normal form with an unbound modulus differs: its records keep the
-modulus as residual text, so each point is partially evaluated.  Non-finite
-values (poles on the mesh) propagate into the output and are tallied in
-``BatchResult.nonfinite``.
+``records`` mode fills a (coefficients, k) block, the result's columns (its
+mappings are built when ``data`` is read); ``dense`` mode yields a scalar
+column (k,), a vector block (k, m), or an antisymmetric matrix block
+(k, m, m); degree three and up is records-only.  Only a normal form with an
+unbound modulus differs: its records keep the modulus as residual text, so
+each point is partially evaluated.  Non-finite values (poles on the mesh)
+propagate into the output and are tallied in ``BatchResult.nonfinite``.
 """
 
 from __future__ import annotations
@@ -154,26 +154,6 @@ def _count_nonfinite(values: np.ndarray) -> int:
     return int(np.count_nonzero(~np.isfinite(values)))
 
 
-# --- Shared assembly ---------------------------------------------------------
-
-
-def _records_from_columns(keys, columns, k: int) -> list:
-    """One dict per row from one 1-D column per key (the rows of a
-    (keys, k) block); a bool column (the gauge's ``valid``) gives Python bools."""
-    keys = list(keys)
-    if not keys:
-        return [{} for _ in range(k)]
-    records = []
-    # tolist() converts a column to Python scalars at C speed; zipping the
-    # ready lists into row dicts is several times faster than indexing the
-    # arrays per entry.  Converting one chunk of rows at a time bounds the
-    # lists, which only feed the dicts, so the records alone set the peak.
-    for start in range(0, k, _CHUNK_ROWS):
-        lists = [column[start : start + _CHUNK_ROWS].tolist() for column in columns]
-        records += [dict(zip(keys, row)) for row in zip(*lists)]
-    return records
-
-
 def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None):
     """Compile ``sym`` once, to one program; the evaluator applies it to a mesh.
 
@@ -221,8 +201,9 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None):
         nonfinite = sum(counts) // (2 if degree == 2 and not records else 1)
         if records:
             record_keys = tuple("value" if key == () else key for key in keys)
-            rows = _records_from_columns(record_keys, block, len(mesh))
-            return BatchResult("records", rows, keys=record_keys, nonfinite=nonfinite)
+            return BatchResult(
+                "records", keys=record_keys, nonfinite=nonfinite, columns=block
+            )
         kind = ("scalar", "vector", "matrix")[degree]
         return BatchResult(kind, block, nonfinite=nonfinite)
 
@@ -379,6 +360,7 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
     items, n_P = [*P.items(), *lam.items()], len(P.keys())
     fn = compile_expressions([coeff for _, coeff in items], m, options.params)
     upper = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    upper_flat = [(i - 1) * m + j - 1 for i, j in upper]  # in a flattened (m, m)
 
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, m)
@@ -428,10 +410,9 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
         _run_chunks(kernel, mesh, options.workers)
         nonfinite = _count_nonfinite(out[valid]) if valid.any() else 0
         if options.mode == "records":
-            columns = [out[:, i - 1, j - 1] for i, j in upper] + [valid]
-            records = _records_from_columns(upper + ["valid"], columns, len(mesh))
             return BatchResult(
-                "records", records, keys=tuple(upper), valid=valid, nonfinite=nonfinite
+                "records", keys=tuple(upper), valid=valid, nonfinite=nonfinite,
+                columns=out.reshape(len(mesh), m * m)[:, upper_flat].T,
             )
         return BatchResult("matrix", out, valid=valid, nonfinite=nonfinite)
 
@@ -462,20 +443,17 @@ def prepare_linear_normal_form_r3(P, options=None):
 
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, 3)
-        records = []
+        columns = np.empty((len(keys), len(mesh)), dtype=object)
         nonfinite = 0
-        for point in mesh.points:
-            rec = {}
-            for key in keys:
+        for r, point in enumerate(mesh.points):
+            for j, key in enumerate(keys):
                 value = partial_eval(rep.coefficient(key), 3, params, point)
                 if isinstance(value, float):
-                    rec[key] = value
-                    if not np.isfinite(value):
-                        nonfinite += 1
+                    nonfinite += not np.isfinite(value)
                 else:
-                    rec[key] = to_source(value)
-            records.append(rec)
-        return BatchResult("records", records, keys=keys, nonfinite=nonfinite)
+                    value = to_source(value)
+                columns[j, r] = value
+        return BatchResult("records", keys=keys, nonfinite=nonfinite, columns=columns)
 
     return evaluator
 

@@ -289,13 +289,36 @@ def atomic_write(path, write: Callable[[BinaryIO], object]) -> None:
             os.unlink(tmp)
 
 
+_CHUNK_ROWS = 16384  # rows per chunk of csv or jsonl text
+
+
+def _row_chunks(k: int) -> list:
+    """Slices of at most ``_CHUNK_ROWS`` rows covering ``range(k)``: text is
+    formatted one chunk at a time, so only one chunk's strings are alive."""
+    return [slice(a, min(a + _CHUNK_ROWS, k)) for a in range(0, k, _CHUNK_ROWS)]
+
+
+def _write_csv(fh: BinaryIO, rows: np.ndarray) -> None:
+    """Write a (k, n) float array as csv, each value ``%.17g``, filling one
+    row template per chunk (the bytes NumPy's savetxt writes with that fmt)."""
+    template = b",".join([b"%.17g"] * rows.shape[1]) + b"\n"
+    for span in _row_chunks(len(rows)):
+        values = tuple(rows[span].ravel().tolist())
+        fh.write((template * (span.stop - span.start)) % values)
+
+
+def save_csv(path, rows: np.ndarray) -> None:
+    """Atomically write a (k, n) float array as csv, one row per line."""
+    atomic_write(path, lambda fh: _write_csv(fh, rows))
+
+
 def save_mesh(mesh: Mesh, path: str) -> None:
     """Write a mesh as .npy (float64, shape (k, m)) or .csv (row per point)."""
     text = str(path)
     if text.endswith(".npy"):
         atomic_write(text, lambda fh: np.save(fh, mesh.points))
     elif text.endswith(".csv"):
-        atomic_write(text, lambda fh: np.savetxt(fh, mesh.points, delimiter=",", fmt="%.17g"))
+        save_csv(text, mesh.points)
     else:
         raise ValueError(f"unsupported mesh format: {text}")
 
@@ -314,6 +337,32 @@ def load_mesh(path: str, dim: int | None = None) -> Mesh:
 # --- Batch results ----------------------------------------------------------
 
 
+def _records_from_columns(result: "BatchResult") -> list:
+    """One dict per point from a records result's columns: its ``keys`` in
+    order, then ``"valid"`` (a Python bool) when ``valid`` is set."""
+    keys, columns = list(result.keys), list(result.columns)
+    if result.valid is not None:
+        keys.append("valid")
+        columns.append(result.valid)
+    # tolist() converts a column to Python scalars at C speed; zipping the
+    # ready lists is several times faster than indexing the arrays per entry.
+    rows = zip(*(column.tolist() for column in columns)) if keys else [()] * len(result)
+    return [dict(zip(keys, row)) for row in rows]
+
+
+class _Data:
+    """``BatchResult.data``: what it was given, or for a records result the
+    dicts, built from ``columns`` on first read and kept."""
+
+    def __get__(self, result, owner=None):
+        if result is not None and result._data is None and result.columns is not None:
+            result._data = _records_from_columns(result)
+        return None if result is None else result._data  # None: the field default
+
+    def __set__(self, result, value) -> None:
+        result._data = value
+
+
 @dataclass
 class BatchResult:
     """Evaluation output over a mesh.
@@ -321,20 +370,21 @@ class BatchResult:
     kind 'scalar': data is a (k,) column.
     kind 'vector': data is (k, m).
     kind 'matrix': data is (k, m, m).
-    kind 'records': data is a list of k dicts mapping index tuples to
-    floats or residual text; ``keys`` fixes the common key order.  Every
-    record holds exactly ``keys``, in that order, then ``"valid"`` (a
-    bool) when ``valid`` is set; the jsonl writer reads values by these keys
-    and the flags from ``valid``.
+    kind 'records': ``columns`` is a (len(keys), k) block of floats (object
+    dtype with residual text for an unbound normal-form modulus); ``data``
+    is a list of k dicts built from it on first access.  Every record holds
+    exactly ``keys``, in that order, then ``"valid"`` (a bool) when
+    ``valid`` is set; ``len`` and the writers read only the columns.
     ``valid`` (optional) marks points where the operation was defined;
     ``nonfinite`` counts non-finite coefficient evaluations.
     """
 
     kind: str
-    data: Union[np.ndarray, list]
+    data: Union[np.ndarray, list, None] = _Data()
     keys: tuple | None = None
     valid: np.ndarray | None = None
     nonfinite: int = 0
+    columns: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.data)
+        return len(self.data) if self.columns is None else self.columns.shape[1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import goldens as g
-from poissonmesh import bench
+from poissonmesh import bench, geometry
 from poissonmesh.bench import BenchCase, TimingReport, fit_loglog, time_method
 from poissonmesh.evaluate import EvalOptions
 from poissonmesh.geometry import MultivectorError
@@ -110,6 +110,22 @@ class TestTimeMethod:
             case.method, evaluator, case.dim, [200, 20000], repeats=3, seed=3
         )
         assert report.mean_s[1] > report.mean_s[0]
+
+    def test_records_timing_builds_data(self, monkeypatch):
+        # A records call keeps columns; the timed region also covers the
+        # dicts a caller gets, once per call (warm-up included).
+        built = []
+        build = geometry._records_from_columns
+
+        def counting(result):
+            built.append(len(result))
+            return build(result)
+
+        monkeypatch.setattr(geometry, "_records_from_columns", counting)
+        case = bench.benchmark_suite()["num_hamiltonian_vf"]
+        evaluator = case.factory(EvalOptions())
+        time_method(case.method, evaluator, case.dim, [10, 20], repeats=2, seed=1)
+        assert built == [10] * 3 + [20] * 3
 
     def test_method_errors_propagate(self):
         def broken(mesh):

@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 
 import goldens as g
-from poissonmesh import cli
-from poissonmesh.geometry import BatchResult, Multivector, as_mesh, save_mesh
+from poissonmesh import bench, cli, geometry
+from poissonmesh import evaluate as ev
+from poissonmesh.evaluate import EvalOptions
+from poissonmesh.geometry import (
+    BatchResult,
+    Multivector,
+    as_mesh,
+    random_mesh,
+    save_mesh,
+)
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples_data"
 
@@ -369,7 +377,10 @@ def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer, suffix):
         fh.write(b"partial")
         raise OSError("disk full")
 
-    monkeypatch.setattr(np, "savetxt" if suffix == ".csv" else "save", fail_midway)
+    if suffix == ".csv":  # the csv writer save_mesh and write_result share
+        monkeypatch.setattr(geometry, "_write_csv", fail_midway)
+    else:
+        monkeypatch.setattr(np, "save", fail_midway)
     with pytest.raises(OSError, match="disk full"):
         if writer == "save_mesh":
             save_mesh(as_mesh([(0.0, 1.0)]), str(target))
@@ -378,6 +389,67 @@ def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer, suffix):
             cli.write_result(result, str(target), suffix[1:])
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def suite_results(k: int) -> list:
+    """Every benchmark-suite method in both modes, plus the residual-text
+    normal form and an empty-keys result, on k points."""
+    results = []
+    for case in bench.benchmark_suite().values():
+        mesh = random_mesh(k, case.dim, seed=k)
+        for mode in ("records", "dense"):
+            results.append(case.factory(EvalOptions(mode=mode))(mesh))
+    mesh = random_mesh(k, 3, seed=k)
+    results.append(ev.num_linear_normal_form_r3(g.LINEAR_MIXED_R3, mesh))
+    results.append(ev.num_modular_vf(g.SO3, "1", mesh, dim=3))
+    return results
+
+
+def reference_jsonl(result: BatchResult) -> str:
+    """``json.dumps`` of each record or dense row, one per line."""
+    if result.kind != "records":
+        name = "value" if result.kind == "scalar" else result.kind
+        return "".join(json.dumps({name: row}) + "\n" for row in result.data.tolist())
+    lines = []
+    for record in result.data:
+        obj = {"coeffs": {
+            ",".join(map(str, key)) if isinstance(key, tuple) else key: record[key]
+            for key in result.keys
+        }}
+        if result.valid is not None:
+            obj["valid"] = record["valid"]
+        lines.append(json.dumps(obj) + "\n")
+    return "".join(lines)
+
+
+class TestColumnarOutput:
+    def test_len_and_writers_never_build_records(self, tmp_path, monkeypatch):
+        results = suite_results(40)
+
+        def refuse(result):
+            raise AssertionError("the records were built")
+
+        monkeypatch.setattr(geometry, "_records_from_columns", refuse)
+        for result in results:
+            assert len(result) == 40
+            cli.write_result(result, str(tmp_path / "out.jsonl"), "jsonl")
+            if result.kind != "records":
+                cli.write_result(result, str(tmp_path / "out.csv"), "csv")
+
+    def test_text_identical_across_chunk_boundaries(self, tmp_path, monkeypatch):
+        # 70 rows in chunks of 16: four full chunks and a partial one, each
+        # byte-identical to formatting the rows one at a time.
+        results = suite_results(70)
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", 16)
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        for result in results:
+            cli.write_result(result, str(out), "jsonl")
+            assert out.read_text() == reference_jsonl(result)
+            if result.kind != "records":
+                cli.write_result(result, str(out), "csv")
+                rows = result.data.reshape(70, -1)
+                np.savetxt(ref, rows, fmt="%.17g", delimiter=",")
+                assert out.read_bytes() == ref.read_bytes()
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 """Tests for the batch mesh-evaluation layer."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -654,7 +656,9 @@ class TestNormalFormR3:
     def test_records_with_residual_modulus(self):
         res = ev.num_linear_normal_form_r3(g.LINEAR_MIXED_R3, corners_mesh(3))
         assert res.keys == g.NORMAL_FORM_KEYS
+        assert res.columns.dtype == object
         assert res.data == g.NORMAL_FORM_RECORDS
+        assert all(type(v) in (float, str) for rec in res.data for v in rec.values())
 
     def test_records_with_bound_modulus(self):
         res = ev.num_linear_normal_form_r3(
@@ -705,6 +709,7 @@ class TestNormalFormR3:
     def test_zero_bivector_gives_empty_records(self):
         res = ev.num_linear_normal_form_r3({}, corners_mesh(3))
         assert res.keys == ()
+        assert res.columns.shape == (0, 8) and len(res) == 8
         assert res.data == [{}] * 8
 
     def test_nonlinear_input_rejected(self):
@@ -970,3 +975,41 @@ class TestOneProgramPerResult:
         scale = np.maximum(1.0, np.abs(expected).max(axis=(1, 2)))
         error = np.abs(data[ok] - expected).max(axis=(1, 2))
         assert np.all(error <= 1e-14 * scale * np.linalg.cond(G[ok]))
+
+
+def records_from_dense(keys, dense) -> list:
+    """The records of a result with these keys, read entry by entry from the
+    same method's dense result: Python floats, then a Python bool flag."""
+    records = []
+    for row, values in enumerate(dense.data):
+        record = {
+            key: float(values[() if key == "value" else tuple(i - 1 for i in key)])
+            for key in keys
+        }
+        if dense.valid is not None:
+            record["valid"] = bool(dense.valid[row])
+        records.append(record)
+    return records
+
+
+class TestColumnarRecords:
+    def test_data_equals_dense_entries_for_every_method(self, monkeypatch):
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
+        for method, case in bench.benchmark_suite().items():
+            mesh = pole_mesh(case.dim)
+            res = case.factory(EvalOptions())(mesh)
+            dense = case.factory(DENSE)(mesh)
+            if res.kind != "records":  # the always-dense matrix form
+                assert res.data.tobytes() == dense.data.tobytes(), method
+                continue
+            assert len(res) == len(mesh), method
+            # repr tells -0.0 from 0.0 and a NumPy scalar from a Python one.
+            assert repr(res.data) == repr(records_from_dense(res.keys, dense)), method
+            assert res.data is res.data  # built once
+
+    def test_dense_data_is_the_block(self):
+        res = ev.num_bivector(g.SO3, corners_mesh(3), DENSE, dim=3)
+        assert res.columns is None and isinstance(res.data, np.ndarray)
+        assert len(res) == 8
+        scaled = replace(res, data=res.data * 2.0)
+        assert np.array_equal(scaled.data, 2.0 * res.data) and scaled.kind == "matrix"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from poissonmesh import expressions as ex
+from poissonmesh import geometry
 from poissonmesh.geometry import (
     Mesh,
     Multivector,
@@ -108,6 +109,22 @@ class TestMeshSerialization:
         save_mesh(mesh, path)
         back = load_mesh(path)
         assert np.array_equal(back.points, mesh.points)
+
+    @pytest.mark.parametrize("chunk_rows", [16, 16384])
+    @pytest.mark.parametrize("shape", [(0, 3), (41, 1), (41, 3), (3, 41)])
+    def test_csv_bytes_match_savetxt(self, tmp_path, monkeypatch, chunk_rows, shape):
+        monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk_rows)
+        special = [
+            np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+            1e300, -1e300, 1e-300, -1e-300, 0.1, 1 / 3, 2.0**53 + 2, -7.0,
+        ]
+        values = np.random.default_rng(7).normal(size=shape[0] * shape[1])
+        values[: len(special)] = special[: len(values)]
+        rows = values.reshape(shape)
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        geometry.save_csv(str(ours), rows)
+        np.savetxt(ref, rows, fmt="%.17g", delimiter=",")
+        assert ours.read_bytes() == ref.read_bytes()
 
     def test_unknown_format(self, tmp_path):
         mesh = random_mesh(5, 2, seed=0)
