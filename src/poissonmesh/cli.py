@@ -14,7 +14,8 @@ or {"value": ...} lines), ``npy`` (a float64 tensor shaped (k,), (k, m), or
 present), and ``csv`` (the same tensor flattened to one row per point).
 ``jsonl`` uses the records output mode; ``npy`` and ``csv`` use dense mode.
 Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
-(csv: nan, inf, -inf).  jsonl and csv are written 16,384 rows at a time.
+(csv: nan, inf, -inf).  jsonl and csv are written in chunks of at most
+49,152 values (16,384 rows of three).
 Every file, ``mesh`` output included, is written beside its target and then
 renamed into place, so a failed write leaves no partial file.
 """
@@ -40,7 +41,7 @@ from .geometry import (
     Mesh,
     Multivector,
     MultivectorError,
-    _row_chunks,
+    _text_chunks,
     atomic_write,
     corners_mesh,
     load_mesh,
@@ -271,7 +272,7 @@ def _write_jsonl(result: BatchResult, fh) -> None:
         name = "value" if result.kind == "scalar" else result.kind
         skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
     template = json.dumps(skeleton).replace(json.dumps(_SLOT), _SLOT) + "\n"
-    for span in _row_chunks(len(result)):
+    for span in _text_chunks(len(result), len(columns) + (valid is not None)):
         # One column at a time, so only its tokens outlive it.
         tokens = [_json_tokens(column[span].tolist()) for column in columns]
         if valid is not None:

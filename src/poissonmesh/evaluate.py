@@ -45,7 +45,7 @@ from .expressions import (
     partial_eval,
     to_source,
 )
-from .geometry import BatchResult, Mesh, Multivector, MultivectorError, as_mesh
+from .geometry import BatchResult, Mesh, Multivector, MultivectorError, _row_chunks, as_mesh
 from .symbolic import (
     as_field,
     curl_sym,
@@ -139,8 +139,7 @@ def _run_chunks(kernel, mesh: Mesh, workers: int | None) -> None:
     write disjoint rows, so results are deterministic.
     """
     pts = mesh.points
-    k = len(pts)
-    spans = [slice(a, min(a + _CHUNK_ROWS, k)) for a in range(0, k, _CHUNK_ROWS)]
+    spans = _row_chunks(len(pts), _CHUNK_ROWS)
     run = lambda rows: kernel(pts[rows], rows)
     if workers is None or workers <= 1 or len(spans) == 1:
         for rows in spans:

@@ -7,16 +7,20 @@ differentiation and partial evaluation apply numeric constant folding plus
 the 0/1 identities, and nothing else (no algebraic simplification), so the
 printed form of a result stays predictable.
 
-Numeric evaluation has one path: ``compile_expressions`` turns trees into one
-stack program with an output per tree, ``CompiledFunction.run`` runs it over a
-block of points with NumPy, and one tree or one point is its smallest case.
-Singular evaluations never raise: they produce IEEE inf/-inf/nan.
+Every operation is one NumPy float64 ufunc, used both to fold constants and
+to run a program, so the two never differ in a bit.  ``compile_expressions``
+turns trees into one stack program with an output per tree and
+``CompiledFunction.run`` runs it over a block of points; one tree or one point
+is its smallest case.  ``partial_eval`` folds what is bound and keeps the rest
+as residual text; bound fully, it returns the compiled value.  Singular
+evaluations never raise: they produce IEEE inf/-inf/nan.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -46,20 +50,6 @@ __all__ = [
     "to_source",
 ]
 
-FUNCTION_NAMES = (
-    "exp",
-    "log",
-    "sqrt",
-    "abs",
-    "sign",
-    "sin",
-    "cos",
-    "tan",
-    "sinh",
-    "cosh",
-    "tanh",
-)
-
 
 class ExpressionError(ValueError):
     """Invalid source text or an invalid operation on an expression."""
@@ -79,81 +69,16 @@ class UnboundParameterError(ExpressionError):
         super().__init__("unbound parameters: " + ", ".join(self.names))
 
 
-# --- Scalar arithmetic ------------------------------------------------------
+# --- Arithmetic -------------------------------------------------------------
 #
-# Constant folding, and the constant-only operations of a compiled program,
-# use plain Python floats; anything the float type refuses
-# (division by zero, overflow in **, complex results) falls back to numpy
-# float64 with errors suppressed so the IEEE result comes through.
+# One ufunc per operation, for folding and for programs alike.  Folding
+# ``+ - *`` and division by a nonzero number uses Python floats instead: they
+# round exactly like the ufuncs and never raise, while a ufunc fold costs
+# microseconds, mostly in ``errstate``.  Every other fold, and one of those
+# four that gives NaN, goes through ``_fold`` with errors suppressed, so
+# singular constants are IEEE values with the ufunc's bits.
 
-
-def _np_scalar(op: Callable, *args: float) -> float:
-    with np.errstate(all="ignore"):
-        return float(op(*[np.float64(a) for a in args]))
-
-
-def _scalar_add(a: float, b: float) -> float:
-    return a + b
-
-
-def _scalar_sub(a: float, b: float) -> float:
-    return a - b
-
-
-def _scalar_mul(a: float, b: float) -> float:
-    return a * b
-
-
-def _scalar_div(a: float, b: float) -> float:
-    try:
-        return a / b
-    except ZeroDivisionError:
-        return _np_scalar(np.divide, a, b)
-
-
-def _scalar_pow(a: float, b: float) -> float:
-    try:
-        r = a**b
-    except (OverflowError, ZeroDivisionError, ValueError):
-        return _np_scalar(np.power, a, b)
-    if isinstance(r, complex):
-        return _np_scalar(np.power, a, b)
-    return float(r)
-
-
-def _scalar_sign(v: float) -> float:
-    if math.isnan(v):
-        return math.nan
-    if v == 0.0:
-        return 0.0
-    return math.copysign(1.0, v)
-
-
-def _wrap_math(fn: Callable[[float], float], np_fn: Callable) -> Callable[[float], float]:
-    def call(v: float) -> float:
-        try:
-            return fn(v)
-        except (ValueError, OverflowError):
-            return _np_scalar(np_fn, v)
-
-    return call
-
-
-_SCALAR_CALLS: dict[str, Callable[[float], float]] = {
-    "exp": _wrap_math(math.exp, np.exp),
-    "log": _wrap_math(math.log, np.log),
-    "sqrt": _wrap_math(math.sqrt, np.sqrt),
-    "abs": abs,
-    "sign": _scalar_sign,
-    "sin": _wrap_math(math.sin, np.sin),
-    "cos": _wrap_math(math.cos, np.cos),
-    "tan": _wrap_math(math.tan, np.tan),
-    "sinh": _wrap_math(math.sinh, np.sinh),
-    "cosh": _wrap_math(math.cosh, np.cosh),
-    "tanh": _wrap_math(math.tanh, np.tanh),
-}
-
-_BLOCK_CALLS: dict[str, Callable] = {
+_CALLS: dict[str, np.ufunc] = {
     "exp": np.exp,
     "log": np.log,
     "sqrt": np.sqrt,
@@ -166,6 +91,21 @@ _BLOCK_CALLS: dict[str, Callable] = {
     "cosh": np.cosh,
     "tanh": np.tanh,
 }
+
+FUNCTION_NAMES = tuple(_CALLS)
+
+_float_bits = struct.Struct("d").pack
+
+
+def _fold(ufunc: np.ufunc, *args: float) -> Num:
+    with np.errstate(all="ignore"):
+        return Num(float(ufunc(*args)))
+
+
+def _fold_float(ufunc: np.ufunc, value: float, a: float, b: float) -> Num:
+    # ``value`` is Python's ``a op b``.  Of two NaN operands C may return
+    # either, and not the one the ufunc returns, so the ufunc decides a NaN.
+    return Num(value) if value == value else _fold(ufunc, a, b)
 
 
 # --- AST --------------------------------------------------------------------
@@ -216,8 +156,16 @@ class Num(Expression):
 
     def __init__(self, value: float):
         _set_value(self, value)
-        _set_hash(self, hash((Num, value)))
+        _set_hash(self, hash(_float_bits(value)))
         _set_top(self, 0)
+
+    def __eq__(self, other):
+        # Equal float64 bits: 0.0 and -0.0 are different constants (their
+        # reciprocals differ), and a NaN constant equals itself.
+        if type(other) is not Num:
+            return NotImplemented
+        a, b = self.value, other.value
+        return (a == b and a != 0.0) or _float_bits(a) == _float_bits(b)
 
 
 @_node
@@ -348,7 +296,7 @@ def fold_neg(u: Expression) -> Expression:
 def fold_add(a: Expression, b: Expression) -> Expression:
     if type(a) is Num:
         if type(b) is Num:
-            return Num(_scalar_add(a.value, b.value))
+            return _fold_float(np.add, a.value + b.value, a.value, b.value)
         if a.value == 0.0:
             return b
     elif type(b) is Num and b.value == 0.0:
@@ -359,7 +307,7 @@ def fold_add(a: Expression, b: Expression) -> Expression:
 def fold_sub(a: Expression, b: Expression) -> Expression:
     if type(b) is Num:
         if type(a) is Num:
-            return Num(_scalar_sub(a.value, b.value))
+            return _fold_float(np.subtract, a.value - b.value, a.value, b.value)
         if b.value == 0.0:
             return a
     elif type(a) is Num and a.value == 0.0:
@@ -370,7 +318,7 @@ def fold_sub(a: Expression, b: Expression) -> Expression:
 def fold_mul(a: Expression, b: Expression) -> Expression:
     if type(a) is Num:
         if type(b) is Num:
-            return Num(_scalar_mul(a.value, b.value))
+            return _fold_float(np.multiply, a.value * b.value, a.value, b.value)
         if a.value == 0.0:
             return _ZERO
         if a.value == 1.0:
@@ -386,7 +334,9 @@ def fold_mul(a: Expression, b: Expression) -> Expression:
 def fold_div(a: Expression, b: Expression) -> Expression:
     if type(b) is Num:
         if type(a) is Num:
-            return Num(_scalar_div(a.value, b.value))
+            if b.value == 0.0:
+                return _fold(np.divide, a.value, b.value)
+            return _fold_float(np.divide, a.value / b.value, a.value, b.value)
         if b.value == 1.0:
             return a
     if type(a) is Num and a.value == 0.0:
@@ -397,7 +347,7 @@ def fold_div(a: Expression, b: Expression) -> Expression:
 def fold_pow(a: Expression, b: Expression) -> Expression:
     if type(b) is Num:
         if type(a) is Num:
-            return Num(_scalar_pow(a.value, b.value))
+            return _fold(np.power, a.value, b.value)
         if b.value == 1.0:
             return a
         if b.value == 0.0:
@@ -408,8 +358,8 @@ def fold_pow(a: Expression, b: Expression) -> Expression:
 
 
 def fold_call(fn: str, arg: Expression) -> Expression:
-    if isinstance(arg, Num):
-        return Num(_SCALAR_CALLS[fn](arg.value))
+    if type(arg) is Num:
+        return _fold(_CALLS[fn], arg.value)
     return Call(fn, arg)
 
 
@@ -507,7 +457,7 @@ class _Parser:
             return Num(float(text))
         if kind == "ident":
             if self.kinds[self.at] == "(":
-                if text not in _SCALAR_CALLS:
+                if text not in _CALLS:
                     self.error(f"unknown function {text!r}", at)
                 self.at += 1
                 arg = self.parse_sum()
@@ -724,40 +674,21 @@ def to_source(e: Expression) -> str:
 
 _OP_CONST = 0
 _OP_COORD = 1
-_OP_ADD = 2
-_OP_SUB = 3
-_OP_MUL = 4
-_OP_DIV = 5
-_OP_POW = 6
-_OP_NEG = 7
-_OP_CALL = 8
-_OP_TEE = 9  # copy the top of the stack into a value slot
-_OP_LOAD = 10  # push a previously stored slot value
-_OP_FREE = 11  # release a slot after its last LOAD
-_OP_OUT = 12  # pop an output value into the sink
-
-_SCALAR_BINARY = {
-    _OP_ADD: _scalar_add,
-    _OP_SUB: _scalar_sub,
-    _OP_MUL: _scalar_mul,
-    _OP_DIV: _scalar_div,
-    _OP_POW: _scalar_pow,
-}
-
-_BLOCK_BINARY = {
-    _OP_ADD: np.add,
-    _OP_SUB: np.subtract,
-    _OP_MUL: np.multiply,
-    _OP_DIV: np.divide,
-    _OP_POW: np.power,
-}
+_OP_CALL = 2  # apply a unary ufunc to the top of the stack
+_OP_BINARY = 3  # pop the right operand, apply a binary ufunc to both
+_OP_TEE = 4  # copy the top of the stack into a value slot
+_OP_LOAD = 5  # push a previously stored slot value
+_OP_FREE = 6  # release a slot after its last LOAD
+_OP_OUT = 7  # pop an output value into the sink
 
 
 class CompiledFunction:
     """A flat post-order instruction program over a value stack.
 
     Instances are pure functions of the evaluation point: all parameters
-    were bound at compilation time.  Each output (``expression``, or the tuple
+    were bound at compilation time.  Each operation carries its ufunc, the
+    one constant folding uses, and applies it whether its operands are
+    arrays or bound constants.  Each output (``expression``, or the tuple
     from ``compile_expressions``) ends in an op that hands it to a sink.
     ``run`` is the only evaluator; ``evaluate_block`` is its one-output case
     and ``__call__`` a 1-row block.  A subexpression appearing more than once,
@@ -794,36 +725,26 @@ class CompiledFunction:
         slots: list = [None] * self.n_slots
         with np.errstate(all="ignore"):
             for op, arg in self.program:
-                if op == _OP_CONST:
-                    push(arg)
+                if op == _OP_BINARY:
+                    b = stack.pop()
+                    stack[-1] = arg(stack[-1], b)
                 elif op == _OP_COORD:
                     push(points[:, arg])
-                elif op == _OP_NEG:
-                    stack[-1] = -stack[-1]
+                elif op == _OP_CONST:
+                    push(arg)
                 elif op == _OP_CALL:
-                    top = stack[-1]
-                    if isinstance(top, float):
-                        stack[-1] = float(arg(np.float64(top)))
-                    else:
-                        stack[-1] = arg(top)
-                elif op == _OP_TEE:
-                    slots[arg] = stack[-1]
+                    stack[-1] = arg(stack[-1])
                 elif op == _OP_LOAD:
                     push(slots[arg])
+                elif op == _OP_TEE:
+                    slots[arg] = stack[-1]
                 elif op == _OP_FREE:
                     slots[arg] = None
-                elif op == _OP_OUT:
-                    sink(arg, stack.pop())
                 else:
-                    b = stack.pop()
-                    a = stack[-1]
-                    if isinstance(a, float) and isinstance(b, float):
-                        stack[-1] = _SCALAR_BINARY[op](a, b)
-                    else:
-                        stack[-1] = _BLOCK_BINARY[op](a, b)
+                    sink(arg, stack.pop())
 
 
-_BINARY_OPS = {Add: _OP_ADD, Sub: _OP_SUB, Mul: _OP_MUL, Div: _OP_DIV, Pow: _OP_POW}
+_BINARY_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide, Pow: np.power}
 
 
 def compile_expression(
@@ -872,13 +793,13 @@ def compile_expressions(
             elif (end := end_of.get(node)) is not None:
                 repeats.append(len(program))
                 append((_OP_LOAD, end))
-            elif (op := _BINARY_OPS.get(kind)) is not None:
-                todo += (((op, None), node), node.right, node.left)
+            # An operation carries its ufunc, so evaluation looks up nothing.
+            elif (ufunc := _BINARY_UFUNCS.get(kind)) is not None:
+                todo += (((_OP_BINARY, ufunc), node), node.right, node.left)
             elif kind is Neg:
-                todo += (((_OP_NEG, None), node), node.child)
+                todo += (((_OP_CALL, np.negative), node), node.child)
             elif kind is Call:
-                # Carry the ufunc itself so evaluation pays no name lookup per call.
-                todo += (((_OP_CALL, _BLOCK_CALLS[node.fn]), node), node.arg)
+                todo += (((_OP_CALL, _CALLS[node.fn]), node), node.arg)
             else:
                 raise ExpressionError(f"cannot compile node {kind.__name__}")
         append((_OP_OUT, out))
@@ -919,7 +840,9 @@ def partial_eval(
     """Substitute bound parameters and coordinates, folding constants.
 
     Returns a plain float when everything folds to a number, otherwise the
-    residual Expression (whose str() is the canonical rendering).
+    residual Expression (whose str() is the canonical rendering).  Folding
+    uses the compiled program's ufuncs, so with every parameter and
+    coordinate bound the float has the bits ``compile_expression`` computes.
     """
     params = params or {}
     if coords is None:

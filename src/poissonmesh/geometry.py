@@ -289,20 +289,26 @@ def atomic_write(path, write: Callable[[BinaryIO], object]) -> None:
             os.unlink(tmp)
 
 
-_CHUNK_ROWS = 16384  # rows per chunk of csv or jsonl text
+# Values per chunk of csv or jsonl text: text is formatted one chunk at a
+# time, so only one chunk's strings are alive, whatever the row width.
+_CHUNK_VALUES = 49_152
 
 
-def _row_chunks(k: int) -> list:
-    """Slices of at most ``_CHUNK_ROWS`` rows covering ``range(k)``: text is
-    formatted one chunk at a time, so only one chunk's strings are alive."""
-    return [slice(a, min(a + _CHUNK_ROWS, k)) for a in range(0, k, _CHUNK_ROWS)]
+def _row_chunks(k: int, rows: int) -> list:
+    """Slices of at most ``rows`` rows covering ``range(k)``."""
+    return [slice(a, min(a + rows, k)) for a in range(0, k, rows)]
+
+
+def _text_chunks(k: int, width: int) -> list:
+    """Slices of ``range(k)``, each ``_CHUNK_VALUES // width`` rows, at least one."""
+    return _row_chunks(k, max(1, _CHUNK_VALUES // max(1, width)))
 
 
 def _write_csv(fh: BinaryIO, rows: np.ndarray) -> None:
     """Write a (k, n) float array as csv, each value ``%.17g``, filling one
     row template per chunk (the bytes NumPy's savetxt writes with that fmt)."""
     template = b",".join([b"%.17g"] * rows.shape[1]) + b"\n"
-    for span in _row_chunks(len(rows)):
+    for span in _text_chunks(len(rows), rows.shape[1]):
         values = tuple(rows[span].ravel().tolist())
         fh.write((template * (span.stop - span.start)) % values)
 

@@ -437,10 +437,11 @@ class TestColumnarOutput:
                 cli.write_result(result, str(tmp_path / "out.csv"), "csv")
 
     def test_text_identical_across_chunk_boundaries(self, tmp_path, monkeypatch):
-        # 70 rows in chunks of 16: four full chunks and a partial one, each
+        # 70 rows in chunks of at most 48 values: 16 rows of a 3-value result,
+        # 5 of a 9-value matrix, so full chunks and a partial one, each
         # byte-identical to formatting the rows one at a time.
         results = suite_results(70)
-        monkeypatch.setattr(geometry, "_CHUNK_ROWS", 16)
+        monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
         out, ref = tmp_path / "out", tmp_path / "ref"
         for result in results:
             cli.write_result(result, str(out), "jsonl")

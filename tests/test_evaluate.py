@@ -272,6 +272,14 @@ class TestPoissonBracket:
         assert rec.keys == ("value",)
         assert res.nonfinite == rec.nonfinite == 0
 
+    def test_signed_zero_arguments_are_not_identical(self):
+        # x1/0.0 and x1/-0.0 differ (inf against -inf), so no shortcut: the
+        # bracket at (1, 1) divides by zero and is NaN, not the zero field.
+        res = ev.num_poisson_bracket(
+            {(1, 2): "1"}, "x1/0.0*x2", "x1/-0.0*x2", [[1.0, 1.0]], DENSE, dim=2
+        )
+        assert np.isnan(res.data[0])
+
     def test_matches_coefficient_expansion(self):
         mesh = random_mesh(150, 4, seed=SEED + 3)
         P = g.PAIS_UHLENBECK_R4

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poissonmesh import expressions as ex
@@ -137,6 +137,11 @@ def _combine(inner):
 _canonical_exprs = st.recursive(_leaves, _combine, max_leaves=12)
 
 
+def _bits(value) -> bytes:
+    """The float64 bits of a number or array: NaNs and zero signs count."""
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
 class TestRendering:
     def test_compact_rendering(self):
         assert ex.to_source(ex.parse("x1 - 4*a*x2", 2)) == "x1-4.0*a*x2"
@@ -251,6 +256,19 @@ class TestNodeIdentity:
         assert ex.Add(a, b) != ex.Mul(a, b)
         assert ex.Add(a, b) != ex.Add(b, a)
 
+    def test_signed_zeros_are_different_constants(self):
+        assert ex.Num(0.0) != ex.Num(-0.0)
+        assert ex.Div(ex.Coord(1), ex.Num(0.0)) != ex.Div(ex.Coord(1), ex.Num(-0.0))
+        assert ex.Num(-0.0) == ex.Num(-0.0)
+        assert hash(ex.Num(-0.0)) == hash(ex.Num(-0.0))
+        nan = ex.parse("0/0", 1)
+        assert nan == ex.Num(nan.value) and hash(nan) == hash(ex.Num(nan.value))
+        # Common-subexpression elimination must not merge the two quotients:
+        # inf + -inf is NaN, where one reused quotient would give -inf.
+        e = ex.parse("x1/-0.0 + x1/0.0", 1)
+        assert ex.compile_expression(e, 1).n_slots == 0
+        assert math.isnan(ex.compile_expression(e, 1)([1.0]))
+
     def test_nodes_have_no_instance_dict(self):
         x = ex.Coord(1)
         nodes = [ex.Num(1.0), x, ex.Param("a"), ex.Neg(x), ex.Call("sin", x)]
@@ -298,6 +316,54 @@ class TestCompile:
                     row,
                 )
 
+    def test_partial_eval_matches_compiled_on_corpus(self):
+        # Folding and the compiled program share one arithmetic, so a fully
+        # bound partial evaluation has the compiled value's bits.
+        rng = np.random.default_rng(17)
+        for entry in DERIVATIVE_CORPUS:
+            e = ex.parse(entry.source, entry.dim)
+            f = ex.compile_expression(e, entry.dim, entry.params)
+            for p in entry.sample(rng, 50):
+                folded = ex.partial_eval(e, entry.dim, entry.params, p)
+                assert _bits(folded) == _bits(f(p)), (entry.source, p)
+
+    @given(
+        _canonical_exprs,
+        st.lists(st.floats(-3.0, 3.0), min_size=7, max_size=7),
+    )
+    # A point where math.sinh and np.sinh differ in the last bit, and NaNs of
+    # opposite signs meeting in a sum and in a product, where CPython may
+    # return either operand.
+    @example(ex.parse("sinh(x2)", 4), [0.0, 0.046875] + [0.0] * 5)
+    @example(ex.parse("-log(a) + log(b)", 4), [0.5] * 4 + [-1.0, -2.0, 1.0])
+    @example(ex.parse("log(a)*-log(b)", 4), [0.5] * 4 + [-1.0, -2.0, 1.0])
+    def test_partial_eval_matches_compiled_on_random_trees(self, e, values):
+        params = dict(zip(["a", "b", "mu"], values[4:]))
+        f = ex.compile_expression(e, 4, params)
+        folded = ex.partial_eval(e, 4, params, values[:4])
+        assert _bits(folded) == _bits(f(values[:4]))
+
+    def test_literal_and_bound_parameter_agree(self):
+        # x1/f(0.3) folds f(0.3) at parse time; x1/f(a) with a = 0.3 computes
+        # it in the program.  Both give the same bits, poles included.  A
+        # quotient, not a product: 0*x1 folds to 0 whatever x1 is, while x1/1
+        # folds to x1 exactly.
+        rng = np.random.default_rng(19)
+        points = rng.uniform(-2.0, 2.0, size=(4, 1))
+        values = [*rng.uniform(-4.0, 4.0, 200), 0.0, -0.0, 1e3, -1e3, np.pi / 2]
+        cases = [(f"x1/{name}({{}})", f"x1/{name}(a)") for name in ex.FUNCTION_NAMES]
+        cases.append(("x1/({})**({})", "x1/a**b"))
+        for literal, bound in cases:
+            for a in values:
+                args = (a, rng.uniform(-3.0, 3.0))  # a unary case ignores b
+                source = literal.format(*map(repr, map(float, args)))
+                params = dict(zip("ab", args))
+                expected = ex.compile_expression(ex.parse(bound, 1), 1, params)
+                got = ex.compile_expression(ex.parse(source, 1), 1)
+                assert _bits(got.evaluate_block(points)) == _bits(
+                    expected.evaluate_block(points)
+                ), source
+
     def test_unbound_parameter_lists_names(self):
         e = ex.parse("a*x1 + b", 1)
         with pytest.raises(ex.UnboundParameterError) as err:
@@ -338,6 +404,23 @@ class TestCompile:
             f = ex.compile_expression(ex.parse(src, 1), 1)
             assert math.isnan(f(p))
             assert math.isnan(f.evaluate_block(np.array([p]))[0])
+        # Constant-only sources fold at parse time, to the ufunc's value.
+        folded = [
+            ("log(-1)", np.log, (-1.0,)),
+            ("sqrt(-1)", np.sqrt, (-1.0,)),
+            ("0**-1", np.power, (0.0, -1.0)),
+            ("(-8)**(1/3)", np.power, (-8.0, 1 / 3)),
+            ("exp(1000)", np.exp, (1000.0,)),
+            ("1/0", np.divide, (1.0, 0.0)),
+            ("-1/0", np.divide, (-1.0, 0.0)),
+            ("0/0", np.divide, (0.0, 0.0)),
+        ]
+        for src, ufunc, args in folded:
+            e = ex.parse(src, 1)
+            assert type(e) is ex.Num, src
+            with np.errstate(all="ignore"):
+                expected = ufunc(*map(np.float64, args))
+            assert _bits(e.value) == _bits(expected), src
 
     def test_zero_over_zero_is_nan_when_not_folded(self):
         f = ex.compile_expression(ex.parse("x1/x2", 2), 2)

@@ -110,10 +110,12 @@ class TestMeshSerialization:
         back = load_mesh(path)
         assert np.array_equal(back.points, mesh.points)
 
-    @pytest.mark.parametrize("chunk_rows", [16, 16384])
+    # 16 values per chunk: 16 rows of one column, 5 of three, and one row of
+    # 41 (a chunk holds at least one row).
+    @pytest.mark.parametrize("chunk_values", [16, 16384])
     @pytest.mark.parametrize("shape", [(0, 3), (41, 1), (41, 3), (3, 41)])
-    def test_csv_bytes_match_savetxt(self, tmp_path, monkeypatch, chunk_rows, shape):
-        monkeypatch.setattr(geometry, "_CHUNK_ROWS", chunk_rows)
+    def test_csv_bytes_match_savetxt(self, tmp_path, monkeypatch, chunk_values, shape):
+        monkeypatch.setattr(geometry, "_CHUNK_VALUES", chunk_values)
         special = [
             np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
             1e300, -1e300, 1e-300, -1e-300, 0.1, 1 / 3, 2.0**53 + 2, -7.0,
