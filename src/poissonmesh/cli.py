@@ -465,8 +465,8 @@ def main(argv=None) -> int:
         return EXIT_IO
     except RecursionError:
         # The expression core walks trees recursively, so a very long
-        # expression (a sum of about 500 or more terms) exceeds the
-        # interpreter's recursion limit.
+        # expression exceeds the interpreter's recursion limit: a sum of
+        # about 330 terms when the bracket compares f == g, 990 elsewhere.
         print(
             "error: invalid input: an expression is nested too deeply to "
             "process; split it into smaller expressions",

@@ -359,7 +359,7 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
     items, n_P = [*P.items(), *lam.items()], len(P.keys())
     fn = compile_expressions([coeff for _, coeff in items], m, options.params)
     upper = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    upper_flat = [(i - 1) * m + j - 1 for i, j in upper]  # in a flattened (m, m)
+    upper_rows, upper_cols = np.triu_indices(m, 1)  # ``upper``, 0-based
 
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, m)
@@ -407,11 +407,13 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
             np.copyto(out[rows], right, where=ok[:, None, None])
 
         _run_chunks(kernel, mesh, options.workers)
-        nonfinite = _count_nonfinite(out[valid]) if valid.any() else 0
+        # Each coefficient is counted once, at the valid points only.
+        coeffs = out[:, upper_rows, upper_cols]  # (k, len(upper))
+        nonfinite = _count_nonfinite(coeffs[valid])
         if options.mode == "records":
             return BatchResult(
                 "records", keys=tuple(upper), valid=valid, nonfinite=nonfinite,
-                columns=out.reshape(len(mesh), m * m)[:, upper_flat].T,
+                columns=coeffs.T,
             )
         return BatchResult("matrix", out, valid=valid, nonfinite=nonfinite)
 

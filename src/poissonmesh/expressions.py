@@ -688,20 +688,18 @@ class CompiledFunction:
     Instances are pure functions of the evaluation point: all parameters
     were bound at compilation time.  Each operation carries its ufunc, the
     one constant folding uses, and applies it whether its operands are
-    arrays or bound constants.  Each output (``expression``, or the tuple
-    from ``compile_expressions``) ends in an op that hands it to a sink.
-    ``run`` is the only evaluator; ``evaluate_block`` is its one-output case
-    and ``__call__`` a 1-row block.  A subexpression appearing more than once,
-    in one output or across outputs, is computed once per block, kept in a
-    value slot until its last use.
+    arrays or bound constants.  Each output ends in an op that hands it to
+    a sink.  ``run`` is the only evaluator; ``evaluate_block`` is its
+    one-output case and ``__call__`` a 1-row block.  A subexpression
+    appearing more than once, in one output or across outputs, is computed
+    once per block, kept in a value slot until its last use.
     """
 
-    __slots__ = ("program", "dim", "expression", "n_slots")
+    __slots__ = ("program", "dim", "n_slots")
 
-    def __init__(self, program: list, dim: int, expression, n_slots: int = 0):
+    def __init__(self, program: list, dim: int, n_slots: int = 0):
         self.program = program
         self.dim = dim
-        self.expression = expression
         self.n_slots = n_slots
 
     def __call__(self, point: Sequence[float]) -> float:
@@ -720,6 +718,11 @@ class CompiledFunction:
         """Run at every row of ``points`` (k, m); output ``j`` calls
         ``sink(j, value)`` with a float or a (k,) array the sink may only read."""
         points = np.asarray(points, dtype=float)
+        if points.shape[1] != self.dim:
+            raise ExpressionError(
+                f"points have {points.shape[1]} coordinates, "
+                f"the program was compiled for {self.dim}"
+            )
         stack: list = []
         push = stack.append
         slots: list = [None] * self.n_slots
@@ -755,9 +758,7 @@ def compile_expression(
     Raises UnboundParameterError listing the missing names if ``params``
     does not cover the expression's free parameters.
     """
-    fn = compile_expressions([e], dim, params)
-    fn.expression = e
-    return fn
+    return compile_expressions([e], dim, params)
 
 
 def compile_expressions(
@@ -825,7 +826,7 @@ def compile_expressions(
         resolved.append(instruction)
         start = index + 1
     resolved += program[start:]
-    return CompiledFunction(resolved, dim, tuple(exprs), n_slots=len(ends))
+    return CompiledFunction(resolved, dim, n_slots=len(ends))
 
 
 # --- Partial evaluation -----------------------------------------------------

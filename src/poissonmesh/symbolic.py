@@ -68,8 +68,6 @@ def as_field(
         return validate_multivector(data, data.dim if dim is None else dim, degree)
     if dim is None:
         raise MultivectorError(f"{what}: dimension required for raw coefficient data")
-    if isinstance(data, (str, int, float)) and degree == 0:
-        return Multivector.build(dim, 0, data)
     return validate_multivector(data, dim, degree)
 
 
@@ -86,6 +84,18 @@ def as_scalar_expression(f0, dim: int) -> Expression:
     return parse(str(f0), dim)
 
 
+# --- Odd-coordinate calculus -------------------------------------------------
+#
+# A degree-a monomial is f * xi_{i1} ... xi_{ia}; with P of degree 2,
+#
+#     [[P, A]] = sum_l ( dP/dxi_l * dA/dx_l  +  dP/dx_l * dA/dxi_l ),
+#
+# where dP/dxi_l is the left Grassmann derivative and products of odd
+# monomials carry the permutation sign of merging their index tuples.  The
+# matrix form is M[k][j] = coefficient (j,) of dP/dxi_k, and the Euclidean
+# divergence is sum_l d/dxi_l d/dx_l.
+
+
 def _perm_sign(seq: Sequence[int]) -> int:
     """Sign of the permutation given by ``seq``; 0 on repeats."""
     items = list(seq)
@@ -99,11 +109,6 @@ def _perm_sign(seq: Sequence[int]) -> int:
     return sign
 
 
-def _sort_with_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    sign = _perm_sign(seq)
-    return tuple(sorted(seq)), sign
-
-
 def _accumulate(acc: dict, key: tuple[int, ...], term: Expression) -> None:
     if isinstance(term, Num) and term.value == 0.0:
         return
@@ -111,6 +116,17 @@ def _accumulate(acc: dict, key: tuple[int, ...], term: Expression) -> None:
         acc[key] = fold_add(acc[key], term)
     else:
         acc[key] = term
+
+
+def _xi_derivative(coeffs: Mapping, l: int, out: dict | None = None) -> dict:
+    """Left derivative d/dxi_l of the monomials ``coeffs``, added into ``out``."""
+    out = {} if out is None else out
+    for key, coeff in coeffs.items():
+        if l in key:
+            pos = key.index(l)
+            term = coeff if pos % 2 == 0 else fold_neg(coeff)
+            _accumulate(out, key[:pos] + key[pos + 1 :], term)
+    return out
 
 
 # --- Matrix form and sharp morphism ----------------------------------------
@@ -156,41 +172,21 @@ def sharp_sym(
 
     Component j is built as sum_k M[k][j] alpha_k (M is antisymmetric), so
     terms that cancel exactly evaluate to +0.0, as a numeric sum would.
+    Row k of M is the xi-derivative dP/dxi_k; a zero entry stays a term, as
+    0 * alpha_k is NaN where alpha_k is not finite.
     """
     P = as_field(P, dim, 2, "sharp_sym")
     alpha = as_field(alpha, P.dim, 1, "sharp_sym")
-    matrix = bivector_to_matrix_sym(P)
     m = P.dim
-    out = {}
-    for j in range(1, m + 1):
-        total: Expression = Num(0.0)
-        for (k,), ak in alpha.items():
-            total = fold_add(total, fold_mul(matrix.entry(k, j), ak))
-        out[(j,)] = total
+    out = {(j,): Num(0.0) for j in range(1, m + 1)}
+    for (k,), ak in alpha.items():
+        row = _xi_derivative(P.coeffs, k)
+        for key in out:
+            out[key] = fold_add(out[key], fold_mul(row.get(key, Num(0.0)), ak))
     return Multivector.build(m, 1, out)
 
 
 # --- Schouten coboundary ----------------------------------------------------
-#
-# Computed in the odd-coordinate calculus: a degree-a monomial is
-# f * xi_{i1} ... xi_{ia}; with P of degree 2,
-#
-#     [[P, A]] = sum_l ( dP/dxi_l * dA/dx_l  +  dP/dx_l * dA/dxi_l ),
-#
-# where dP/dxi_l is the left Grassmann derivative and products of odd
-# monomials carry the permutation sign of merging their index tuples.
-
-
-def _xi_derivative(field: Multivector, l: int) -> dict:
-    out: dict = {}
-    for key, coeff in field.items():
-        if l not in key:
-            continue
-        pos = key.index(l)
-        rest = key[:pos] + key[pos + 1 :]
-        term = coeff if pos % 2 == 0 else fold_neg(coeff)
-        _accumulate(out, rest, term)
-    return out
 
 
 def _x_derivative(field: Multivector, l: int) -> dict:
@@ -205,13 +201,14 @@ def _x_derivative(field: Multivector, l: int) -> dict:
 def _grassmann_product_into(acc: dict, left: Mapping, right: Mapping) -> None:
     for key_l in sorted(left):
         for key_r in sorted(right):
-            merged, sign = _sort_with_sign(tuple(key_l) + tuple(key_r))
+            merged = key_l + key_r
+            sign = _perm_sign(merged)
             if sign == 0:
                 continue
             term = fold_mul(left[key_l], right[key_r])
             if sign < 0:
                 term = fold_neg(term)
-            _accumulate(acc, merged, term)
+            _accumulate(acc, tuple(sorted(merged)), term)
 
 
 def schouten_coboundary(
@@ -232,46 +229,22 @@ def schouten_coboundary(
     m = P.dim
     out: dict = {}
     for l in range(1, m + 1):
-        _grassmann_product_into(out, _xi_derivative(P, l), _x_derivative(A, l))
-        _grassmann_product_into(out, _x_derivative(P, l), _xi_derivative(A, l))
+        _grassmann_product_into(out, _xi_derivative(P.coeffs, l), _x_derivative(A, l))
+        _grassmann_product_into(out, _x_derivative(P, l), _xi_derivative(A.coeffs, l))
     return Multivector.build(m, A.degree + 1, out)
 
 
 # --- Curl (divergence) operator --------------------------------------------
 
 
-def _complement(key: tuple[int, ...], m: int) -> tuple[int, ...]:
-    return tuple(i for i in range(1, m + 1) if i not in key)
-
-
 def _euclidean_divergence(field: Multivector) -> dict:
-    """Divergence w.r.t. the standard volume, degree a -> a - 1."""
-    m = field.dim
-    a = field.degree
-    keys = sorted(field.coeffs)
-    partials = {}  # (key, l) -> d coefficient / d x_l, for l in key
-    for l in range(1, m + 1):
-        with_l = [key for key in keys if l in key]
-        derivs = differentiate_all([field.coeffs[key] for key in with_l], l)
-        partials.update(((key, l), d) for key, d in zip(with_l, derivs))
+    """Divergence w.r.t. the standard volume, degree a -> a - 1:
+    sum_l d/dxi_l d/dx_l of the field in the odd-coordinate calculus."""
     out: dict = {}
-    for key in keys:
-        comp = _complement(key, m)
-        eps_key = _perm_sign(key + comp)
-        for pos, l in enumerate(key):
-            reduced = key[:pos] + key[pos + 1 :]
-            reduced_comp = _complement(reduced, m)
-            d = partials[key, l]
-            if isinstance(d, Num) and d.value == 0.0:
-                continue
-            sigma = (-1) ** sum(1 for c in comp if c < l)
-            sign = (
-                ((-1) ** (a - 1))
-                * _perm_sign(reduced + reduced_comp)
-                * eps_key
-                * sigma
-            )
-            _accumulate(out, reduced, d if sign > 0 else fold_neg(d))
+    for l in range(1, field.dim + 1):
+        with_l = [key for key in field.coeffs if l in key]
+        derivs = differentiate_all([field.coeffs[key] for key in with_l], l)
+        _xi_derivative(dict(zip(with_l, derivs)), l, out)
     return out
 
 
@@ -291,17 +264,9 @@ def curl_sym(
         raise MultivectorError(f"curl expects degree >= 1, got {A.degree}")
     m = A.dim
     f0e = as_scalar_expression(f0, m)
-    trivial_volume = isinstance(f0e, Num) and f0e.value == 1.0
-    if trivial_volume:
-        scaled = A
-    else:
-        scaled = Multivector.build(
-            m, A.degree, {key: fold_mul(f0e, c) for key, c in A.items()}
-        )
+    scaled = Multivector.build(m, A.degree, {key: fold_mul(f0e, c) for key, c in A.items()})
     div = _euclidean_divergence(scaled)
-    if not trivial_volume:
-        div = {key: fold_div(c, f0e) for key, c in div.items()}
-    return Multivector.build(m, A.degree - 1, div)
+    return Multivector.build(m, A.degree - 1, {key: fold_div(c, f0e) for key, c in div.items()})
 
 
 def modular_vf_sym(
@@ -319,8 +284,6 @@ def _sym_det(rows: list[list[Expression]]) -> Expression:
     n = len(rows)
     if n == 0:
         return Num(1.0)
-    if n == 1:
-        return rows[0][0]
     if n == 2:
         return fold_sub(
             fold_mul(rows[0][0], rows[1][1]), fold_mul(rows[0][1], rows[1][0])
@@ -338,9 +301,9 @@ def flaschka_ratiu_sym(
 ) -> Multivector:
     """Bivector with prescribed Casimir candidates K1..K_{m-2} on R^m.
 
-    Coefficient (i, j) is -eps((i,j), complement) times the Jacobian minor
-    of the K's over the complementary columns; degenerate inputs yield the
-    zero bivector rather than an error.
+    Coefficient (i, j) is -eps((i,j), complement) = (-1)^(i+j) times the
+    Jacobian minor of the K's over the complementary columns; degenerate
+    inputs yield the zero bivector rather than an error.
     """
     if dim < 3:
         raise MultivectorError(f"dimension must be >= 3, got {dim}")
@@ -355,11 +318,9 @@ def flaschka_ratiu_sym(
     out = {}
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
-            comp = _complement((i, j), dim)
-            rows = [[gradients[r][c - 1] for c in comp] for r in range(dim - 2)]
-            minor = _sym_det(rows)
-            sign = -_perm_sign((i, j) + comp)
-            out[(i, j)] = minor if sign > 0 else fold_neg(minor)
+            comp = [c for c in range(dim) if c not in (i - 1, j - 1)]
+            minor = _sym_det([[row[c] for c in comp] for row in gradients])
+            out[(i, j)] = minor if (i + j) % 2 == 0 else fold_neg(minor)
     return Multivector.build(dim, 2, out)
 
 

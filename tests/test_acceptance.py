@@ -192,8 +192,9 @@ class TestOracleAgreement:
         rng = np.random.default_rng(SEED)
         volumes = ["1", "2 + x1**2", "exp(x1/2)"]
         checked = 0
-        for m in (2, 3, 4):
-            for degree in range(1, min(m, 3) + 1):
+        # Every dimension up to 6 and every degree, top degree included.
+        for m in (2, 3, 4, 5, 6):
+            for degree in range(1, m + 1):
                 for i in range(7):
                     raw = oracles.random_multivector_dict(rng, m, degree)
                     f0 = volumes[i % len(volumes)]

@@ -844,6 +844,17 @@ class TestNonFinitePropagation:
         assert res.nonfinite == 1
         assert not np.isfinite(res.data[0])
 
+    @pytest.mark.parametrize("mode", ["records", "dense"])
+    def test_gauge_counts_each_coefficient_once(self, mode):
+        # The pole at x1 = 0 makes the upper triangle of the valid first row
+        # non-finite; the lower triangle and the diagonal are not counted.
+        P = {(1, 2): "1/x1", (1, 3): "x2", (2, 3): "x3"}
+        mesh = as_mesh([(0.0, 1.0, 1.0), (0.5, 0.25, 2.0)])
+        res = ev.num_gauge_transformation(P, {}, mesh, EvalOptions(mode=mode), dim=3)
+        assert res.valid.all()
+        upper = res.columns.T if mode == "records" else res.data[:, [0, 0, 1], [1, 2, 2]]
+        assert res.nonfinite == np.count_nonzero(~np.isfinite(upper)) == 3
+
 
 # --- One program per result ---------------------------------------------------
 

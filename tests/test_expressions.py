@@ -380,6 +380,14 @@ class TestCompile:
         e = ex.parse("x3", 3)
         with pytest.raises(ex.ExpressionError):
             ex.compile_expression(e, 2)
+        # Points of another width are refused, not truncated or misindexed.
+        f = ex.compile_expression(ex.parse("x1 + x2", 2), 2)
+        assert f([1.0, 2.0]) == 3.0
+        for point, width in (([1.0, 2.0, 100.0], "3"), ([1.0], "1")):
+            with pytest.raises(ex.ExpressionError, match=f"have {width} .* for 2"):
+                f(point)
+        with pytest.raises(ex.ExpressionError, match="have 3 .* for 2"):
+            f.evaluate_block(np.zeros((4, 3)))
 
     def test_constant_block(self):
         f = ex.compile_expression(ex.parse("2 + 3", 1), 1)
