@@ -12,9 +12,16 @@ per-point evaluation and assembly are inside.  The gauge transformation's
 program computes P and Lambda, which feed a linear solve per point: one
 Gauss-Jordan elimination over a chunk's points at once.
 
-Concurrency: meshes are processed in fixed-size row chunks (the chunk
-boundaries never depend on the worker count), and worker threads only spread
-the same chunk list, so outputs are bitwise identical for any worker count.
+Chunks: meshes are processed in row chunks of ``_CHUNK_ROWS`` = 16,384 rows.
+Each (k,) temporary of a program is then 128 KB, not 512 KB as at 65,536
+rows, so a chunk's working set stays in the CPU cache: the dense calls of
+``bench.benchmark_suite()`` at 10**6 points took about a fifth less time.
+Smaller chunks cost more interpreter time per point, which worker threads
+pay under the GIL: at 8,192 rows ``workers=2`` ran slower than serial for
+the smaller programs.  Every op is row-wise, so the chunk size never
+changes a value.  Worker threads only spread the same chunk list (the chunk
+boundaries never depend on the worker count), so outputs are bitwise
+identical for any worker count.
 
 Output layout: a program writes each coefficient straight into the result.
 ``records`` mode fills a (coefficients, k) block, the result's columns (its
@@ -87,7 +94,7 @@ __all__ = [
     "prepare_flaschka_ratiu_bivector",
 ]
 
-_CHUNK_ROWS = 65536
+_CHUNK_ROWS = 16384
 
 GAUGE_SINGULAR_TOLERANCE = 1e-12
 
@@ -103,7 +110,8 @@ class EvalOptions:
     ``mode`` is "records" or "dense".  Dense output requires every free
     parameter bound through ``params`` (the normal-form method in records
     mode is the one consumer of unbound parameters, emitted as residual
-    text).  ``workers`` is a thread count; None means single-threaded.
+    text).  ``workers`` is a thread count, an int >= 1; None means
+    single-threaded.
     """
 
     mode: str = "records"
@@ -114,6 +122,13 @@ class EvalOptions:
         if self.mode not in ("records", "dense"):
             raise MultivectorError(
                 f"unknown output mode {self.mode!r}; expected 'records' or 'dense'"
+            )
+        workers = self.workers
+        if workers is not None and (
+            not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
+        ):
+            raise MultivectorError(
+                f"workers must be None or an int >= 1, got {workers!r}"
             )
 
 
@@ -140,13 +155,20 @@ def _run_chunks(kernel, mesh: Mesh, workers: int | None) -> None:
     """
     pts = mesh.points
     spans = _row_chunks(len(pts), _CHUNK_ROWS)
-    run = lambda rows: kernel(pts[rows], rows)
-    if workers is None or workers <= 1 or len(spans) == 1:
-        for rows in spans:
-            run(rows)
+
+    def run(share):
+        for rows in share:
+            kernel(pts[rows], rows)
+
+    workers = min(workers or 1, len(spans))
+    if workers <= 1:
+        run(spans)
     else:
+        # One task per thread, each taking every workers-th chunk: a task
+        # per chunk would cost a future's overhead on every chunk.
+        shares = [spans[i::workers] for i in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, spans))  # re-raises a kernel's exception
+            list(pool.map(run, shares))  # re-raises a kernel's exception
 
 
 def _count_nonfinite(values: np.ndarray) -> int:
@@ -360,11 +382,14 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
     fn = compile_expressions([coeff for _, coeff in items], m, options.params)
     upper = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     upper_rows, upper_cols = np.triu_indices(m, 1)  # ``upper``, 0-based
+    records = options.mode == "records"
 
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, m)
-        out = np.full((len(mesh), m, m), np.nan)
+        shape = (len(upper), len(mesh)) if records else (len(mesh), m, m)
+        out = np.full(shape, np.nan)
         valid = np.zeros(len(mesh), dtype=bool)
+        counts = []
 
         def kernel(pts, rows):
             # X = M G^{-1}, G = I - Lambda M, solves G^T X^T = M^T: Gauss-Jordan
@@ -376,6 +401,7 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
             right = A[:, m:].transpose(2, 1, 0)  # right[r] is M, then X, at point r
             det = np.ones(k)  # the product of the pivots: det G up to its sign
             buf = np.empty((2 * m, k))
+            pivot = np.empty(k, dtype=np.intp)
 
             def sink(j, value):
                 a, b = items[j][0]
@@ -389,7 +415,7 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
             fn.run(pts, sink)
             with np.errstate(all="ignore"):
                 for c in range(m):
-                    pivot = np.abs(A[c:, c]).argmax(axis=0) + c
+                    _pivot_rows(A, c, pivot)
                     # Swap the pivot row into row c (det G only changes sign).
                     buf[c:] = A[c, c:]
                     for r in range(c + 1, m):
@@ -404,20 +430,41 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
                         A[r, c + 1 :] -= buf[c + 1 :]
             ok = np.isfinite(det) & (np.abs(det) > GAUGE_SINGULAR_TOLERANCE)
             valid[rows] = ok
-            np.copyto(out[rows], right, where=ok[:, None, None])
+            entries = A[upper_cols, m + upper_rows]  # X's upper entries, (len(upper), k)
+            # Each coefficient is counted once, at the valid points only.
+            counts.append(int(np.count_nonzero(~np.isfinite(entries) & ok)))
+            if records:
+                np.copyto(out[:, rows], entries, where=ok)
+            else:
+                np.copyto(out[rows], right, where=ok[:, None, None])
 
         _run_chunks(kernel, mesh, options.workers)
-        # Each coefficient is counted once, at the valid points only.
-        coeffs = out[:, upper_rows, upper_cols]  # (k, len(upper))
-        nonfinite = _count_nonfinite(coeffs[valid])
-        if options.mode == "records":
+        nonfinite = sum(counts)
+        if records:
             return BatchResult(
                 "records", keys=tuple(upper), valid=valid, nonfinite=nonfinite,
-                columns=coeffs.T,
+                columns=out,
             )
         return BatchResult("matrix", out, valid=valid, nonfinite=nonfinite)
 
     return evaluator
+
+
+def _pivot_rows(A: np.ndarray, c: int, pivot: np.ndarray) -> None:
+    """Set ``pivot`` to ``np.abs(A[c:, c]).argmax(axis=0) + c``: the row of
+    each point's largest candidate, the first on a tie, NaN the largest.
+
+    One whole-column comparison per row, where argmax along axis 0 runs one
+    tiny reduction per point: a later row wins only if it is larger, and a
+    NaN wins unless an earlier one did.
+    """
+    pivot.fill(c)
+    best = np.abs(A[c, c])
+    for r in range(c + 1, len(A)):
+        candidate = np.abs(A[r, c])
+        wins = ~(candidate <= best) & (best == best)
+        np.copyto(pivot, r, where=wins)
+        np.copyto(best, candidate, where=wins)
 
 
 def num_gauge_transformation(P, lam, mesh, options=None, dim=None) -> BatchResult:

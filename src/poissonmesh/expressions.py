@@ -692,7 +692,9 @@ class CompiledFunction:
     a sink.  ``run`` is the only evaluator; ``evaluate_block`` is its
     one-output case and ``__call__`` a 1-row block.  A subexpression
     appearing more than once, in one output or across outputs, is computed
-    once per block, kept in a value slot until its last use.
+    once per block, kept in a value slot until its last use.  ``run`` copies
+    a block's coordinates once into a contiguous (m, k) block, and a
+    coordinate op pushes one of its rows, so no op reads a strided column.
     """
 
     __slots__ = ("program", "dim", "n_slots")
@@ -723,6 +725,7 @@ class CompiledFunction:
                 f"points have {points.shape[1]} coordinates, "
                 f"the program was compiled for {self.dim}"
             )
+        coords = np.ascontiguousarray(points.T)
         stack: list = []
         push = stack.append
         slots: list = [None] * self.n_slots
@@ -732,7 +735,7 @@ class CompiledFunction:
                     b = stack.pop()
                     stack[-1] = arg(stack[-1], b)
                 elif op == _OP_COORD:
-                    push(points[:, arg])
+                    push(coords[arg])
                 elif op == _OP_CONST:
                     push(arg)
                 elif op == _OP_CALL:

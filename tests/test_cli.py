@@ -533,6 +533,31 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_worker_count_is_validation(self, tmp_path, capsys, workers):
+        out = tmp_path / "out.npy"
+        code = run_cli(
+            "eval", "num_bivector", "--dim", 3,
+            "--bivector", EXAMPLES / "so3.json",
+            "--mesh", "corners", "--out", out, "--workers", workers,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+        code = run_cli(
+            "bench", "--method", "num_bivector", "--sizes", "100,200",
+            "--repeats", 1, "--out", tmp_path / "report.json", "--workers", workers,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert not (tmp_path / "report.json").exists()
+
+    def test_non_integer_worker_count_rejected_by_parser(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run_cli("eval", "num_bivector", "--dim", 3,
+                    "--bivector", EXAMPLES / "so3.json", "--mesh", "corners",
+                    "--out", tmp_path / "out.npy", "--workers", "2.5")
+        assert err.value.code == 2
+
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run_cli("eval", "num_everything", "--mesh", "corners",

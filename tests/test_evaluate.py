@@ -14,6 +14,7 @@ from poissonmesh.expressions import (
     Num,
     UnboundParameterError,
     compile_expression,
+    compile_expressions,
     differentiate,
     fold_add,
     fold_mul,
@@ -801,6 +802,24 @@ class TestModesAndConcurrency:
         rec4 = ev.num_bivector(g.SO3, mesh, EvalOptions(workers=4), dim=3)
         assert rec1.data == rec4.data
 
+    @pytest.mark.parametrize("workers", [None, 1, 2, 64])
+    def test_valid_worker_counts(self, workers):
+        assert EvalOptions(workers=workers).workers == workers
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, False, "2"])
+    def test_invalid_worker_counts_rejected(self, workers):
+        with pytest.raises(MultivectorError, match="workers"):
+            EvalOptions(mode="dense", workers=workers)
+
+    def test_more_workers_than_chunks(self, monkeypatch):
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 100)
+        mesh = random_mesh(250, 3, seed=SEED + 22)
+        serial = ev.num_hamiltonian_vf(g.SO3, "x1*x3", mesh, DENSE, dim=3)
+        wide = ev.num_hamiltonian_vf(
+            g.SO3, "x1*x3", mesh, EvalOptions(mode="dense", workers=8), dim=3
+        )
+        assert wide.data.tobytes() == serial.data.tobytes()
+
     def test_multi_chunk_paths_used(self, monkeypatch):
         monkeypatch.setattr(ev, "_CHUNK_ROWS", 100)
         mesh = random_mesh(350, 3, seed=SEED + 22)
@@ -1032,3 +1051,158 @@ class TestColumnarRecords:
         assert len(res) == 8
         scaled = replace(res, data=res.data * 2.0)
         assert np.array_equal(scaled.data, 2.0 * res.data) and scaled.kind == "matrix"
+
+
+# A coordinate row, a reloaded (TEE/LOAD) subtree and the parameter-only
+# product a*b, a scalar, each beside temporaries; some outputs are such values.
+SHARED_VALUES_FIELD = {
+    (1, 2): "x1 - x2*x3",
+    (1, 3): "(x1*x2 + x1)*x3",
+    (1, 4): "exp(x1*x2)*(x3 + 1) + exp(x1*x2)",
+    (1, 5): "a*b + x1*x4",
+    (2, 3): "a*b*x2 - sin(x3)",
+    (2, 4): "-(a*b) + exp(x1*x2)/x5",
+    (2, 5): "x2",
+    (3, 4): "exp(x1*x2)",
+    (3, 5): "a*b",
+    (4, 5): "sqrt(x4*x5)*x4 - (x4 - x5*x5)",
+}
+SHARED_VALUES_PARAMS = {"a": 1.5, "b": -2.0}
+
+
+def read_only_points(k: int, dim: int) -> np.ndarray:
+    points = np.random.default_rng(SEED + 40).uniform(-1.0, 1.0, size=(k, dim))
+    points[:4] = 0.0  # a pole of the division
+    points.setflags(write=False)
+    return points
+
+
+class TestReadOnlyPoints:
+    def test_program_leaves_points_and_outputs_alone(self):
+        exprs = [parse(source, 5) for source in SHARED_VALUES_FIELD.values()]
+        fn = compile_expressions(exprs, 5, SHARED_VALUES_PARAMS)
+        for order in "CF":
+            points = np.array(read_only_points(300, 5), order=order)
+            points.setflags(write=False)
+            before = points.copy()
+            # The sink keeps the values themselves: no later op may write them.
+            got = {}
+            fn.run(points, got.__setitem__)
+            assert sorted(got) == list(range(len(exprs)))
+            for j, e in enumerate(exprs):
+                alone = compile_expression(e, 5, SHARED_VALUES_PARAMS)
+                want = alone.evaluate_block(before.copy())
+                assert np.broadcast_to(got[j], (300,)).tobytes() == want.tobytes(), j
+            assert np.shape(got[8]) == ()  # a*b stays a scalar
+            assert points.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("chunk_rows", [16, 16384])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_outputs_equal_per_coefficient_programs(self, chunk_rows, workers, monkeypatch):
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", chunk_rows)
+        points = read_only_points(20_000, 5)
+        before = points.copy()
+        mesh = as_mesh(points)
+        assert mesh.points is points  # so a write into the mesh would raise
+        reference = {}
+        for key, source in SHARED_VALUES_FIELD.items():
+            fn = compile_expression(parse(source, 5), 5, SHARED_VALUES_PARAMS)
+            reference[key] = fn.evaluate_block(before.copy())
+        for mode in ("records", "dense"):
+            options = EvalOptions(mode=mode, params=SHARED_VALUES_PARAMS, workers=workers)
+            res = ev.prepare_bivector(SHARED_VALUES_FIELD, options, dim=5)(mesh)
+            for row, key in enumerate(sorted(SHARED_VALUES_FIELD)):
+                if mode == "records":
+                    value = res.columns[row]
+                else:
+                    value = res.data[:, key[0] - 1, key[1] - 1]
+                    transposed = res.data[:, key[1] - 1, key[0] - 1]
+                    assert transposed.tobytes() == (-reference[key]).tobytes(), key
+                assert value.tobytes() == reference[key].tobytes(), (mode, key)
+        assert points.tobytes() == before.tobytes()
+
+
+def gauss_jordan_by_argmax(P, lam, mesh, m):
+    """The gauge transform point by point: the kernel's elimination on
+    A = [G^T | M^T], pivoting with np.argmax.  Returns the dense block, the
+    valid mask, the non-finite count, and how many pivot searches met a tied
+    maximum and a NaN candidate."""
+    items = [(key, compile_expression(c, m).evaluate_block(mesh.points))
+             for field in (as_field(P, m, 2, "P"), as_field(lam, m, 2, "L"))
+             for key, c in field.items()]
+    n_P = len(as_field(P, m, 2, "P").keys())
+    k = len(mesh)
+    out = np.full((k, m, m), np.nan)
+    valid = np.zeros(k, dtype=bool)
+    nonfinite = ties = nans = 0
+    with np.errstate(all="ignore"):
+        for point in range(k):
+            A = np.zeros((m, 2 * m))
+            A[range(m), range(m)] = 1.0
+            for j, ((a, b), values) in enumerate(items):
+                v = values[point]
+                if j < n_P:
+                    A[b - 1, m + a - 1] = v
+                    A[a - 1, m + b - 1] = -v
+                else:
+                    A[:, b - 1] += A[:, m + a - 1] * v
+                    A[:, a - 1] -= A[:, m + b - 1] * v
+            det = np.float64(1.0)
+            for c in range(m):
+                column = np.abs(A[c:, c])
+                p = c + int(np.argmax(column))
+                ties += np.count_nonzero(column == column[p - c]) > 1
+                nans += bool(np.isnan(column).any())
+                A[[c, p], c:] = A[[p, c], c:]
+                det *= A[c, c]
+                A[c, c + 1 :] /= A[c, c]
+                for r in (*range(c), *range(c + 1, m)):
+                    A[r, c + 1 :] -= A[c, c + 1 :] * A[r, c]
+            if np.isfinite(det) and abs(det) > ev.GAUGE_SINGULAR_TOLERANCE:
+                valid[point] = True
+                out[point] = A[:, m:].T
+                upper = out[point][np.triu_indices(m, 1)]
+                nonfinite += int(np.count_nonzero(~np.isfinite(upper)))
+    return out, valid, nonfinite, ties, nans
+
+
+class TestGaugePivotRule:
+    def test_pivot_rows_equal_argmax(self):
+        # A NaN candidate makes the point invalid whichever row pivots, so
+        # the NaN rule shows only in the pivot rows themselves.
+        rng = np.random.default_rng(SEED + 41)
+        m, k = 5, 4000
+        A = rng.integers(-2, 3, size=(m, 2 * m, k)).astype(float)
+        A[rng.random(A.shape) < 0.1] = np.nan
+        A[rng.random(A.shape) < 0.05] = -np.inf
+        A[rng.random(A.shape) < 0.05] = -0.0
+        pivot = np.empty(k, dtype=np.intp)
+        for c in range(m):
+            ev._pivot_rows(A, c, pivot)
+            assert np.array_equal(pivot, np.abs(A[c:, c]).argmax(axis=0) + c)
+
+    # Integer entries tie pivot magnitudes; the pole at x1 = 0 puts inf into
+    # M and so NaN (inf * 0, inf - inf) among the pivot candidates.
+    P = {(1, 2): "x3 - 1/x1", (1, 3): "x2 + 1", (2, 3): "x1 - x3"}
+    LAM = {(1, 2): "1", (1, 3): "x2", (2, 3): "x1 + x3"}
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_pivots_follow_argmax(self, workers, monkeypatch):
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 5)
+        grid = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0, 2.0]] * 3)).reshape(3, -1).T
+        mesh = as_mesh(np.vstack([corners_mesh(3).points, grid]))
+        out, valid, nonfinite, ties, nans = gauss_jordan_by_argmax(
+            self.P, self.LAM, mesh, 3
+        )
+        assert ties > 0 and nans > 0
+        assert valid.any() and not valid.all()
+        for mode in ("dense", "records"):
+            options = EvalOptions(mode=mode, workers=workers)
+            res = ev.num_gauge_transformation(self.P, self.LAM, mesh, options, dim=3)
+            assert np.array_equal(res.valid, valid), mode
+            assert res.nonfinite == nonfinite, mode
+            if mode == "dense":
+                assert res.data.tobytes() == out.tobytes()
+            else:
+                upper = out[:, [0, 0, 1], [1, 2, 2]].T
+                assert np.ascontiguousarray(res.columns).tobytes() == upper.tobytes()
