@@ -8,9 +8,10 @@ closure; calling the evaluator with a mesh does only per-point work and
 output layout.  The ``num_*`` front ends chain the two.  Prepared evaluators
 are what the benchmark harness times, so the split also fixes the timed
 region: parsing, symbolic construction and compilation are outside it,
-per-point evaluation and assembly are inside.  The gauge transformation's
-program computes P and Lambda, which feed a linear solve per point: one
-Gauss-Jordan elimination over a chunk's points at once.
+per-point evaluation and assembly are inside.  The gauge transformation is
+such a field too, in cofactor form: X = M adj(G) / det G, G = I - Lambda M,
+with det G as one more output of its program, a guard that marks the points
+where G is singular invalid.
 
 Chunks: meshes are processed in row chunks of ``_CHUNK_ROWS`` = 16,384 rows.
 Each (k,) temporary of a program is then 128 KB, not 512 KB as at 65,536
@@ -27,10 +28,12 @@ Output layout: a program writes each coefficient straight into the result.
 ``records`` mode fills a (coefficients, k) block, the result's columns (its
 mappings are built when ``data`` is read); ``dense`` mode yields a scalar
 column (k,), a vector block (k, m), or an antisymmetric matrix block
-(k, m, m); degree three and up is records-only.  Only a normal form with an
-unbound modulus differs: its records keep the modulus as residual text, so
-each point is partially evaluated.  Non-finite values (poles on the mesh)
-propagate into the output and are tallied in ``BatchResult.nonfinite``.
+(k, m, m); degree three and up is records-only.  A guarded result (the
+gauge) also carries a valid mask, with NaN entries where it is False.  Only
+a normal form with an unbound modulus differs: its records keep the modulus
+as residual text, so each point is partially evaluated.  Non-finite values
+(poles on the mesh) propagate into the output and are tallied in
+``BatchResult.nonfinite``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .symbolic import (
     as_field,
     curl_sym,
     flaschka_ratiu_sym,
+    gauge_transformation_sym,
     linear_normal_form_r3,
     modular_vf_sym,
     one_forms_bracket_sym,
@@ -175,18 +179,22 @@ def _count_nonfinite(values: np.ndarray) -> int:
     return int(np.count_nonzero(~np.isfinite(values)))
 
 
-def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None):
+def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=None):
     """Compile ``sym`` once, to one program; the evaluator applies it to a mesh.
 
     ``keys`` are the output coefficients, by default the structurally nonzero
     ones; the vector methods key all m components, the bracket its one value.
     Each output goes straight to its row of a (len(keys), k) records block or
     its entry of the dense block, a bivector's negation to the transposed one.
+    A ``guard`` expression is one more output, read and not written: a point
+    is valid where it is finite with modulus above GAUGE_SINGULAR_TOLERANCE.
+    An invalid point's entries are NaN and not counted as non-finite.
     """
     m, degree = sym.dim, sym.degree
     records = options.mode == "records"
     keys = tuple(sorted(sym.keys())) if keys is None else keys
-    fn = compile_expressions([sym.coefficient(key) for key in keys], m, options.params)
+    exprs = [sym.coefficient(key) for key in keys]
+    fn = compile_expressions(exprs + ([] if guard is None else [guard]), m, options.params)
     targets = [
         ((j,), None) if records else
         ((slice(None), *(i - 1 for i in key)),
@@ -203,18 +211,29 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None):
             )
         shape = (len(keys), len(mesh)) if records else (len(mesh),) + (m,) * degree
         block = np.zeros(shape)
+        valid = None if guard is None else np.zeros(len(mesh), dtype=bool)
         counts = []
 
         def kernel(pts, rows):
             view = block[:, rows] if records else block[rows]
+            det = None if valid is None else np.empty(len(pts))
 
             def sink(j, value):
+                if j == len(targets):
+                    det[...] = value
+                    return
                 direct, transposed = targets[j]
                 view[direct] = value
                 if transposed is not None:
                     np.negative(value, out=view[transposed])
 
             fn.run(pts, sink)
+            if valid is not None:
+                ok = np.isfinite(det) & (np.abs(det) > GAUGE_SINGULAR_TOLERANCE)
+                valid[rows] = ok
+                (view.T if records else view)[~ok] = np.nan
+                # An invalid point is NaN throughout and not counted.
+                counts.append(-np.count_nonzero(~ok) * (view.size // len(pts)))
             counts.append(_count_nonfinite(view))
 
         _run_chunks(kernel, mesh, options.workers)
@@ -223,10 +242,11 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None):
         if records:
             record_keys = tuple("value" if key == () else key for key in keys)
             return BatchResult(
-                "records", keys=record_keys, nonfinite=nonfinite, columns=block
+                "records", keys=record_keys, valid=valid, nonfinite=nonfinite,
+                columns=block,
             )
         kind = ("scalar", "vector", "matrix")[degree]
-        return BatchResult(kind, block, nonfinite=nonfinite)
+        return BatchResult(kind, block, valid=valid, nonfinite=nonfinite)
 
     return evaluator
 
@@ -373,106 +393,24 @@ def num_one_forms_bracket(P, alpha, beta, mesh, options=None, dim=None):
 
 
 def prepare_gauge_transformation(P, lam, options=None, dim=None):
-    options = _opts(options)
     P = as_field(P, dim, 2, "num_gauge_transformation")
     m = P.dim
-    lam = as_field(lam, m, 2, "num_gauge_transformation")
-    # One program, P's outputs first: M is complete before Lambda's arrive.
-    items, n_P = [*P.items(), *lam.items()], len(P.keys())
-    fn = compile_expressions([coeff for _, coeff in items], m, options.params)
-    upper = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    upper_rows, upper_cols = np.triu_indices(m, 1)  # ``upper``, 0-based
-    records = options.mode == "records"
-
-    def evaluator(mesh) -> BatchResult:
-        mesh = _check_mesh(mesh, m)
-        shape = (len(upper), len(mesh)) if records else (len(mesh), m, m)
-        out = np.full(shape, np.nan)
-        valid = np.zeros(len(mesh), dtype=bool)
-        counts = []
-
-        def kernel(pts, rows):
-            # X = M G^{-1}, G = I - Lambda M, solves G^T X^T = M^T: Gauss-Jordan
-            # elimination with partial pivoting on A = [G^T | M^T], entry-major
-            # (m, 2m, points), so each step is a whole-column operation.
-            k = len(pts)
-            A = np.zeros((m, 2 * m, k))
-            A[range(m), range(m)] = 1.0
-            right = A[:, m:].transpose(2, 1, 0)  # right[r] is M, then X, at point r
-            det = np.ones(k)  # the product of the pivots: det G up to its sign
-            buf = np.empty((2 * m, k))
-            pivot = np.empty(k, dtype=np.intp)
-
-            def sink(j, value):
-                a, b = items[j][0]
-                if j < n_P:  # M^T: A[b, m + a] = M[a, b] = -M[b, a]
-                    A[b - 1, m + a - 1] = value
-                    np.negative(value, out=A[a - 1, m + b - 1])
-                else:  # G^T = I + M^T Lambda, Lambda[a, b] = -Lambda[b, a]
-                    A[:, b - 1] += A[:, m + a - 1] * value
-                    A[:, a - 1] -= A[:, m + b - 1] * value
-
-            fn.run(pts, sink)
-            with np.errstate(all="ignore"):
-                for c in range(m):
-                    _pivot_rows(A, c, pivot)
-                    # Swap the pivot row into row c (det G only changes sign).
-                    buf[c:] = A[c, c:]
-                    for r in range(c + 1, m):
-                        swap = pivot == r
-                        np.copyto(A[c, c:], A[r, c:], where=swap)
-                        np.copyto(A[r, c:], buf[c:], where=swap)
-                    # Columns left of c are eliminated and c is not read again.
-                    det *= A[c, c]
-                    A[c, c + 1 :] /= A[c, c]
-                    for r in (*range(c), *range(c + 1, m)):
-                        np.multiply(A[c, c + 1 :], A[r, c], out=buf[c + 1 :])
-                        A[r, c + 1 :] -= buf[c + 1 :]
-            ok = np.isfinite(det) & (np.abs(det) > GAUGE_SINGULAR_TOLERANCE)
-            valid[rows] = ok
-            entries = A[upper_cols, m + upper_rows]  # X's upper entries, (len(upper), k)
-            # Each coefficient is counted once, at the valid points only.
-            counts.append(int(np.count_nonzero(~np.isfinite(entries) & ok)))
-            if records:
-                np.copyto(out[:, rows], entries, where=ok)
-            else:
-                np.copyto(out[rows], right, where=ok[:, None, None])
-
-        _run_chunks(kernel, mesh, options.workers)
-        nonfinite = sum(counts)
-        if records:
-            return BatchResult(
-                "records", keys=tuple(upper), valid=valid, nonfinite=nonfinite,
-                columns=out,
-            )
-        return BatchResult("matrix", out, valid=valid, nonfinite=nonfinite)
-
-    return evaluator
-
-
-def _pivot_rows(A: np.ndarray, c: int, pivot: np.ndarray) -> None:
-    """Set ``pivot`` to ``np.abs(A[c:, c]).argmax(axis=0) + c``: the row of
-    each point's largest candidate, the first on a tie, NaN the largest.
-
-    One whole-column comparison per row, where argmax along axis 0 runs one
-    tiny reduction per point: a later row wins only if it is larger, and a
-    NaN wins unless an earlier one did.
-    """
-    pivot.fill(c)
-    best = np.abs(A[c, c])
-    for r in range(c + 1, len(A)):
-        candidate = np.abs(A[r, c])
-        wins = ~(candidate <= best) & (best == best)
-        np.copyto(pivot, r, where=wins)
-        np.copyto(best, candidate, where=wins)
+    field, det = gauge_transformation_sym(P, lam)
+    upper = tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))
+    return _field_evaluator(field, _opts(options), upper, guard=det)
 
 
 def num_gauge_transformation(P, lam, mesh, options=None, dim=None) -> BatchResult:
     """Evaluate the gauge transform M (I - Lambda M)^{-1} at every point.
 
-    Points where |det(I - Lambda M)| <= 1e-12 are marked invalid: the valid
-    mask is False there, and matrix entries are NaN.  The bound applies to the
-    dimensionless det(I - Lambda M), invariant under P -> sP, Lambda -> Lambda/s.
+    It is compiled in cofactor form, M adj(G) / det G with G = I - Lambda M,
+    so no point is pivoted or solved.  The result is antisymmetric, as
+    M (I - Lambda M)^{-1} = (I - M Lambda)^{-1} M: records hold the upper
+    entries, and dense blocks their negations below and an exact-zero
+    diagonal.  det G is a guard output: points where it is not finite or
+    |det G| <= 1e-12 are marked invalid, and their entries are NaN.  The
+    bound applies to the dimensionless det G, invariant under P -> sP,
+    Lambda -> Lambda/s.
     """
     return prepare_gauge_transformation(P, lam, options, dim)(mesh)
 

@@ -289,7 +289,7 @@ def fold_neg(u: Expression) -> Expression:
     if type(u) is Neg:
         return u.child
     if type(u) is Mul and type(u.left) is Num:
-        return Mul(Num(-u.left.value), u.right)
+        return fold_mul(Num(-u.left.value), u.right)
     return Neg(u)
 
 

@@ -48,6 +48,7 @@ __all__ = [
     "curl_sym",
     "modular_vf_sym",
     "flaschka_ratiu_sym",
+    "gauge_transformation_sym",
     "linear_normal_form_r3",
     "one_forms_bracket_sym",
 ]
@@ -280,20 +281,36 @@ def modular_vf_sym(
 # --- Flaschka-Ratiu bivector ------------------------------------------------
 
 
-def _sym_det(rows: list[list[Expression]]) -> Expression:
-    n = len(rows)
-    if n == 0:
-        return Num(1.0)
-    if n == 2:
-        return fold_sub(
-            fold_mul(rows[0][0], rows[1][1]), fold_mul(rows[0][1], rows[1][0])
-        )
-    total: Expression = Num(0.0)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = fold_mul(rows[0][j], _sym_det(minor))
-        total = fold_add(total, term if j % 2 == 0 else fold_neg(term))
-    return total
+def _minors(entries: Sequence[Sequence[Expression]]):
+    """``det(rows, cols)``: the determinant of the submatrix of ``entries`` on
+    those index tuples, expanded along its first row (a 2x2 as ad - bc).
+
+    Minors are memoized by (rows, cols), so the minors of one matrix share
+    their sub-minors: all of them together take O(m 2^m) nodes, not O(m!).
+    """
+    memo: dict = {}
+
+    def det(rows: tuple, cols: tuple) -> Expression:
+        value = memo.get((rows, cols))
+        if value is not None:
+            return value
+        if not rows:
+            value = Num(1.0)
+        elif len(rows) == 2:
+            (r0, r1), (c0, c1) = rows, cols
+            value = fold_sub(
+                fold_mul(entries[r0][c0], entries[r1][c1]),
+                fold_mul(entries[r0][c1], entries[r1][c0]),
+            )
+        else:
+            value = Num(0.0)
+            for t, col in enumerate(cols):
+                term = fold_mul(entries[rows[0]][col], det(rows[1:], cols[:t] + cols[t + 1 :]))
+                value = fold_add(value, term if t % 2 == 0 else fold_neg(term))
+        memo[(rows, cols)] = value
+        return value
+
+    return det
 
 
 def flaschka_ratiu_sym(
@@ -314,14 +331,57 @@ def flaschka_ratiu_sym(
         )
     exprs = [k if isinstance(k, Expression) else parse(str(k), dim) for k in casimirs]
     columns = [differentiate_all(exprs, j) for j in range(1, dim + 1)]
-    gradients = [[column[r] for column in columns] for r in range(dim - 2)]
+    det = _minors([[column[r] for column in columns] for r in range(dim - 2)])
+    rows = tuple(range(dim - 2))
     out = {}
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
-            comp = [c for c in range(dim) if c not in (i - 1, j - 1)]
-            minor = _sym_det([[row[c] for c in comp] for row in gradients])
+            comp = tuple(c for c in range(dim) if c not in (i - 1, j - 1))
+            minor = det(rows, comp)
             out[(i, j)] = minor if (i + j) % 2 == 0 else fold_neg(minor)
     return Multivector.build(dim, 2, out)
+
+
+# --- Gauge transformation ---------------------------------------------------
+
+
+def gauge_transformation_sym(
+    P: Union[Multivector, Mapping],
+    lam: Union[Multivector, Mapping],
+    dim: int | None = None,
+) -> tuple[Multivector, Expression]:
+    """The gauge transform M (I - Lambda M)^{-1} of P by the two-form lam, and
+    det G, G = I - Lambda M; the transform is singular where det G vanishes.
+
+    It is built as M adj(G) / det G, with det G and the cofactors taken from
+    one memoized determinant.  By M (I - Lambda M)^{-1} = (I - M Lambda)^{-1} M
+    it is antisymmetric, so only its upper entries are built.
+    """
+    P = as_field(P, dim, 2, "gauge_transformation_sym")
+    m = P.dim
+    M = bivector_to_matrix_sym(P).entries
+    L = bivector_to_matrix_sym(as_field(lam, m, 2, "gauge_transformation_sym")).entries
+    G = [[Num(float(i == j)) for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                G[i][j] = fold_sub(G[i][j], fold_mul(L[i][k], M[k][j]))
+    det = _minors(G)
+    full = tuple(range(m))
+    det_G = det(full, full)
+
+    def adjugate(k: int, j: int) -> Expression:
+        minor = det(full[:j] + full[j + 1 :], full[:k] + full[k + 1 :])
+        return minor if (j + k) % 2 == 0 else fold_neg(minor)
+
+    out = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            total: Expression = Num(0.0)
+            for k in range(m):
+                total = fold_add(total, fold_mul(M[i][k], adjugate(k, j)))
+            out[(i + 1, j + 1)] = fold_div(total, det_G)
+    return Multivector.build(m, 2, out), det_G
 
 
 # --- Linear normal forms on R^3 --------------------------------------------

@@ -10,6 +10,7 @@ agreement between the two routes is meaningful evidence of correctness.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -312,3 +313,38 @@ def random_multivector_dict(
     if not out:
         out[tuple(range(1, degree + 1))] = random_polynomial_text(rng, m)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Gauge transformation in exact rational arithmetic.
+# ---------------------------------------------------------------------------
+
+
+def exact_gauge(M: np.ndarray, L: np.ndarray) -> tuple:
+    """(X, det G) for G = I - L M and X = M G^{-1}, as Fractions, from the
+    float matrices M and L (each float is read as the rational it is); X is
+    None where G is singular.  Gauss-Jordan elimination on [G | I]."""
+    m = len(M)
+    Mq = [[Fraction(float(v)) for v in row] for row in M]
+    Lq = [[Fraction(float(v)) for v in row] for row in L]
+    A = [
+        [int(i == j) - sum(Lq[i][k] * Mq[k][j] for k in range(m)) for j in range(m)]
+        + [Fraction(int(i == j)) for j in range(m)]
+        for i in range(m)
+    ]
+    det = Fraction(1)
+    for c in range(m):
+        p = next((r for r in range(c, m) if A[r][c] != 0), None)
+        if p is None:
+            return None, Fraction(0)
+        if p != c:
+            A[c], A[p] = A[p], A[c]
+            det = -det
+        det *= A[c][c]
+        A[c] = [v / A[c][c] for v in A[c]]
+        for r in range(m):
+            if r != c and A[r][c] != 0:
+                A[r] = [a - A[r][c] * b for a, b in zip(A[r], A[c])]
+    inverse = [row[m:] for row in A]
+    X = [[sum(Mq[i][k] * inverse[k][j] for k in range(m)) for j in range(m)] for i in range(m)]
+    return X, det

@@ -42,8 +42,8 @@ SEED = 20250825
 
 DENSE = EvalOptions(mode="dense")
 
-# G = I - Lambda M has G[0, 0] = 0 everywhere, so every column pivots;
-# det G = (x1 x2 x3)^2.
+# G = I - Lambda M has G[0, 0] = 0 everywhere, where an elimination without
+# pivoting would divide by zero; det G = (x1 x2 x3)^2.
 GAUGE_ALL_PIVOT_R4 = (
     {(1, 2): "-1", (1, 3): "x2", (2, 4): "x3"},
     {(1, 2): "1", (3, 4): "x1"},
@@ -65,6 +65,50 @@ def _gauge_elimination_cases() -> list:
 
 
 GAUGE_ELIMINATION_CASES = _gauge_elimination_cases()
+
+
+def _gauge_exact_cases() -> list:
+    """(m, P, Lambda, extra points): integer coefficients, and points off the
+    grid of eighths where det G falls through 1e-12 (14 steps, the last
+    three below it), so M and Lambda are rounded there."""
+    rng = np.random.default_rng(SEED + 26)
+    cases = [
+        pytest.param(
+            m,
+            oracles.random_multivector_dict(rng, m, 2),
+            oracles.random_multivector_dict(rng, m, 2),
+            np.empty((0, m)),
+            id=f"random-r{m}",
+        )
+        for m in (3, 4, 5)
+    ]
+    steps = 0.3 ** np.arange(1, 15)
+    # det G = (1 + x3)^2: x3 -> -1.
+    so3 = np.tile([1 / 3, 1.1, 0.9], (14, 1))
+    so3[:, 2] = -1.0 + steps
+    # det G = (x1 x2 x3)^2: x1 -> 0.
+    all_pivot = np.tile([0.0, 1.1, 0.9, 0.7], (14, 1))
+    all_pivot[:, 0] = steps
+    return cases + [
+        pytest.param(
+            3, g.SO3, {(1, 2): "1", (1, 3): "x1", (2, 3): "x2"}, so3,
+            id="near-singular-r3",
+        ),
+        pytest.param(4, *GAUGE_ALL_PIVOT_R4, all_pivot, id="near-singular-r4"),
+    ]
+
+
+GAUGE_EXACT_CASES = _gauge_exact_cases()
+
+# Integer entries with a pole at x1 = 0 that Lambda does not reach, so
+# G = I - Lambda M stays finite there: det G = (1 + (x1 + x3) x2)^2.
+GAUGE_POLE_P = {(1, 2): "x3 - 1/x1", (1, 3): "x2 + 1", (2, 4): "x1 - x4", (3, 4): "x2"}
+GAUGE_POLE_LAM = {(3, 4): "x1 + x3"}
+
+
+def gauge_pole_mesh():
+    """{-1, 0, 1, 2}^4: poles at x1 = 0, singular points where (x1 + x3) x2 = -1."""
+    return as_mesh(np.array(np.meshgrid(*[[-1.0, 0.0, 1.0, 2.0]] * 4)).reshape(4, -1).T)
 
 
 def hamiltonian_product_mesh():
@@ -653,6 +697,61 @@ class TestGaugeTransformation:
         assert np.array_equal(scaled.valid, base.valid)
         assert scaled.data.tobytes() == (base.data * s).tobytes()
 
+    @pytest.mark.parametrize("m, P, lam, near", GAUGE_EXACT_CASES)
+    def test_matches_exact_rational_solve(self, m, P, lam, near):
+        grid = np.random.default_rng(SEED + 27).integers(-16, 17, size=(150, m)) / 8.0
+        mesh = as_mesh(np.vstack([grid, near]))
+        res = ev.num_gauge_transformation(P, lam, mesh, DENSE, dim=m)
+        M = ev.num_bivector_to_matrix(P, mesh, dim=m).data
+        L = ev.num_bivector_to_matrix(lam, mesh, dim=m).data
+        checked = 0
+        for r in range(len(mesh)):
+            X, det = oracles.exact_gauge(M[r], L[r])
+            if not 0.5e-12 <= abs(det) <= 2e-12:
+                assert res.valid[r] == (abs(det) > 1e-12), r
+            if not res.valid[r]:
+                assert np.isnan(res.data[r]).all(), r
+                continue
+            exact = np.array(X, dtype=float)
+            cond = np.linalg.cond(np.eye(m) - L[r] @ M[r])
+            scale = max(1.0, np.abs(exact).max())
+            assert np.abs(res.data[r] - exact).max() <= 1e-10 * scale * cond, r
+            checked += 1
+        assert checked > 140
+        if len(near):
+            assert res.valid[-14:].tolist() == [True] * 11 + [False] * 3
+
+    def test_dense_block_exactly_antisymmetric(self):
+        cases = [
+            (4, GAUGE_POLE_P, GAUGE_POLE_LAM, gauge_pole_mesh()),
+            (3, bench._P3, bench._LAMBDA3, pole_mesh(3)),
+        ]
+        for m, P, lam, mesh in cases:
+            res = ev.num_gauge_transformation(P, lam, mesh, DENSE, dim=m)
+            ok = res.valid
+            assert ok.sum() > 20 and not ok.all()
+            assert np.isnan(res.data[~ok]).all()
+            X = res.data[ok]
+            rows, cols = np.triu_indices(m, 1)
+            assert X[:, rows, cols].tobytes() == (-X[:, cols, rows]).tobytes()
+            assert X[:, range(m), range(m)].tobytes() == bytes(8 * m * len(X))
+
+    @pytest.mark.parametrize("mode", ["records", "dense"])
+    def test_bitwise_across_chunks_and_workers(self, mode, monkeypatch):
+        mesh = gauge_pole_mesh()
+
+        def run(workers):
+            options = EvalOptions(mode=mode, workers=workers)
+            res = ev.num_gauge_transformation(GAUGE_POLE_P, GAUGE_POLE_LAM, mesh, options, dim=4)
+            block = res.columns if mode == "records" else res.data
+            return block.tobytes(), res.valid.tobytes(), res.nonfinite
+
+        reference = run(None)
+        assert reference[2] > 0 and 0 < np.frombuffer(reference[1], bool).sum() < len(mesh)
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
+        assert run(None) == reference
+        assert run(2) == reference
+
     def test_lambda_dimension_mismatch(self):
         with pytest.raises(MultivectorError):
             ev.num_gauge_transformation(
@@ -865,14 +964,16 @@ class TestNonFinitePropagation:
 
     @pytest.mark.parametrize("mode", ["records", "dense"])
     def test_gauge_counts_each_coefficient_once(self, mode):
-        # The pole at x1 = 0 makes the upper triangle of the valid first row
-        # non-finite; the lower triangle and the diagonal are not counted.
+        # With Lambda = 0 the transform is M, so the pole at x1 = 0 makes
+        # entry (1, 2) of the valid first row infinite and nothing else; its
+        # negation in the lower triangle is not counted.
         P = {(1, 2): "1/x1", (1, 3): "x2", (2, 3): "x3"}
         mesh = as_mesh([(0.0, 1.0, 1.0), (0.5, 0.25, 2.0)])
         res = ev.num_gauge_transformation(P, {}, mesh, EvalOptions(mode=mode), dim=3)
         assert res.valid.all()
         upper = res.columns.T if mode == "records" else res.data[:, [0, 0, 1], [1, 2, 2]]
-        assert res.nonfinite == np.count_nonzero(~np.isfinite(upper)) == 3
+        assert upper[0].tolist() == [np.inf, 1.0, 1.0]
+        assert res.nonfinite == np.count_nonzero(~np.isfinite(upper)) == 1
 
 
 # --- One program per result ---------------------------------------------------
@@ -957,7 +1058,7 @@ class TestOneProgramPerResult:
                 evaluator(random_mesh(20, case.dim, seed=SEED))
                 assert len(calls) == 1, case.method
                 if case.method == "num_gauge_transformation":
-                    assert calls == [6]  # P's three coefficients, then Lambda's
+                    assert calls == [4]  # the three upper entries, then det G
 
     @pytest.mark.parametrize("workers", [None, 2])
     @pytest.mark.parametrize("mode", ["records", "dense"])
@@ -1120,89 +1221,3 @@ class TestReadOnlyPoints:
                     assert transposed.tobytes() == (-reference[key]).tobytes(), key
                 assert value.tobytes() == reference[key].tobytes(), (mode, key)
         assert points.tobytes() == before.tobytes()
-
-
-def gauss_jordan_by_argmax(P, lam, mesh, m):
-    """The gauge transform point by point: the kernel's elimination on
-    A = [G^T | M^T], pivoting with np.argmax.  Returns the dense block, the
-    valid mask, the non-finite count, and how many pivot searches met a tied
-    maximum and a NaN candidate."""
-    items = [(key, compile_expression(c, m).evaluate_block(mesh.points))
-             for field in (as_field(P, m, 2, "P"), as_field(lam, m, 2, "L"))
-             for key, c in field.items()]
-    n_P = len(as_field(P, m, 2, "P").keys())
-    k = len(mesh)
-    out = np.full((k, m, m), np.nan)
-    valid = np.zeros(k, dtype=bool)
-    nonfinite = ties = nans = 0
-    with np.errstate(all="ignore"):
-        for point in range(k):
-            A = np.zeros((m, 2 * m))
-            A[range(m), range(m)] = 1.0
-            for j, ((a, b), values) in enumerate(items):
-                v = values[point]
-                if j < n_P:
-                    A[b - 1, m + a - 1] = v
-                    A[a - 1, m + b - 1] = -v
-                else:
-                    A[:, b - 1] += A[:, m + a - 1] * v
-                    A[:, a - 1] -= A[:, m + b - 1] * v
-            det = np.float64(1.0)
-            for c in range(m):
-                column = np.abs(A[c:, c])
-                p = c + int(np.argmax(column))
-                ties += np.count_nonzero(column == column[p - c]) > 1
-                nans += bool(np.isnan(column).any())
-                A[[c, p], c:] = A[[p, c], c:]
-                det *= A[c, c]
-                A[c, c + 1 :] /= A[c, c]
-                for r in (*range(c), *range(c + 1, m)):
-                    A[r, c + 1 :] -= A[c, c + 1 :] * A[r, c]
-            if np.isfinite(det) and abs(det) > ev.GAUGE_SINGULAR_TOLERANCE:
-                valid[point] = True
-                out[point] = A[:, m:].T
-                upper = out[point][np.triu_indices(m, 1)]
-                nonfinite += int(np.count_nonzero(~np.isfinite(upper)))
-    return out, valid, nonfinite, ties, nans
-
-
-class TestGaugePivotRule:
-    def test_pivot_rows_equal_argmax(self):
-        # A NaN candidate makes the point invalid whichever row pivots, so
-        # the NaN rule shows only in the pivot rows themselves.
-        rng = np.random.default_rng(SEED + 41)
-        m, k = 5, 4000
-        A = rng.integers(-2, 3, size=(m, 2 * m, k)).astype(float)
-        A[rng.random(A.shape) < 0.1] = np.nan
-        A[rng.random(A.shape) < 0.05] = -np.inf
-        A[rng.random(A.shape) < 0.05] = -0.0
-        pivot = np.empty(k, dtype=np.intp)
-        for c in range(m):
-            ev._pivot_rows(A, c, pivot)
-            assert np.array_equal(pivot, np.abs(A[c:, c]).argmax(axis=0) + c)
-
-    # Integer entries tie pivot magnitudes; the pole at x1 = 0 puts inf into
-    # M and so NaN (inf * 0, inf - inf) among the pivot candidates.
-    P = {(1, 2): "x3 - 1/x1", (1, 3): "x2 + 1", (2, 3): "x1 - x3"}
-    LAM = {(1, 2): "1", (1, 3): "x2", (2, 3): "x1 + x3"}
-
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_pivots_follow_argmax(self, workers, monkeypatch):
-        monkeypatch.setattr(ev, "_CHUNK_ROWS", 5)
-        grid = np.array(np.meshgrid(*[[-1.0, 0.0, 1.0, 2.0]] * 3)).reshape(3, -1).T
-        mesh = as_mesh(np.vstack([corners_mesh(3).points, grid]))
-        out, valid, nonfinite, ties, nans = gauss_jordan_by_argmax(
-            self.P, self.LAM, mesh, 3
-        )
-        assert ties > 0 and nans > 0
-        assert valid.any() and not valid.all()
-        for mode in ("dense", "records"):
-            options = EvalOptions(mode=mode, workers=workers)
-            res = ev.num_gauge_transformation(self.P, self.LAM, mesh, options, dim=3)
-            assert np.array_equal(res.valid, valid), mode
-            assert res.nonfinite == nonfinite, mode
-            if mode == "dense":
-                assert res.data.tobytes() == out.tobytes()
-            else:
-                upper = out[:, [0, 0, 1], [1, 2, 2]].T
-                assert np.ascontiguousarray(res.columns).tobytes() == upper.tobytes()

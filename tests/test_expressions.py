@@ -163,8 +163,18 @@ class TestRendering:
             e = ex.parse(entry.source, entry.dim)
             assert ex.parse(ex.to_source(e), entry.dim) == e
 
+    def test_negated_product_is_canonical(self):
+        # -((-1)*x1) is x1, as fold_mul(1.0, x1) is, not the product 1.0*x1,
+        # which would render as "1.0*x1" and parse back as x1.
+        x1 = ex.Coord(1)
+        assert ex.fold_neg(ex.Mul(ex.Num(-1.0), x1)) is x1
+        assert ex.fold_neg(ex.Mul(ex.Num(2.0), x1)) == ex.Mul(ex.Num(-2.0), x1)
+        assert ex.to_source(ex.fold_neg(ex.parse("-1.0*(x1 + x2)", 2))) == "x1+x2"
+
     @settings(max_examples=300, deadline=None)
     @given(_canonical_exprs)
+    @example(ex.fold_neg(ex.Mul(ex.Num(-1.0), ex.Coord(1))))
+    @example(ex.fold_neg(ex.Mul(ex.Num(-1.0), ex.fold_add(ex.Coord(2), ex.Param("a")))))
     def test_random_round_trip(self, e):
         assume(_all_nums_finite(e))
         text = ex.to_source(e)
