@@ -15,7 +15,11 @@ present), and ``csv`` (the same tensor flattened to one row per point).
 ``jsonl`` uses the records output mode; ``npy`` and ``csv`` use dense mode.
 Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
 (csv: nan, inf, -inf).  jsonl and csv are written in chunks of at most
-49,152 values (16,384 rows of three).
+49,152 values (16,384 rows of three).  jsonl bytes are those of
+``json.dumps``: a chunk of finite float64 values with no invalid row fills
+a ``%r`` line template, so it costs what ``float.__repr__`` does; a chunk
+with NaN or Infinity, residual text, an invalid row or non-float64 dense
+data is formatted value by value.
 Every file, ``mesh`` output included, is written beside its target and then
 renamed into place, so a failed write leaves no partial file.
 """
@@ -25,6 +29,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -253,10 +258,15 @@ def _json_tokens(column: list) -> list:
 
 
 def _write_jsonl(result: BatchResult, fh) -> None:
-    """Fill one line template per result, one chunk of rows at a time.
+    """Fill line templates built once per result, one chunk of rows at a time.
 
     A record's slots are its ``keys``, read from ``columns``, then its valid
-    flag; a dense row's are its entries in row-major order.
+    flag; a dense row's are its entries in row-major order.  A float64 chunk
+    whose values are all finite, and whose rows are all valid, fills a
+    second template straight from the values: ``%r`` slots, which write a
+    float as ``json.dumps`` does, and a literal ``true`` flag.  Any other
+    chunk (NaN or Infinity, residual text, an invalid row, dense data that
+    is not float64) is written token by token through ``_json_tokens``.
     """
     valid = None
     if result.kind == "records":
@@ -268,18 +278,27 @@ def _write_jsonl(result: BatchResult, fh) -> None:
         if valid is not None:
             skeleton["valid"] = _SLOT
     else:
-        columns = result.data.reshape(len(result), -1).T
+        columns = result.data.reshape(len(result), math.prod(result.data.shape[1:])).T
         name = "value" if result.kind == "scalar" else result.kind
         skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
     template = json.dumps(skeleton).replace(json.dumps(_SLOT), _SLOT) + "\n"
+    finite_template = template % (("%r",) * len(columns) + ("true",) * (valid is not None))
     for span in _text_chunks(len(result), len(columns) + (valid is not None)):
+        block, rows = columns[:, span], span.stop - span.start
+        if (
+            block.dtype == np.float64
+            and np.isfinite(block).all()
+            and (valid is None or valid[span].all())
+        ):
+            fh.write(((finite_template * rows) % tuple(block.T.ravel().tolist())).encode())
+            continue
         # One column at a time, so only its tokens outlive it.
-        tokens = [_json_tokens(column[span].tolist()) for column in columns]
+        tokens = [_json_tokens(column.tolist()) for column in block]
         if valid is not None:
             tokens.append([_BOOL_TOKENS[flag] for flag in valid[span].tolist()])
-        rows = itertools.chain.from_iterable(zip(*tokens))
+        values = itertools.chain.from_iterable(zip(*tokens))
         del tokens  # so the spent chain frees this chunk's tokens
-        fh.write(((template * (span.stop - span.start)) % tuple(rows)).encode())
+        fh.write(((template * rows) % tuple(values)).encode())
 
 
 def write_result(result: BatchResult, path: str, fmt: str):
@@ -297,7 +316,7 @@ def write_result(result: BatchResult, path: str, fmt: str):
             atomic_write(f"{path}.valid.npy", lambda fh: np.save(fh, result.valid))
         return
     if fmt == "csv":
-        save_csv(path, data.reshape(len(data), -1))
+        save_csv(path, data.reshape(len(data), math.prod(data.shape[1:])))
         return
     raise MultivectorError(f"unknown output format {fmt!r}")
 
@@ -325,10 +344,13 @@ def cmd_eval(args) -> int:
     t3 = time.perf_counter()
     write_result(result, args.out, fmt)
     t4 = time.perf_counter()
+    invalid = "" if result.valid is None else (
+        f", {len(result) - np.count_nonzero(result.valid)} invalid"
+    )
     print(
         f"{len(mesh.points)} points, prepare {t1 - t0:.3f} s, load {t2 - t1:.3f} s, "
         f"eval {t3 - t2:.3f} s, write {t4 - t3:.3f} s, "
-        f"{result.nonfinite} non-finite"
+        f"{result.nonfinite} non-finite{invalid}"
     )
     return EXIT_OK
 

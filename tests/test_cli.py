@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -125,7 +126,7 @@ class TestEval:
         )
         assert code == 0
         summary = capsys.readouterr().out
-        assert "8 points" in summary and "0 non-finite" in summary
+        assert "8 points" in summary and summary.endswith(" 0 non-finite\n")
         for phase in ("prepare", "load", "eval", "write"):
             assert f"{phase} " in summary
         rows = read_jsonl(out)
@@ -300,6 +301,13 @@ class TestEval:
         assert rows[1]["valid"] is True
         assert rows[1]["coeffs"]["1,2"] == pytest.approx(0.5)
 
+    def test_gauge_summary_counts_invalid_points(self, tmp_path, capsys):
+        out = tmp_path / "gauge.jsonl"
+        assert run_cli(
+            "eval", "num_gauge_transformation", *_singular_gauge(tmp_path), "--out", out
+        ) == 0
+        assert capsys.readouterr().out.endswith(" 0 non-finite, 1 invalid\n")
+
     def test_normal_form_residual_records(self, tmp_path):
         out = tmp_path / "nf.jsonl"
         assert run_cli(
@@ -422,6 +430,91 @@ def reference_jsonl(result: BatchResult) -> str:
     return "".join(lines)
 
 
+# Values whose repr is easy to get wrong: signed zero, the smallest
+# subnormal, the switch to exponent notation at 1e16 and 1e-5, and the
+# extremes of the exponent range.
+REPR_EDGES = [-0.0, 5e-324, 0.1, 1e16, 9999999999999998.0, 1e-5, 1e22, -1.5e-300]
+
+
+def _edge_block(*shape) -> np.ndarray:
+    return np.resize(np.array(REPR_EDGES), shape)
+
+
+def _records(columns, keys=None, valid=None) -> BatchResult:
+    keys = [(i + 1, i + 2) for i in range(len(columns))] if keys is None else keys
+    return BatchResult("records", keys=tuple(keys), columns=columns, valid=valid)
+
+
+def _with_poles(columns: np.ndarray, *poles) -> np.ndarray:
+    """``columns`` with each (row, column, value) of ``poles`` written in."""
+    columns = columns.copy()
+    for row, col, value in poles:
+        columns[col, row] = value
+    return columns
+
+
+def _valid_mask(k: int, *invalid) -> np.ndarray:
+    valid = np.ones(k, dtype=bool)
+    valid[list(invalid)] = False
+    return valid
+
+
+def _residual_text_columns() -> np.ndarray:
+    columns = _edge_block(2, 40).astype(object)
+    columns[0, 17] = "2.0*a*x1"
+    columns[1, 30] = "-x3/b"
+    return columns
+
+
+# Hand-built results for the jsonl writer.  At 48 values a chunk, a
+# 3-column record result has 16 rows a chunk, so poles at rows 20 and 40
+# put a finite chunk before and after each non-finite one.
+WRITER_CASES = {
+    "repr_edges": lambda: _records(_edge_block(3, 40)),
+    "nan_chunk": lambda: _records(_with_poles(_edge_block(3, 64), (20, 1, np.nan))),
+    "infinity_chunk": lambda: _records(
+        _with_poles(_edge_block(3, 64), (40, 0, np.inf), (41, 2, -np.inf))
+    ),
+    "valid_all_true": lambda: _records(_edge_block(3, 30), valid=_valid_mask(30)),
+    # Finite values in an invalid row: the evaluator writes NaN there, so
+    # only a hand-built result has this.
+    "invalid_finite_row": lambda: _records(_edge_block(3, 30), valid=_valid_mask(30, 13)),
+    "invalid_nan_row": lambda: _records(
+        _with_poles(_edge_block(3, 30), (25, 0, np.nan), (25, 1, np.nan), (25, 2, np.nan)),
+        valid=_valid_mask(30, 25),
+    ),
+    "residual_text": lambda: _records(_residual_text_columns()),
+    "zero_keys": lambda: _records(np.empty((0, 30)), keys=()),
+    "zero_keys_valid": lambda: _records(np.empty((0, 30)), keys=(), valid=_valid_mask(30, 4)),
+    "value_key": lambda: _records(_edge_block(1, 100), keys=("value",)),
+    "records_k0": lambda: _records(np.empty((3, 0)), valid=np.ones(0, dtype=bool)),
+    "scalar": lambda: BatchResult("scalar", _edge_block(100)),
+    "scalar_poles": lambda: BatchResult(
+        "scalar", _with_poles(_edge_block(1, 100), (50, 0, np.nan), (99, 0, -np.inf))[0]
+    ),
+    "vector": lambda: BatchResult("vector", _edge_block(40, 3)),
+    "vector_poles": lambda: BatchResult(
+        "vector", _with_poles(_edge_block(3, 40), (17, 2, np.inf)).T
+    ),
+    "matrix": lambda: BatchResult("matrix", _edge_block(20, 3, 3)),
+    "matrix_poles": lambda: BatchResult(
+        "matrix", np.where(np.arange(180).reshape(20, 3, 3) == 100, np.nan, _edge_block(20, 3, 3))
+    ),
+    "matrix_k0": lambda: BatchResult("matrix", np.empty((0, 3, 3))),
+    "vector_float32": lambda: BatchResult("vector", _edge_block(40, 3).astype(np.float32)),
+    "scalar_int64": lambda: BatchResult("scalar", np.arange(-50, 50)),
+}
+
+
+def _all_finite(result: BatchResult) -> bool:
+    block = result.columns if result.kind == "records" else result.data
+    return (
+        block.dtype == np.float64
+        and bool(np.isfinite(block).all())
+        and (result.valid is None or bool(result.valid.all()))
+    )
+
+
 class TestColumnarOutput:
     def test_len_and_writers_never_build_records(self, tmp_path, monkeypatch):
         results = suite_results(40)
@@ -451,6 +544,35 @@ class TestColumnarOutput:
                 rows = result.data.reshape(70, -1)
                 np.savetxt(ref, rows, fmt="%.17g", delimiter=",")
                 assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(WRITER_CASES))
+    def test_both_writer_paths_match_json_dumps(self, tmp_path, monkeypatch, case):
+        # At 48 values a chunk, finite chunks take the %r template and the
+        # others the token path, often within one result.
+        monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
+        result = WRITER_CASES[case]()
+        out = tmp_path / "out.jsonl"
+        cli.write_result(result, str(out), "jsonl")
+        assert out.read_text() == reference_jsonl(result)
+        if result.kind != "records":
+            ref = tmp_path / "ref.csv"
+            cli.write_result(result, str(out), "csv")
+            rows = result.data.reshape(len(result), math.prod(result.data.shape[1:]))
+            np.savetxt(ref, rows, fmt="%.17g", delimiter=",")
+            assert out.read_bytes() == ref.read_bytes()
+
+    def test_finite_results_never_tokenized(self, tmp_path, monkeypatch):
+        def refuse(column):
+            raise AssertionError("a finite chunk took the token path")
+
+        monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
+        monkeypatch.setattr(cli, "_json_tokens", refuse)
+        out = tmp_path / "out.jsonl"
+        finite = [r for r in suite_results(70) if _all_finite(r)]
+        assert len(finite) == 25  # all but the residual-text normal form
+        for result in finite:
+            cli.write_result(result, str(out), "jsonl")
+            assert out.read_text() == reference_jsonl(result)
 
 
 class TestExitCodes:
