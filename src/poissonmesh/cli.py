@@ -16,10 +16,8 @@ present), and ``csv`` (the same tensor flattened to one row per point).
 Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
 (csv: nan, inf, -inf).  jsonl and csv are written in chunks of at most
 49,152 values (16,384 rows of three).  jsonl bytes are those of
-``json.dumps``: a chunk of finite float64 values with no invalid row fills
-a ``%r`` line template, so it costs what ``float.__repr__`` does; a chunk
-with NaN or Infinity, residual text, an invalid row or non-float64 dense
-data is formatted value by value.
+``json.dumps``: each chunk fills one line template from its values, and
+only poles, residual text and non-float64 entries are swapped for tokens.
 Every file, ``mesh`` output included, is written beside its target and then
 renamed into place, so a failed write leaves no partial file.
 """
@@ -27,7 +25,6 @@ renamed into place, so a failed write leaves no partial file.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -243,30 +240,23 @@ def _build_case(args, options: EvalOptions):
 
 
 _SLOT = "%s"  # a value's place in a line template, quoted until the template is done
-_NONFINITE_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_BOOL_TOKENS = ("false", "true")
 
 
-def _json_tokens(column: list) -> list:
-    """Each value as ``json.dumps`` writes it: a float is its repr, except
-    for the NaN, Infinity and -Infinity tokens."""
-    try:
-        reprs = list(map(float.__repr__, column))
-    except TypeError:  # residual text
-        return list(map(json.dumps, column))
-    return list(map(_NONFINITE_TOKENS.get, reprs, reprs))
+def _tokenized(block: np.ndarray, swap: np.ndarray) -> np.ndarray:
+    """An object copy of ``block``, each ``swap`` entry its ``json.dumps`` token."""
+    block = block.astype(object)
+    block[swap] = list(map(json.dumps, block[swap].tolist()))
+    return block
 
 
 def _write_jsonl(result: BatchResult, fh) -> None:
-    """Fill line templates built once per result, one chunk of rows at a time.
+    """Fill one line template, built once per result, a chunk of rows at a time.
 
-    A record's slots are its ``keys``, read from ``columns``, then its valid
-    flag; a dense row's are its entries in row-major order.  A float64 chunk
-    whose values are all finite, and whose rows are all valid, fills a
-    second template straight from the values: ``%r`` slots, which write a
-    float as ``json.dumps`` does, and a literal ``true`` flag.  Any other
-    chunk (NaN or Infinity, residual text, an invalid row, dense data that
-    is not float64) is written token by token through ``_json_tokens``.
+    A record's slots are its ``keys``, read from ``columns``; a dense row's
+    are its entries in row-major order.  A ``%s`` slot writes a float as
+    ``json.dumps`` does; only the entries that are not finite float64 (poles,
+    residual text, other dtypes) are first swapped for their tokens.  A
+    record with a valid flag takes one of two lines, ``false`` or ``true``.
     """
     valid = None
     if result.kind == "records":
@@ -282,23 +272,17 @@ def _write_jsonl(result: BatchResult, fh) -> None:
         name = "value" if result.kind == "scalar" else result.kind
         skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
     template = json.dumps(skeleton).replace(json.dumps(_SLOT), _SLOT) + "\n"
-    finite_template = template % (("%r",) * len(columns) + ("true",) * (valid is not None))
+    if valid is not None:
+        lines = tuple(template % ((_SLOT,) * len(columns) + (flag,)) for flag in ("false", "true"))
     for span in _text_chunks(len(result), len(columns) + (valid is not None)):
-        block, rows = columns[:, span], span.stop - span.start
-        if (
-            block.dtype == np.float64
-            and np.isfinite(block).all()
-            and (valid is None or valid[span].all())
-        ):
-            fh.write(((finite_template * rows) % tuple(block.T.ravel().tolist())).encode())
-            continue
-        # One column at a time, so only its tokens outlive it.
-        tokens = [_json_tokens(column.tolist()) for column in block]
-        if valid is not None:
-            tokens.append([_BOOL_TOKENS[flag] for flag in valid[span].tolist()])
-        values = itertools.chain.from_iterable(zip(*tokens))
-        del tokens  # so the spent chain frees this chunk's tokens
-        fh.write(((template * rows) % tuple(values)).encode())
+        block = columns[:, span]
+        swap = ~np.isfinite(block) if block.dtype == np.float64 else np.ones(block.shape, bool)
+        if swap.any():
+            block = _tokenized(block, swap)
+        fh.write(((  # unnamed, so the chunk's template is freed before the encode
+            template * (span.stop - span.start) if valid is None
+            else "".join(map(lines.__getitem__, valid[span].tolist()))
+        ) % tuple(block.T.ravel().tolist())).encode())
 
 
 def write_result(result: BatchResult, path: str, fmt: str):

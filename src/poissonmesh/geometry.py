@@ -75,7 +75,10 @@ def _coerce_value(key, value: CoefficientValue, dim: int) -> Expression:
             )
         return value
     if isinstance(value, (int, float)):
-        return Num(float(value))
+        try:
+            return Num(float(value))
+        except OverflowError:  # an integer beyond the float64 range
+            raise MultivectorError(f"coefficient at key {key} is too large for a float")
     if isinstance(value, str):
         try:
             return parse(value, dim)
@@ -168,8 +171,13 @@ class Multivector:
             raw = data.get("coeffs", {})
         except (TypeError, KeyError) as err:
             raise MultivectorError(f"multivector JSON needs dim/degree/coeffs: {err}")
+        for name, value in (("dim", dim), ("degree", degree)):
+            if type(value) is not int:  # a JSON integer: not a bool, float or string
+                raise MultivectorError(f"{name} must be a JSON integer, got {value!r:.40}")
+        if not isinstance(raw, Mapping):
+            raise MultivectorError(f"coeffs must be a JSON object, got {type(raw).__name__}")
         coeffs = {}
-        for key_text, value in dict(raw).items():
+        for key_text, value in raw.items():
             if key_text == "":
                 key: tuple[int, ...] = ()
             else:
@@ -178,7 +186,7 @@ class Multivector:
                 except ValueError:
                     raise MultivectorError(f"key {key_text!r} is not an index tuple")
             coeffs[key] = value
-        return cls.build(int(dim), int(degree), coeffs)
+        return cls.build(dim, degree, coeffs)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

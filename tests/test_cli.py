@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import goldens as g
 from poissonmesh import bench, cli, geometry
@@ -503,6 +505,14 @@ WRITER_CASES = {
     "matrix_k0": lambda: BatchResult("matrix", np.empty((0, 3, 3))),
     "vector_float32": lambda: BatchResult("vector", _edge_block(40, 3).astype(np.float32)),
     "scalar_int64": lambda: BatchResult("scalar", np.arange(-50, 50)),
+    # json.dumps writes true where a bare %s fill would write True.
+    "scalar_bool": lambda: BatchResult("scalar", np.arange(100) % 3 == 0),
+    # 3 values and a flag a row: rows 5 (a NaN, valid) and 8 (invalid) share
+    # the first 48-value chunk.
+    "pole_and_invalid_row": lambda: _records(
+        _with_poles(_edge_block(3, 30), (5, 1, np.nan), *((8, c, np.nan) for c in range(3))),
+        valid=_valid_mask(30, 8),
+    ),
 }
 
 
@@ -547,8 +557,9 @@ class TestColumnarOutput:
 
     @pytest.mark.parametrize("case", sorted(WRITER_CASES))
     def test_both_writer_paths_match_json_dumps(self, tmp_path, monkeypatch, case):
-        # At 48 values a chunk, finite chunks take the %r template and the
-        # others the token path, often within one result.
+        # At 48 values a chunk, finite chunks fill the template straight from
+        # their values and the others after their poles, text or non-float64
+        # entries become tokens, often within one result.
         monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
         result = WRITER_CASES[case]()
         out = tmp_path / "out.jsonl"
@@ -562,17 +573,66 @@ class TestColumnarOutput:
             assert out.read_bytes() == ref.read_bytes()
 
     def test_finite_results_never_tokenized(self, tmp_path, monkeypatch):
-        def refuse(column):
-            raise AssertionError("a finite chunk took the token path")
+        def refuse(block, swap):
+            raise AssertionError("a chunk was tokenized")
 
         monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
-        monkeypatch.setattr(cli, "_json_tokens", refuse)
+        monkeypatch.setattr(cli, "_tokenized", refuse)
         out = tmp_path / "out.jsonl"
         finite = [r for r in suite_results(70) if _all_finite(r)]
         assert len(finite) == 25  # all but the residual-text normal form
         for result in finite:
             cli.write_result(result, str(out), "jsonl")
             assert out.read_text() == reference_jsonl(result)
+        # The spy sits on the step a chunk with a pole does take.
+        with pytest.raises(AssertionError, match="tokenized"):
+            cli.write_result(WRITER_CASES["nan_chunk"](), str(out), "jsonl")
+
+
+# Multivector files that are valid JSON but not a multivector: a non-object
+# "coeffs", "dim" or "degree" that are not JSON integers, and a coefficient
+# beyond the float64 range.
+MALFORMED_MULTIVECTORS = {
+    "coeffs_number": '{"dim": 3, "degree": 2, "coeffs": 5}',
+    "coeffs_list": '{"dim": 3, "degree": 2, "coeffs": ["x1"]}',
+    "coeffs_null": '{"dim": 3, "degree": 2, "coeffs": null}',
+    "dim_null": '{"dim": null, "degree": 2, "coeffs": {}}',
+    "degree_null": '{"dim": 3, "degree": null, "coeffs": {}}',
+    "dim_fraction": '{"dim": 3.7, "degree": 2, "coeffs": {"1,2": "x3"}}',
+    "dim_float": '{"dim": 3.0, "degree": 2, "coeffs": {"1,2": "x3"}}',
+    "degree_fraction": '{"dim": 3, "degree": 2.5, "coeffs": {"1,2": "x3"}}',
+    "dim_bool": '{"dim": true, "degree": 2, "coeffs": {}}',
+    "dim_string": '{"dim": "3", "degree": 2, "coeffs": {}}',
+    "coefficient_beyond_float": '{"dim": 3, "degree": 2, "coeffs": {"1,2": 1%s}}' % ("0" * 400),
+    "document_list": '[3, 2, {}]',
+}
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# Expressions that parse in R^3, some with a pole on the mesh or a parameter.
+_expressions = st.sampled_from(
+    ["x1", "x3", "-x2/x1", "a*x1", "sin(x2)**2", "x1**0.5", "log(x2)", "1/0", "1e308*10"]
+)
+_expression_text = _expressions | st.text(alphabet="x0123456789abe+-*/^()., ", max_size=12)
+_multivector_keys = st.sampled_from(
+    ["1,2", "1,3", "2,3", "2,1", "1,1", "0,1", "1,4", "1", "1,2,3", "", " 1, 2"]
+) | st.text(alphabet="0123456789,-", max_size=5) | st.text(max_size=3)
+# Near-valid documents, the same with any JSON value in any field, and any JSON.
+_multivector_documents = st.fixed_dictionaries({
+    "dim": st.sampled_from([3, 3, 3, 4]),
+    "degree": st.sampled_from([2, 2, 2, 1]),
+    "coeffs": st.dictionaries(
+        st.sampled_from(["1,2", "1,3", "2,3"]), _expressions | st.floats() | st.integers(), max_size=3
+    ),
+}) | st.fixed_dictionaries({
+    "dim": st.just(3) | st.integers() | _json_values,
+    "degree": st.just(2) | st.integers() | _json_values,
+    "coeffs": st.dictionaries(_multivector_keys, _expression_text | _json_values, max_size=3)
+    | _json_values,
+}) | _json_values
 
 
 class TestExitCodes:
@@ -630,6 +690,35 @@ class TestExitCodes:
             "--mesh", "corners", "--out", tmp_path / "out.jsonl",
         )
         assert code == cli.EXIT_VALIDATION
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MULTIVECTORS))
+    def test_malformed_multivector_json_is_validation(self, tmp_path, case):
+        bivector, out = tmp_path / "bad.json", tmp_path / "out.jsonl"
+        bivector.write_text(MALFORMED_MULTIVECTORS[case])
+        code = run_cli(
+            "eval", "num_bivector", "--bivector", bivector,
+            "--mesh", _poles_mesh(tmp_path), "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert not out.exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_multivector_documents)
+    @example({"dim": 3, "degree": 2, "coeffs": 5})
+    @example({"dim": None, "degree": 2, "coeffs": {}})
+    @example({"dim": 3, "degree": 2, "coeffs": {"1,2": 10**400}})
+    @example({"dim": 3, "degree": 2, "coeffs": {"1,2": "a*x1", "2,3": "-x2/x1"}})
+    def test_any_json_bivector_exits_with_a_documented_code(self, tmp_path, document):
+        bivector, mesh = tmp_path / "fuzz.json", tmp_path / "poles.csv"
+        bivector.write_text(json.dumps(document))
+        if not mesh.exists():
+            _poles_mesh(tmp_path)
+        code = run_cli(
+            "eval", "num_bivector", "--bivector", bivector,
+            "--mesh", mesh, "--out", tmp_path / "out.jsonl",
+        )
+        assert code in (0, 2, 3, 4, 5, 6)
 
     def test_very_long_expression_is_validation(self, tmp_path, capsys):
         h = tmp_path / "h.txt"

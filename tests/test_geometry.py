@@ -250,3 +250,24 @@ class TestJson:
             Multivector.from_json_dict({"dim": 3})
         with pytest.raises(MultivectorError):
             Multivector.from_json_dict({"dim": 3, "degree": 2, "coeffs": {"1;2": "x1"}})
+
+    @pytest.mark.parametrize("data", [
+        {"dim": 3, "degree": 2, "coeffs": 5},
+        {"dim": 3, "degree": 2, "coeffs": ["x1"]},
+        {"dim": 3, "degree": 2, "coeffs": None},
+        {"dim": None, "degree": 2, "coeffs": {}},
+        {"dim": 3, "degree": None, "coeffs": {}},
+        {"dim": 3.7, "degree": 2, "coeffs": {"1,2": "x3"}},
+        {"dim": 3.0, "degree": 2, "coeffs": {"1,2": "x3"}},
+        {"dim": 3, "degree": 2.5, "coeffs": {"1,2": "x3"}},
+        {"dim": True, "degree": 2, "coeffs": {}},
+        {"dim": 3, "degree": False, "coeffs": {}},
+        {"dim": "3", "degree": 2, "coeffs": {}},
+        {"dim": 3, "degree": 2, "coeffs": {"1,2": 10**400}},
+        [3, 2, {}],
+        None,
+    ])
+    def test_malformed_json_rejected(self, data):
+        # dim and degree are JSON integers, never truncated; coeffs is an object.
+        with pytest.raises(MultivectorError):
+            Multivector.from_json_dict(data)
