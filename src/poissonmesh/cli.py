@@ -43,6 +43,7 @@ from .geometry import (
     Mesh,
     Multivector,
     MultivectorError,
+    _key_text,
     _text_chunks,
     atomic_write,
     corners_mesh,
@@ -153,17 +154,13 @@ def _require(args, flag: str):
     return value
 
 
-def _argument_input(args) -> tuple:
-    """The coboundary/curl argument: JSON multivector file or scalar text.
-
-    Returns (value, degree) where degree None defers to the file's own.
-    """
+def _argument_input(args):
+    """The coboundary/curl argument: a JSON multivector file, or a scalar
+    inline or as @path; the library infers its degree."""
     raw = _require(args, "argument")
-    if raw.startswith("@"):
-        return _scalar_arg(raw), 0
-    if os.path.isfile(raw):
-        return _load_multivector(raw, "--argument"), args.degree
-    return raw, 0 if args.degree is None else args.degree
+    if not raw.startswith("@") and os.path.isfile(raw):
+        return _load_multivector(raw, "--argument")
+    return _scalar_arg(raw)
 
 
 def _build_case(args, options: EvalOptions):
@@ -195,23 +192,19 @@ def _build_case(args, options: EvalOptions):
         return P.dim, ev.prepare_sharp_morphism(P, alpha, options, dim=dim)
     if method == "num_coboundary_operator":
         P = bivector()
-        A, degree = _argument_input(args)
-        return P.dim, ev.prepare_coboundary_operator(
-            P, A, options, dim=dim, degree=degree
-        )
+        A = _argument_input(args)
+        return P.dim, ev.prepare_coboundary_operator(P, A, options, dim=dim)
     if method == "num_modular_vf":
         P = bivector()
         f0 = _scalar_arg(args.f0)
         return P.dim, ev.prepare_modular_vf(P, f0, options, dim=dim)
     if method == "num_curl_operator":
-        A, degree = _argument_input(args)
+        A = _argument_input(args)
         f0 = _scalar_arg(args.f0)
         a_dim = A.dim if isinstance(A, Multivector) else dim
         if a_dim is None:
             raise MultivectorError("--dim is required for a scalar --argument")
-        return a_dim, ev.prepare_curl_operator(
-            A, f0, options, dim=dim, degree=degree
-        )
+        return a_dim, ev.prepare_curl_operator(A, f0, options, dim=dim)
     if method == "num_one_forms_bracket":
         P = bivector()
         alpha = _load_multivector(_require(args, "alpha"), "--alpha")
@@ -262,8 +255,7 @@ def _write_jsonl(result: BatchResult, fh) -> None:
     if result.kind == "records":
         columns, valid = result.columns, result.valid
         skeleton = {"coeffs": {
-            ",".join(map(str, key)) if isinstance(key, tuple) else key: _SLOT
-            for key in result.keys
+            _key_text(key) if isinstance(key, tuple) else key: _SLOT for key in result.keys
         }}
         if valid is not None:
             skeleton["valid"] = _SLOT
@@ -390,8 +382,6 @@ def _add_eval_input_flags(parser):
     parser.add_argument("--argument",
                         help="multivector JSON file, inline scalar expression, "
                              "or @file scalar (coboundary/curl argument)")
-    parser.add_argument("--degree", type=int, default=None,
-                        help="degree of --argument when it needs overriding")
     parser.add_argument("--alpha", help="one-form JSON file")
     parser.add_argument("--beta", help="one-form JSON file")
     parser.add_argument("--lam", help="two-form JSON file")
@@ -400,10 +390,10 @@ def _add_eval_input_flags(parser):
     parser.add_argument("--g", help="second bracket argument or @file")
     parser.add_argument("--f0", default="1",
                         help="volume scaling function (default 1)")
-    parser.add_argument("--casimir", action="append", default=[],
+    parser.add_argument("--casimir", action="append",
                         help="Casimir expression or @file with one per line "
                              "(repeatable)")
-    parser.add_argument("--param", action="append", default=[],
+    parser.add_argument("--param", action="append",
                         help="parameter binding name=value (repeatable)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker thread count (default: single-threaded)")
@@ -452,6 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse reads "--name=--" as an empty list, whatever the option's type.
+    values = vars(args).values()
+    if [] in values or any([] in value for value in values if isinstance(value, list)):
+        parser.error("an option was given '--' as its value")
     try:
         return args.func(args)
     except UnboundParameterError as exc:

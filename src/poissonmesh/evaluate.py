@@ -51,13 +51,20 @@ from .expressions import (
     differentiate,
     fold_add,
     fold_mul,
-    parse,
     partial_eval,
     to_source,
 )
-from .geometry import BatchResult, Mesh, Multivector, MultivectorError, _row_chunks, as_mesh
+from .geometry import (
+    BatchResult,
+    Mesh,
+    Multivector,
+    MultivectorError,
+    _row_chunks,
+    as_expression,
+    as_mesh,
+    validate_multivector,
+)
 from .symbolic import (
-    as_field,
     curl_sym,
     flaschka_ratiu_sym,
     gauge_transformation_sym,
@@ -255,15 +262,11 @@ def _components(m: int) -> tuple:
     return tuple((i,) for i in range(1, m + 1))
 
 
-def _as_expression(source, m: int) -> Expression:
-    return source if isinstance(source, Expression) else parse(str(source), m)
-
-
 # --- 1. Bivector evaluation -------------------------------------------------
 
 
 def prepare_bivector(P, options: EvalOptions | None = None, dim: int | None = None):
-    P = as_field(P, dim, 2, "num_bivector")
+    P = validate_multivector(P, dim, 2)
     return _field_evaluator(P, _opts(options))
 
 
@@ -276,7 +279,7 @@ def num_bivector(P, mesh, options=None, dim=None) -> BatchResult:
 
 
 def prepare_bivector_to_matrix(P, options=None, dim=None):
-    P = as_field(P, dim, 2, "num_bivector_to_matrix")
+    P = validate_multivector(P, dim, 2)
     # The matrix form is a dense layout whatever the requested mode.
     return _field_evaluator(P, replace(_opts(options), mode="dense"))
 
@@ -290,8 +293,8 @@ def num_bivector_to_matrix(P, mesh, options=None, dim=None) -> BatchResult:
 
 
 def prepare_hamiltonian_vf(P, h, options=None, dim=None):
-    P = as_field(P, dim, 2, "num_hamiltonian_vf")
-    field = schouten_coboundary(P, _as_expression(h, P.dim))
+    P = validate_multivector(P, dim, 2)
+    field = schouten_coboundary(P, as_expression(h, P.dim))
     return _field_evaluator(field, _opts(options), _components(P.dim))
 
 
@@ -305,10 +308,10 @@ def num_hamiltonian_vf(P, h, mesh, options=None, dim=None) -> BatchResult:
 
 def prepare_poisson_bracket(P, f, g, options=None, dim=None):
     options = _opts(options)
-    P = as_field(P, dim, 2, "num_poisson_bracket")
+    P = validate_multivector(P, dim, 2)
     m = P.dim
-    f_expr = _as_expression(f, m)
-    g_expr = _as_expression(g, m)
+    f_expr = as_expression(f, m)
+    g_expr = as_expression(g, m)
     bracket: Expression = Num(0.0)
     # Structurally identical canonical ASTs bracket to zero: the zero field
     # compiles to a constant, so an unbound parameter in f is not an error.
@@ -327,7 +330,7 @@ def num_poisson_bracket(P, f, g, mesh, options=None, dim=None) -> BatchResult:
 
 
 def prepare_sharp_morphism(P, alpha, options=None, dim=None):
-    P = as_field(P, dim, 2, "num_sharp_morphism")
+    P = validate_multivector(P, dim, 2)
     return _field_evaluator(sharp_sym(P, alpha), _opts(options), _components(P.dim))
 
 
@@ -340,7 +343,7 @@ def num_sharp_morphism(P, alpha, mesh, options=None, dim=None) -> BatchResult:
 
 
 def prepare_coboundary_operator(P, A, options=None, dim=None, degree=None):
-    P = as_field(P, dim, 2, "num_coboundary_operator")
+    P = validate_multivector(P, dim, 2)
     return _field_evaluator(schouten_coboundary(P, A, degree=degree), _opts(options))
 
 
@@ -353,7 +356,7 @@ def num_coboundary_operator(P, A, mesh, options=None, dim=None, degree=None):
 
 
 def prepare_modular_vf(P, f0="1", options=None, dim=None):
-    P = as_field(P, dim, 2, "num_modular_vf")
+    P = validate_multivector(P, dim, 2)
     return _field_evaluator(modular_vf_sym(P, f0), _opts(options))
 
 
@@ -366,7 +369,7 @@ def num_modular_vf(P, f0="1", mesh=None, options=None, dim=None) -> BatchResult:
 
 
 def prepare_curl_operator(A, f0="1", options=None, dim=None, degree=None):
-    A = as_field(A, dim, degree, "num_curl_operator")
+    A = validate_multivector(A, dim, degree)
     return _field_evaluator(curl_sym(A, f0), _opts(options))
 
 
@@ -379,7 +382,7 @@ def num_curl_operator(A, f0="1", mesh=None, options=None, dim=None, degree=None)
 
 
 def prepare_one_forms_bracket(P, alpha, beta, options=None, dim=None):
-    P = as_field(P, dim, 2, "num_one_forms_bracket")
+    P = validate_multivector(P, dim, 2)
     field = one_forms_bracket_sym(P, alpha, beta)
     return _field_evaluator(field, _opts(options), _components(P.dim))
 
@@ -393,7 +396,7 @@ def num_one_forms_bracket(P, alpha, beta, mesh, options=None, dim=None):
 
 
 def prepare_gauge_transformation(P, lam, options=None, dim=None):
-    P = as_field(P, dim, 2, "num_gauge_transformation")
+    P = validate_multivector(P, dim, 2)
     m = P.dim
     field, det = gauge_transformation_sym(P, lam)
     upper = tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1))

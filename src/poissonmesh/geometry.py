@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Iterable, Mapping, Sequence, Union
 
@@ -30,6 +31,7 @@ __all__ = [
     "Mesh",
     "BatchResult",
     "validate_multivector",
+    "as_expression",
     "corners_mesh",
     "random_mesh",
     "as_mesh",
@@ -46,13 +48,41 @@ class MultivectorError(ValueError):
 CoefficientValue = Union[str, int, float, Expression]
 
 
+def as_expression(value: CoefficientValue, dim: int) -> Expression:
+    """The one coercion of a scalar input to an Expression on R^dim.
+
+    An Expression passes if its coordinates fit ``dim``; an int or float (not
+    a bool) becomes a ``Num``; text is parsed.  Raises ExpressionError.
+    """
+    if isinstance(value, Expression):
+        if value.max_coordinate() > dim:
+            raise ExpressionError(
+                f"expression uses x{value.max_coordinate()}, beyond dimension {dim}"
+            )
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return Num(float(value))
+        except OverflowError:  # an integer beyond the float64 range
+            raise ExpressionError("integer too large for a float") from None
+    if isinstance(value, str):
+        return parse(value, dim)
+    raise ExpressionError(f"not a scalar: {type(value).__name__}")
+
+
+# The keys ``_key_text`` writes and ``from_json_dict`` reads.
+_KEY_TEXT = re.compile(r"(?:[0-9]+(?:,[0-9]+)*)?")
+
+
+def _key_text(key: tuple[int, ...]) -> str:
+    """The JSON key of an index tuple: ``"1,2"`` for (1, 2), ``""`` for ()."""
+    return ",".join(map(str, key))
+
+
 def _coerce_key(key, degree: int, dim: int) -> tuple[int, ...]:
-    if isinstance(key, int):
-        key = (key,)
-    try:
-        tup = tuple(map(int, key))
-    except TypeError:
-        raise MultivectorError(f"key {key!r} is not an index tuple")
+    tup = (key,) if type(key) is int else key
+    if not (isinstance(tup, tuple) and all(type(i) is int for i in tup)):
+        raise MultivectorError(f"key {key!r:.40} is not an int or a tuple of ints")
     if len(tup) != degree:
         raise MultivectorError(
             f"key {tup} has length {len(tup)}, expected degree {degree}"
@@ -64,27 +94,6 @@ def _coerce_key(key, degree: int, dim: int) -> tuple[int, ...]:
         if a >= b:
             raise MultivectorError(f"key {tup} is not strictly increasing")
     return tup
-
-
-def _coerce_value(key, value: CoefficientValue, dim: int) -> Expression:
-    if isinstance(value, Expression):
-        if value.max_coordinate() > dim:
-            raise MultivectorError(
-                f"coefficient at key {key} uses x{value.max_coordinate()}, "
-                f"beyond dimension {dim}"
-            )
-        return value
-    if isinstance(value, (int, float)):
-        try:
-            return Num(float(value))
-        except OverflowError:  # an integer beyond the float64 range
-            raise MultivectorError(f"coefficient at key {key} is too large for a float")
-    if isinstance(value, str):
-        try:
-            return parse(value, dim)
-        except ExpressionError as err:
-            raise MultivectorError(f"coefficient at key {key} does not parse: {err}")
-    raise MultivectorError(f"coefficient at key {key} has unsupported type")
 
 
 @dataclass(frozen=True)
@@ -104,9 +113,11 @@ class Multivector:
     ) -> "Multivector":
         """Validate and coerce raw coefficient data.
 
-        ``coeffs`` maps index tuples to expression text, numbers, or
-        Expressions.  For degree 0 a bare value is also accepted.  Exact
-        zero coefficients are dropped, so absent-is-zero is canonical.
+        ``coeffs`` maps index tuples (an int for degree 1) to scalars as
+        ``as_expression`` takes them.  For degree 0 a bare scalar is also
+        accepted; it raises ExpressionError where a mapped coefficient
+        raises MultivectorError naming its key.  Exact zero coefficients are
+        dropped, so absent-is-zero is canonical.
         """
         if not isinstance(dim, int) or dim < 1:
             raise MultivectorError(f"dimension must be a positive integer, got {dim!r}")
@@ -115,7 +126,7 @@ class Multivector:
         if coeffs is None:
             coeffs = {}
         if degree == 0 and not isinstance(coeffs, Mapping):
-            coeffs = {(): coeffs}
+            coeffs = {(): as_expression(coeffs, dim)}
         if not isinstance(coeffs, Mapping):
             raise MultivectorError("coefficients must be a mapping from keys to values")
         out: dict[tuple[int, ...], Expression] = {}
@@ -123,7 +134,10 @@ class Multivector:
             tup = _coerce_key(key, degree, dim)
             if tup in out:
                 raise MultivectorError(f"key {tup} appears more than once")
-            expr = _coerce_value(tup, value, dim)
+            try:
+                expr = as_expression(value, dim)
+            except ExpressionError as err:
+                raise MultivectorError(f"coefficient at key {tup}: {err}") from None
             if isinstance(expr, Num) and expr.value == 0.0:
                 continue
             out[tup] = expr
@@ -157,10 +171,7 @@ class Multivector:
         return {
             "dim": self.dim,
             "degree": self.degree,
-            "coeffs": {
-                ",".join(str(i) for i in key): to_source(expr)
-                for key, expr in self.coeffs.items()
-            },
+            "coeffs": {_key_text(key): to_source(expr) for key, expr in self.coeffs.items()},
         }
 
     @classmethod
@@ -177,14 +188,12 @@ class Multivector:
         if not isinstance(raw, Mapping):
             raise MultivectorError(f"coeffs must be a JSON object, got {type(raw).__name__}")
         coeffs = {}
-        for key_text, value in raw.items():
-            if key_text == "":
-                key: tuple[int, ...] = ()
-            else:
-                try:
-                    key = tuple(int(part) for part in str(key_text).split(","))
-                except ValueError:
-                    raise MultivectorError(f"key {key_text!r} is not an index tuple")
+        for text, value in raw.items():
+            if not (isinstance(text, str) and _KEY_TEXT.fullmatch(text)):
+                raise MultivectorError(f"key {text!r:.40} is not indices joined by commas")
+            key = tuple(map(int, text.split(","))) if text else ()
+            if key in coeffs:
+                raise MultivectorError(f"key {key} appears more than once")
             coeffs[key] = value
         return cls.build(dim, degree, coeffs)
 
@@ -198,15 +207,21 @@ class Multivector:
 
 def validate_multivector(
     data: Union[Multivector, Mapping, CoefficientValue],
-    dim: int,
+    dim: int | None = None,
     degree: int | None = None,
 ) -> Multivector:
-    """Validate multivector data for dimension ``dim`` and return it built.
+    """Validate a field on R^dim and return it built.
 
-    Raises MultivectorError naming the offending key on any violation.
+    ``data`` is a Multivector, a map from index tuples to scalars, or a bare
+    scalar (degree 0); scalars are what ``as_expression`` takes.  ``dim``
+    may be left out for a Multivector, which brings its own.  ``degree``,
+    when given, must match; otherwise it is the Multivector's own, the
+    length of a map's first key (1 for an int key), or 0 for a bare scalar,
+    and an empty map needs it.  Raises MultivectorError naming the offending
+    key, or ExpressionError for a bare scalar that is not one.
     """
     if isinstance(data, Multivector):
-        if data.dim != dim:
+        if dim is not None and data.dim != dim:
             raise MultivectorError(
                 f"multivector has dimension {data.dim}, expected {dim}"
             )
@@ -214,11 +229,13 @@ def validate_multivector(
             raise MultivectorError(
                 f"multivector has degree {data.degree}, expected {degree}"
             )
-        return Multivector.build(dim, data.degree, data.coeffs)
+        return Multivector.build(data.dim, data.degree, data.coeffs)
+    if dim is None:
+        raise MultivectorError("a dimension is required for raw coefficient data")
     if degree is None:
         if isinstance(data, Mapping) and data:
             first = next(iter(data))
-            degree = 1 if isinstance(first, int) else len(tuple(first))
+            degree = len(first) if isinstance(first, tuple) else 1
         elif not isinstance(data, Mapping):
             degree = 0
         else:

@@ -15,17 +15,8 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .expressions import (
-    Add,
-    Call,
-    Coord,
-    Div,
     Expression,
-    Mul,
-    Neg,
     Num,
-    Param,
-    Pow,
-    Sub,
     differentiate,
     differentiate_all,
     fold_add,
@@ -33,13 +24,12 @@ from .expressions import (
     fold_mul,
     fold_neg,
     fold_sub,
-    parse,
+    partial_eval,
+    to_source,
 )
-from .geometry import Multivector, MultivectorError, validate_multivector
+from .geometry import Multivector, MultivectorError, as_expression, validate_multivector
 
 __all__ = [
-    "as_field",
-    "as_scalar_expression",
     "SymbolicMatrix",
     "NormalFormClass",
     "bivector_to_matrix_sym",
@@ -52,37 +42,6 @@ __all__ = [
     "linear_normal_form_r3",
     "one_forms_bracket_sym",
 ]
-
-
-def as_field(
-    data: Union[Multivector, Mapping, str, int, float],
-    dim: int | None,
-    degree: int | None,
-    what: str,
-) -> Multivector:
-    """Validate a field given as a Multivector, coefficient map or scalar.
-
-    ``what`` names the caller in the error raised when raw data arrives
-    without a dimension.
-    """
-    if isinstance(data, Multivector):
-        return validate_multivector(data, data.dim if dim is None else dim, degree)
-    if dim is None:
-        raise MultivectorError(f"{what}: dimension required for raw coefficient data")
-    return validate_multivector(data, dim, degree)
-
-
-def as_scalar_expression(f0, dim: int) -> Expression:
-    """A scalar function (text, number, Expression or degree-0 field); None is 1."""
-    if f0 is None:
-        return Num(1.0)
-    if isinstance(f0, Multivector):
-        return f0.as_scalar()
-    if isinstance(f0, Expression):
-        return f0
-    if isinstance(f0, (int, float)):
-        return Num(float(f0))
-    return parse(str(f0), dim)
 
 
 # --- Odd-coordinate calculus -------------------------------------------------
@@ -148,7 +107,7 @@ def bivector_to_matrix_sym(
     P: Union[Multivector, Mapping], dim: int | None = None
 ) -> SymbolicMatrix:
     """Matrix M with M[i][j] = coefficient (i, j), lower half negated."""
-    P = as_field(P, dim, 2, "bivector_to_matrix_sym")
+    P = validate_multivector(P, dim, 2)
     m = P.dim
     rows = []
     for i in range(1, m + 1):
@@ -176,8 +135,8 @@ def sharp_sym(
     Row k of M is the xi-derivative dP/dxi_k; a zero entry stays a term, as
     0 * alpha_k is NaN where alpha_k is not finite.
     """
-    P = as_field(P, dim, 2, "sharp_sym")
-    alpha = as_field(alpha, P.dim, 1, "sharp_sym")
+    P = validate_multivector(P, dim, 2)
+    alpha = validate_multivector(alpha, P.dim, 1)
     m = P.dim
     out = {(j,): Num(0.0) for j in range(1, m + 1)}
     for (k,), ak in alpha.items():
@@ -223,10 +182,8 @@ def schouten_coboundary(
     For a degree-0 argument this is the Hamiltonian field -M grad A; at top
     degree (a = m) the bracket is the zero multivector of degree m + 1.
     """
-    P = as_field(P, dim, 2, "schouten_coboundary")
-    if isinstance(A, (str, int, float, Expression)) and degree is None:
-        degree = 0
-    A = as_field(A, P.dim, degree, "schouten_coboundary")
+    P = validate_multivector(P, dim, 2)
+    A = validate_multivector(A, P.dim, degree)
     m = P.dim
     out: dict = {}
     for l in range(1, m + 1):
@@ -260,11 +217,13 @@ def curl_sym(
     Defined by  i_{curl(A)} Omega = d(i_A Omega); for a general volume this
     is (1/f0) times the Euclidean divergence of f0 * A.
     """
-    A = as_field(A, dim, degree, "curl_sym")
+    A = validate_multivector(A, dim, degree)
     if A.degree < 1:
         raise MultivectorError(f"curl expects degree >= 1, got {A.degree}")
     m = A.dim
-    f0e = as_scalar_expression(f0, m)
+    if isinstance(f0, Multivector):
+        f0 = f0.as_scalar()
+    f0e = Num(1.0) if f0 is None else as_expression(f0, m)
     scaled = Multivector.build(m, A.degree, {key: fold_mul(f0e, c) for key, c in A.items()})
     div = _euclidean_divergence(scaled)
     return Multivector.build(m, A.degree - 1, {key: fold_div(c, f0e) for key, c in div.items()})
@@ -274,7 +233,7 @@ def modular_vf_sym(
     P: Union[Multivector, Mapping], f0=None, dim: int | None = None
 ) -> Multivector:
     """Modular vector field of a bivector w.r.t. the volume f0 * Omega0."""
-    P = as_field(P, dim, 2, "modular_vf_sym")
+    P = validate_multivector(P, dim, 2)
     return curl_sym(P, f0)
 
 
@@ -329,7 +288,7 @@ def flaschka_ratiu_sym(
             f"expected {dim - 2} scalar functions for dimension {dim}, "
             f"got {len(casimirs)}"
         )
-    exprs = [k if isinstance(k, Expression) else parse(str(k), dim) for k in casimirs]
+    exprs = [as_expression(k, dim) for k in casimirs]
     columns = [differentiate_all(exprs, j) for j in range(1, dim + 1)]
     det = _minors([[column[r] for column in columns] for r in range(dim - 2)])
     rows = tuple(range(dim - 2))
@@ -357,10 +316,10 @@ def gauge_transformation_sym(
     one memoized determinant.  By M (I - Lambda M)^{-1} = (I - M Lambda)^{-1} M
     it is antisymmetric, so only its upper entries are built.
     """
-    P = as_field(P, dim, 2, "gauge_transformation_sym")
+    P = validate_multivector(P, dim, 2)
     m = P.dim
     M = bivector_to_matrix_sym(P).entries
-    L = bivector_to_matrix_sym(as_field(lam, m, 2, "gauge_transformation_sym")).entries
+    L = bivector_to_matrix_sym(validate_multivector(lam, m, 2)).entries
     G = [[Num(float(i == j)) for j in range(m)] for i in range(m)]
     for i in range(m):
         for j in range(m):
@@ -400,44 +359,6 @@ class NormalFormClass:
     has_modulus: bool = False
 
 
-def _linear_form(e: Expression, key) -> np.ndarray:
-    """Coefficients (c0, c1, c2, c3) of a homogeneous-linear expression."""
-    if isinstance(e, Num):
-        return np.array([e.value, 0.0, 0.0, 0.0])
-    if isinstance(e, Coord):
-        out = np.zeros(4)
-        out[e.index] = 1.0
-        return out
-    if isinstance(e, Param):
-        raise MultivectorError(
-            f"coefficient at key {key} contains parameter {e.name!r}; "
-            "normal-form classification needs numeric linear coefficients"
-        )
-    if isinstance(e, Neg):
-        return -_linear_form(e.child, key)
-    if isinstance(e, Add):
-        return _linear_form(e.left, key) + _linear_form(e.right, key)
-    if isinstance(e, Sub):
-        return _linear_form(e.left, key) - _linear_form(e.right, key)
-    if isinstance(e, Mul):
-        left = _linear_form(e.left, key)
-        right = _linear_form(e.right, key)
-        if not left[1:].any():
-            return left[0] * right
-        if not right[1:].any():
-            return right[0] * left
-        raise MultivectorError(f"coefficient at key {key} is not linear")
-    if isinstance(e, Div):
-        left = _linear_form(e.left, key)
-        right = _linear_form(e.right, key)
-        if not right[1:].any() and right[0] != 0.0:
-            return left / right[0]
-        raise MultivectorError(f"coefficient at key {key} is not linear")
-    if isinstance(e, (Pow, Call)):
-        raise MultivectorError(f"coefficient at key {key} is not linear")
-    raise MultivectorError(f"coefficient at key {key} is not linear")
-
-
 _REPRESENTATIVES = {
     "trivial": {},
     "heisenberg": {(2, 3): "x1"},
@@ -467,25 +388,33 @@ def linear_normal_form_r3(P: Union[Multivector, Mapping]) -> NormalFormClass:
 
     The class is read off the linear part L of the coefficient vector
     w = (c23, -c13, c12): the symmetric part S and the axial vector a of
-    the skew part determine it.  The bivector is assumed to satisfy the
-    Jacobi identity (S a = 0); that precondition is not checked.
+    the skew part determine it.  L holds the coefficients' partial
+    derivatives, which must fold to numbers; each coefficient must vanish
+    at the origin.  The bivector is assumed to satisfy the Jacobi identity
+    (S a = 0); that precondition is not checked.
     """
-    P = as_field(P, 3, 2, "linear_normal_form_r3")
-    if P.dim != 3:
-        raise MultivectorError(f"normal forms are defined on R^3, got dimension {P.dim}")
-    rows = [
-        _linear_form(P.coefficient((2, 3)), (2, 3)),
-        -_linear_form(P.coefficient((1, 3)), (1, 3)),
-        _linear_form(P.coefficient((1, 2)), (1, 2)),
-    ]
-    for key, row in zip(((2, 3), (1, 3), (1, 2)), rows):
-        if row[0] != 0.0:
+    P = validate_multivector(P, 3, 2)
+    keys = ((2, 3), (1, 3), (1, 2))
+    coeffs = [P.coefficient(key) for key in keys]
+    rows = []
+    for key, coeff in zip(keys, coeffs):
+        names = coeff.free_parameters()
+        if names:
             raise MultivectorError(
-                f"coefficient at key {key} is not homogeneous linear"
+                f"coefficient at key {key} contains parameter {min(names)!r}; "
+                "normal-form classification needs numeric linear coefficients"
             )
+        partials = [differentiate(coeff, j) for j in (1, 2, 3)]
+        # d sign(u)/dx folds to 0, so a sign term would pass for a constant.
+        if any(type(d) is not Num for d in partials) or "sign(" in to_source(coeff):
+            raise MultivectorError(f"coefficient at key {key} is not linear")
+        rows.append([d.value for d in partials])
+    for key, coeff, row in zip(keys, coeffs, rows):
+        if partial_eval(coeff, 3, None, (0.0, 0.0, 0.0)) != 0.0:
+            raise MultivectorError(f"coefficient at key {key} is not homogeneous linear")
         if not np.isfinite(row).all():
             raise MultivectorError(f"coefficient at key {key} is not finite")
-    L = np.array([row[1:] for row in rows])
+    L = np.array(rows) * np.array([[1.0], [-1.0], [1.0]])
     S = (L + L.T) / 2.0
     C = (L - L.T) / 2.0
     avec = np.array([C[2, 1], C[0, 2], C[1, 0]])
@@ -531,10 +460,10 @@ def one_forms_bracket_sym(
     minus the same expression with alpha and beta swapped, plus the
     gradient of the pairing <beta, sharp(alpha)>.
     """
-    P = as_field(P, dim, 2, "one_forms_bracket_sym")
+    P = validate_multivector(P, dim, 2)
     m = P.dim
-    alpha = as_field(alpha, m, 1, "one_forms_bracket_sym")
-    beta = as_field(beta, m, 1, "one_forms_bracket_sym")
+    alpha = validate_multivector(alpha, m, 1)
+    beta = validate_multivector(beta, m, 1)
     sharp_a = sharp_sym(P, alpha)
     sharp_b = sharp_sym(P, beta)
 

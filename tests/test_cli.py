@@ -16,6 +16,7 @@ import goldens as g
 from poissonmesh import bench, cli, geometry
 from poissonmesh import evaluate as ev
 from poissonmesh.evaluate import EvalOptions
+from poissonmesh.expressions import ExpressionError, UnboundParameterError, parse
 from poissonmesh.geometry import (
     BatchResult,
     Multivector,
@@ -590,8 +591,8 @@ class TestColumnarOutput:
 
 
 # Multivector files that are valid JSON but not a multivector: a non-object
-# "coeffs", "dim" or "degree" that are not JSON integers, and a coefficient
-# beyond the float64 range.
+# "coeffs", "dim" or "degree" that are not JSON integers, a coefficient
+# beyond the float64 range or a bool, and keys outside the key rule.
 MALFORMED_MULTIVECTORS = {
     "coeffs_number": '{"dim": 3, "degree": 2, "coeffs": 5}',
     "coeffs_list": '{"dim": 3, "degree": 2, "coeffs": ["x1"]}',
@@ -604,7 +605,13 @@ MALFORMED_MULTIVECTORS = {
     "dim_bool": '{"dim": true, "degree": 2, "coeffs": {}}',
     "dim_string": '{"dim": "3", "degree": 2, "coeffs": {}}',
     "coefficient_beyond_float": '{"dim": 3, "degree": 2, "coeffs": {"1,2": 1%s}}' % ("0" * 400),
+    "coefficient_bool": '{"dim": 3, "degree": 2, "coeffs": {"1,2": true}}',
     "document_list": '[3, 2, {}]',
+    # A key is ASCII digit runs joined by commas, and no key is written twice.
+    "key_with_space_twice": '{"dim": 3, "degree": 2, "coeffs": {"1,2": "x3", "1, 2": "x1"}}',
+    "key_with_zero_twice": '{"dim": 3, "degree": 2, "coeffs": {"1,2": "x3", "01,2": "x1"}}',
+    "key_underscore_sign": '{"dim": 3, "degree": 2, "coeffs": {"0_1,+2": "x3"}}',
+    "key_arabic_digit": '{"dim": 3, "degree": 2, "coeffs": {" 1 , \\u0663": "x2"}}',
 }
 
 _json_values = st.recursive(
@@ -633,6 +640,38 @@ _multivector_documents = st.fixed_dictionaries({
     "coeffs": st.dictionaries(_multivector_keys, _expression_text | _json_values, max_size=3)
     | _json_values,
 }) | _json_values
+
+
+# Each scalar flag as a method takes it, on R^3.
+SCALAR_FLAGS = {
+    "h": lambda text: ["num_hamiltonian_vf", "--bivector", EXAMPLES / "so3.json", f"--h={text}"],
+    "f0": lambda text: ["num_modular_vf", "--bivector", EXAMPLES / "so3.json", f"--f0={text}"],
+    "coboundary_argument": lambda text: [
+        "num_coboundary_operator", "--bivector", EXAMPLES / "so3.json", f"--argument={text}"
+    ],
+    "curl_argument": lambda text: ["num_curl_operator", "--dim", 3, f"--argument={text}"],
+    "casimir": lambda text: ["num_flaschka_ratiu_bivector", "--dim", 3, f"--casimir={text}"],
+}
+# Grammar tokens of the expression language and characters outside it.
+_TOKENS = [
+    "x1", "x2", "x3", "x4", "x0", "a", "0", "2.5", "1e999", ".5e-3", "+", "-", "*", "/",
+    "**", "(", ")", "sin(", "sign(", "foo(", " ", "\t", ",", "$", "\x00", "é", "--", "1.2.3",
+]
+_scalar_texts = st.recursive(
+    st.lists(st.sampled_from(_TOKENS), max_size=6).map("".join),
+    lambda inner: st.tuples(inner, st.sampled_from(_TOKENS), inner).map(
+        lambda t: f"({t[0]}){t[1]}{t[2]}"
+    ),
+    max_leaves=8,
+)
+
+
+def exit_code(*argv) -> int:
+    """``run_cli``, with argparse's usage error as its exit code."""
+    try:
+        return run_cli(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestExitCodes:
@@ -719,6 +758,63 @@ class TestExitCodes:
             "--mesh", mesh, "--out", tmp_path / "out.jsonl",
         )
         assert code in (0, 2, 3, 4, 5, 6)
+
+    @pytest.mark.parametrize("flag", sorted(SCALAR_FLAGS))
+    def test_unparsable_scalar_is_parse_failure(self, tmp_path, flag):
+        out = tmp_path / "out.jsonl"
+        code = run_cli("eval", *SCALAR_FLAGS[flag]("x1 +"), "--mesh", "corners", "--out", out)
+        assert code == cli.EXIT_PARSE
+        assert not out.exists()
+
+    # Expression text from grammar tokens and stray characters, through
+    # every scalar flag: a documented exit code, and 3 wherever the text
+    # does not parse, except for "--", which argparse cannot take as a value.
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_scalar_texts)
+    @example("--")
+    @example("x1 +")
+    @example("((x1)")
+    def test_any_scalar_text_exits_with_a_documented_code(self, tmp_path, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)  # no text names a file there
+        try:
+            parse(text, 3)
+            fails = False
+        except ExpressionError as err:
+            fails = not isinstance(err, UnboundParameterError)
+        for flag, argv in SCALAR_FLAGS.items():
+            code = exit_code("eval", *argv(text), "--mesh", "corners", "--out", "out.jsonl")
+            assert code in (0, 2, 3, 4, 5, 6), (flag, text)
+            if fails:
+                assert code == (2 if text == "--" else cli.EXIT_PARSE), (flag, text)
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "num_flaschka_ratiu_bivector", "--dim", 3, "--casimir=--"],
+        ["eval", "num_modular_vf", "--bivector", EXAMPLES / "so3.json", "--f0=--"],
+        ["eval", "num_bivector", "--bivector", EXAMPLES / "so3.json", "--param=--"],
+        ["eval", "num_bivector", "--bivector", EXAMPLES / "so3.json", "--out=--"],
+        ["bench", "--method", "num_bivector", "--sizes=--"],
+    ])
+    def test_dashes_as_option_value_is_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # argparse reads "--name=--" as an empty list, whatever the option's type.
+        monkeypatch.chdir(tmp_path)
+        if "--out=--" not in argv:
+            argv = argv + ["--out", "out.json"]
+        if argv[0] == "eval":
+            argv = argv + ["--mesh", "corners"]
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+        assert "'--'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_degree_option_is_gone(self, tmp_path):
+        # A JSON argument carries its own degree and inline text is degree 0.
+        with pytest.raises(SystemExit) as err:
+            run_cli("eval", "num_coboundary_operator", "--bivector", EXAMPLES / "so3.json",
+                    "--argument", "x1", "--degree", 0, "--mesh", "corners",
+                    "--out", tmp_path / "out.jsonl")
+        assert err.value.code == 2
 
     def test_very_long_expression_is_validation(self, tmp_path, capsys):
         h = tmp_path / "h.txt"

@@ -11,6 +11,7 @@ from poissonmesh import bench
 from poissonmesh import evaluate as ev
 from poissonmesh.evaluate import EvalOptions, MeshDimensionError
 from poissonmesh.expressions import (
+    ExpressionError,
     Num,
     UnboundParameterError,
     compile_expression,
@@ -26,9 +27,9 @@ from poissonmesh.geometry import (
     as_mesh,
     corners_mesh,
     random_mesh,
+    validate_multivector,
 )
 from poissonmesh.symbolic import (
-    as_field,
     curl_sym,
     flaschka_ratiu_sym,
     linear_normal_form_r3,
@@ -483,6 +484,27 @@ class TestModularAndCurl:
     def test_curl_degree_zero_rejected(self):
         with pytest.raises(MultivectorError, match="degree"):
             ev.num_curl_operator("x1", "1", corners_mesh(3), dim=3, degree=0)
+
+
+# Every scalar input goes through geometry.as_expression: a number beyond
+# float64, a bool or text that does not parse is an ExpressionError.
+@pytest.mark.parametrize(
+    "bad", [pytest.param(10**400, id="int_beyond_float64"), True, "x1 +", "x4"]
+)
+def test_bad_scalar_input_is_expression_error(bad):
+    mesh = corners_mesh(3)
+    calls = [
+        lambda: ev.num_curl_operator(g.SO3, bad, mesh, dim=3),
+        lambda: ev.num_modular_vf(g.SO3, bad, mesh, dim=3),
+        lambda: ev.num_hamiltonian_vf(g.SO3, bad, mesh, dim=3),
+        lambda: ev.num_poisson_bracket(g.SO3, "x1", bad, mesh, dim=3),
+        lambda: ev.num_coboundary_operator(g.SO3, bad, mesh, dim=3),
+        lambda: ev.num_flaschka_ratiu_bivector([bad], 3, mesh),
+    ]
+    for call in calls:
+        with pytest.raises(ExpressionError) as err:
+            call()
+        assert not isinstance(err.value, MultivectorError)
 
 
 class TestOneFormsBracket:
@@ -983,16 +1005,16 @@ def suite_reference_fields() -> dict:
     """method -> (symbolic result, output keys or None for its nonzero keys),
     built from the benchmark_suite() inputs as prepare_* builds them."""
     b = bench
-    P = as_field(b._P3, 3, 2, "P")
+    P = validate_multivector(b._P3, 3, 2)
     h, g_ = parse(b._H3, 3), parse(b._G3, 3)
     bracket = Num(0.0)
     for (i,), x_i in schouten_coboundary(P, h).items():
         bracket = fold_add(bracket, fold_mul(differentiate(g_, i), x_i))
     components = ((1,), (2,), (3,))
-    Q = as_field(b._Q3, 3, 2, "Q")
+    Q = validate_multivector(b._Q3, 3, 2)
     return {
         "num_bivector": (P, None),
-        "num_bivector_to_matrix": (as_field(b._E3, 3, 2, "E"), None),
+        "num_bivector_to_matrix": (validate_multivector(b._E3, 3, 2), None),
         "num_hamiltonian_vf": (schouten_coboundary(P, h), components),
         "num_poisson_bracket": (Multivector.build(3, 0, bracket), ((),)),
         "num_sharp_morphism": (sharp_sym(P, b._ALPHA3), components),
@@ -1090,9 +1112,9 @@ class TestOneProgramPerResult:
 
     @staticmethod
     def check_gauge(res, mesh, mode):
-        P = per_coefficient_reference(as_field(bench._P3, 3, 2, "P"), None, mesh)[2]
+        P = per_coefficient_reference(validate_multivector(bench._P3, 3, 2), None, mesh)[2]
         L = per_coefficient_reference(
-            as_field(bench._LAMBDA3, 3, 2, "L"), None, mesh
+            validate_multivector(bench._LAMBDA3, 3, 2), None, mesh
         )[2]
         G = np.eye(3) - L @ P
         det = np.abs(np.linalg.det(G))

@@ -9,6 +9,7 @@ from poissonmesh.geometry import (
     Mesh,
     Multivector,
     MultivectorError,
+    as_expression,
     as_mesh,
     corners_mesh,
     load_mesh,
@@ -18,6 +19,8 @@ from poissonmesh.geometry import (
 )
 
 import goldens
+
+BEYOND_FLOAT64 = pytest.param(10**400, id="int_beyond_float64")
 
 
 class TestCornersMesh:
@@ -199,6 +202,48 @@ class TestMultivector:
         with pytest.raises(MultivectorError):
             Multivector.build(3, 2, {(1, 2): "x5"})
 
+    # A key is an int or a tuple of ints: text, floats and bools are not read.
+    @pytest.mark.parametrize("key", ["12", "1,2", (1.9, 2.9), (True, 2), (1, np.int64(2)), 1.0])
+    def test_key_must_be_int_or_int_tuple(self, key):
+        with pytest.raises(MultivectorError, match="not an int or a tuple of ints"):
+            Multivector.build(3, 2, {key: "x1"})
+
+    def test_int_key_is_degree_one(self):
+        assert Multivector.build(3, 1, {2: "x1"}).keys() == ((2,),)
+
+    @pytest.mark.parametrize(
+        "value", [True, None, BEYOND_FLOAT64, [1.0], Multivector.build(3, 0, "x1")]
+    )
+    def test_bad_coefficient_names_its_key(self, value):
+        with pytest.raises(MultivectorError, match=r"coefficient at key \(1, 2\)"):
+            Multivector.build(3, 2, {(1, 2): value})
+
+    @pytest.mark.parametrize(
+        "value", ["x1 +", True, BEYOND_FLOAT64, ex.parse("x5", 5), [1.0]]
+    )
+    def test_bad_bare_scalar_is_expression_error(self, value):
+        with pytest.raises(ex.ExpressionError) as err:
+            Multivector.build(3, 0, value)
+        assert not isinstance(err.value, MultivectorError)
+
+
+class TestAsExpression:
+    def test_scalars(self):
+        x1 = ex.parse("x1", 3)
+        assert as_expression(x1, 3) is x1
+        assert as_expression(2, 3) == ex.Num(2.0)
+        assert as_expression(-0.0, 3) == ex.Num(-0.0)
+        assert as_expression(np.float64(0.5), 3) == ex.Num(0.5)
+        assert as_expression("x1 + 1", 3) == ex.parse("x1 + 1", 3)
+
+    @pytest.mark.parametrize("value", [
+        "x1 +", "x4", ex.parse("x4", 4), True, False, BEYOND_FLOAT64, None, b"x1",
+        np.int64(1),
+    ])
+    def test_rejected(self, value):
+        with pytest.raises(ex.ExpressionError):
+            as_expression(value, 3)
+
 
 class TestValidateMultivector:
     def test_accepts_all_example_fields(self):
@@ -217,6 +262,7 @@ class TestValidateMultivector:
     def test_multivector_passthrough(self):
         mv = Multivector.build(3, 2, goldens.SO3)
         assert validate_multivector(mv, 3) == mv
+        assert validate_multivector(mv) == mv
         with pytest.raises(MultivectorError):
             validate_multivector(mv, 4)
         with pytest.raises(MultivectorError):
@@ -226,6 +272,15 @@ class TestValidateMultivector:
         with pytest.raises(MultivectorError):
             validate_multivector({}, 3)
         assert validate_multivector({}, 3, degree=2).is_zero()
+
+    def test_raw_data_needs_dimension(self):
+        with pytest.raises(MultivectorError, match="dimension"):
+            validate_multivector(goldens.SO3)
+
+    def test_bare_scalar_is_degree_zero(self):
+        assert validate_multivector("x1*x2", 2) == Multivector.build(2, 0, "x1*x2")
+        with pytest.raises(ex.ExpressionError):
+            validate_multivector("x1 +", 2)
 
 
 class TestJson:
@@ -264,6 +319,14 @@ class TestJson:
         {"dim": 3, "degree": False, "coeffs": {}},
         {"dim": "3", "degree": 2, "coeffs": {}},
         {"dim": 3, "degree": 2, "coeffs": {"1,2": 10**400}},
+        {"dim": 3, "degree": 2, "coeffs": {"1,2": True}},
+        # Keys are ASCII digit runs joined by commas, each key written once.
+        {"dim": 3, "degree": 2, "coeffs": {"1,2": "x1", "1, 2": "x2"}},
+        {"dim": 3, "degree": 2, "coeffs": {"1,2": "x1", "01,2": "x2"}},
+        {"dim": 20, "degree": 2, "coeffs": {"1_2,+13": "x1"}},
+        {"dim": 20, "degree": 2, "coeffs": {" 2 , \u0663": "x1"}},
+        {"dim": 3, "degree": 2, "coeffs": {"1,2,": "x1"}},
+        {"dim": 3, "degree": 2, "coeffs": {",": "x1"}},
         [3, 2, {}],
         None,
     ])

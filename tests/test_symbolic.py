@@ -42,6 +42,7 @@ from oracles import (
     schouten_oracle,
 )
 from poissonmesh.expressions import (
+    ExpressionError,
     Num,
     compile_expression,
     differentiate,
@@ -391,6 +392,15 @@ class TestCurl:
         with pytest.raises(MultivectorError):
             curl_sym("x1", dim=3, degree=0)
 
+    def test_volume_density_is_one_scalar(self):
+        raw = {(1, 2): "x3"}
+        base = curl_sym(raw, "x1 + 2", dim=3)
+        assert curl_sym(raw, Multivector.build(3, 0, "x1 + 2"), dim=3) == base
+        assert curl_sym(raw, parse("x1 + 2", 3), dim=3) == base
+        for bad in ("x1 +", "x4", True, 10**400, [1.0]):
+            with pytest.raises(ExpressionError):
+                curl_sym(raw, bad, dim=3)
+
     def test_modular_requires_bivector(self):
         with pytest.raises(MultivectorError):
             modular_vf_sym(RADIAL_ONE_FORM_R3, dim=3)
@@ -550,6 +560,31 @@ class TestNormalForm:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(MultivectorError):
             linear_normal_form_r3({(1, 4): "x1"})
+
+    # The linear part is read from the partial derivatives; each must fold
+    # to a number.
+    @pytest.mark.parametrize("coeff", [
+        "x1", "2*x1 - x1", "x1/4", "-(-x1)", "exp(0)*x1 + 0*x2", "x1 + 0*sin(x2)",
+    ])
+    def test_linear_coefficient_accepted(self, coeff):
+        assert linear_normal_form_r3({(2, 3): coeff}).label == "heisenberg"
+
+    # 1e999*x1 is NaN at the origin (inf * 0), and reading it must not warn.
+    # d sign(x2)/dx2 folds to 0, so a sign term is refused on its own.
+    @pytest.mark.parametrize("coeff, message", [
+        ("x1**2", "not linear"),
+        ("sin(x1)", "not linear"),
+        ("x1*x2", "not linear"),
+        ("x1/x2", "not linear"),
+        ("x1 + sign(x2)", "not linear"),
+        ("a*x1", "parameter 'a'"),
+        ("x1 + 1", "not homogeneous"),
+        ("1e999*x1", "not homogeneous"),
+        ("1e308*x1*10", "not finite"),
+    ])
+    def test_coefficient_rejected(self, coeff, message):
+        with pytest.raises(MultivectorError, match=rf"key \(2, 3\).*{message}"):
+            linear_normal_form_r3({(2, 3): coeff})
 
 
 # --- Bracket of one-forms ---------------------------------------------------
