@@ -18,6 +18,11 @@ Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
 49,152 values (16,384 rows of three).  jsonl bytes are those of
 ``json.dumps``: each chunk fills one line template from its values, and
 only poles, residual text and non-float64 entries are swapped for tokens.
+csv bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``.  Both
+writers format each distinct column of a chunk once, and the bytes do not
+change for it: a float64 column constant over the chunk is one literal in
+its line template, and a matrix entry (i, j), i > j, that is the sign flip
+of (j, i) over the chunk, or NaN with it, reuses that entry's text.
 Every file, ``mesh`` output included, is written beside its target and then
 renamed into place, so a failed write leaves no partial file.
 """
@@ -43,7 +48,9 @@ from .geometry import (
     Mesh,
     Multivector,
     MultivectorError,
+    _chunk_text,
     _key_text,
+    _mirror_pairs,
     _text_chunks,
     atomic_write,
     corners_mesh,
@@ -242,6 +249,12 @@ def _tokenized(block: np.ndarray, swap: np.ndarray) -> np.ndarray:
     return block
 
 
+def _json_ready(block: np.ndarray) -> np.ndarray:
+    """``block`` with each entry that is not finite float64 its token."""
+    swap = ~np.isfinite(block) if block.dtype == np.float64 else np.ones(block.shape, bool)
+    return _tokenized(block, swap) if swap.any() else block
+
+
 def _write_jsonl(result: BatchResult, fh) -> None:
     """Fill one line template, built once per result, a chunk of rows at a time.
 
@@ -250,8 +263,9 @@ def _write_jsonl(result: BatchResult, fh) -> None:
     ``json.dumps`` does; only the entries that are not finite float64 (poles,
     residual text, other dtypes) are first swapped for their tokens.  A
     record with a valid flag takes one of two lines, ``false`` or ``true``.
+    ``geometry._chunk_text`` formats each distinct column of a chunk once.
     """
-    valid = None
+    valid, pairs = None, ()
     if result.kind == "records":
         columns, valid = result.columns, result.valid
         skeleton = {"coeffs": {
@@ -261,20 +275,17 @@ def _write_jsonl(result: BatchResult, fh) -> None:
             skeleton["valid"] = _SLOT
     else:
         columns = result.data.reshape(len(result), math.prod(result.data.shape[1:])).T
+        pairs = _mirror_pairs(result.data.shape[1:])
         name = "value" if result.kind == "scalar" else result.kind
         skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
     template = json.dumps(skeleton).replace(json.dumps(_SLOT), _SLOT) + "\n"
-    if valid is not None:
-        lines = tuple(template % ((_SLOT,) * len(columns) + (flag,)) for flag in ("false", "true"))
+    lines = (template,) if valid is None else tuple(
+        template % ((_SLOT,) * len(columns) + (flag,)) for flag in ("false", "true")
+    )
     for span in _text_chunks(len(result), len(columns) + (valid is not None)):
-        block = columns[:, span]
-        swap = ~np.isfinite(block) if block.dtype == np.float64 else np.ones(block.shape, bool)
-        if swap.any():
-            block = _tokenized(block, swap)
-        fh.write(((  # unnamed, so the chunk's template is freed before the encode
-            template * (span.stop - span.start) if valid is None
-            else "".join(map(lines.__getitem__, valid[span].tolist()))
-        ) % tuple(block.T.ravel().tolist())).encode())
+        choice = None if valid is None else valid[span].tolist()
+        # Unnamed, so a chunk's text is freed before the next one is formatted.
+        fh.write(_chunk_text(columns[:, span], _SLOT, lines, choice, pairs, _json_ready).encode())
 
 
 def write_result(result: BatchResult, path: str, fmt: str):
@@ -292,7 +303,7 @@ def write_result(result: BatchResult, path: str, fmt: str):
             atomic_write(f"{path}.valid.npy", lambda fh: np.save(fh, result.valid))
         return
     if fmt == "csv":
-        save_csv(path, data.reshape(len(data), math.prod(data.shape[1:])))
+        save_csv(path, data)
         return
     raise MultivectorError(f"unknown output format {fmt!r}")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -191,7 +192,10 @@ class Multivector:
         for text, value in raw.items():
             if not (isinstance(text, str) and _KEY_TEXT.fullmatch(text)):
                 raise MultivectorError(f"key {text!r:.40} is not indices joined by commas")
-            key = tuple(map(int, text.split(","))) if text else ()
+            try:
+                key = tuple(map(int, text.split(","))) if text else ()
+            except ValueError:  # a run beyond Python's limit on integer digits
+                raise MultivectorError(f"key {text!r:.40} has an index too long") from None
             if key in coeffs:
                 raise MultivectorError(f"key {key} appears more than once")
             coeffs[key] = value
@@ -329,18 +333,105 @@ def _text_chunks(k: int, width: int) -> list:
     return _row_chunks(k, max(1, _CHUNK_VALUES // max(1, width)))
 
 
-def _write_csv(fh: BinaryIO, rows: np.ndarray) -> None:
-    """Write a (k, n) float array as csv, each value ``%.17g``, filling one
-    row template per chunk (the bytes NumPy's savetxt writes with that fmt)."""
-    template = b",".join([b"%.17g"] * rows.shape[1]) + b"\n"
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _mirror_pairs(shape: tuple) -> tuple:
+    """(lower, upper) flat places of the entries (i, j), i > j, and (j, i) of
+    a row shaped (m, m); none for any other row shape."""
+    m = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    return tuple((i * m + j, j * m + i) for i in range(m) for j in range(i))
+
+
+def _format_columns(template: str, values: np.ndarray, spec: str, order=None) -> str:
+    """Fill ``template`` row by row from the (columns, rows) block ``values``:
+    with each value, or, given ``order``, with the ``spec`` texts of the
+    columns it lists, so that one column's text can fill several slots."""
+    if order is None:
+        return template % tuple(values.T.ravel().tolist())
+    texts = ((spec + "\n") * values.size % tuple(values.ravel().tolist())).split("\n")
+    texts = np.array(texts[:-1], dtype=object).reshape(values.shape)
+    return template % tuple(texts[order].T.ravel().tolist())
+
+
+def _chunk_text(block: np.ndarray, spec: str, lines: tuple, choice=None,
+                pairs: tuple = (), ready=None) -> str:
+    """The text of the (columns, rows) chunk ``block``, each distinct column
+    formatted once.
+
+    ``lines`` are line templates, one ``%s`` per column and no ``-`` before
+    one; row r takes ``lines[choice[r]]``, or ``lines[0]`` if ``choice`` is
+    None.  The plan is checked on the chunk's data, and the text is that of
+    formatting every value by ``spec``:
+
+    - a float64 column whose bits are all equal is a literal in the lines;
+    - the lower column of a ``pairs`` entry (lower, upper), neither
+      constant, that is the sign flip of the upper's bits in every row, or
+      NaN where it is, takes the upper's text with the sign flipped: a
+      leading ``-`` dropped, a NaN's text kept, else ``-`` prepended;
+    - every other column is formatted from ``ready(values)`` (by default
+      the values themselves).
+    """
+    ready = ready or (lambda values: values)
+    n, rows = block.shape
+    literals, mirrors = {}, {}
+    if block.dtype == np.float64 and n:
+        bits = block.view(np.uint64)
+        constant = (bits == bits[:, :1]).all(axis=1)
+        columns = np.flatnonzero(constant)
+        literals = dict(zip(columns.tolist(), (
+            spec % value for value in ready(block[columns, :1]).ravel().tolist()
+        )))
+        if pairs:
+            lower, upper = np.array(pairs).T
+            nan = np.isnan(block[lower])
+            flipped = (bits[lower] == bits[upper] ^ _SIGN_BIT) | nan & np.isnan(block[upper])
+            keep = flipped.all(axis=1) & ~constant[lower] & ~constant[upper]
+            mirrors = dict(zip(lower[keep].tolist(), upper[keep].tolist()))
+    formatted = [c for c in range(n) if c not in literals and c not in mirrors]
+    values = ready(block if len(formatted) == n else block[formatted])
+    order, slot = None, spec
+    if mirrors:
+        place = {c: i for i, c in enumerate(formatted)}
+        order = [place[mirrors.get(c, c)] for c in range(n) if c not in literals]
+        slot = "%s"  # each slot takes a text, not a value
+    slots = tuple(literals.get(c, "-%s" if c in mirrors else slot) for c in range(n))
+    text = _format_columns(_chunk_lines(lines, slots, rows, choice), values, spec, order)
+    if mirrors:
+        text = text.replace("--", "")  # a negative text in a "-%s" slot
+        if nan[keep].any():
+            nan_text = spec % ready(np.full((1, 1), np.nan))[0, 0]
+            text = text.replace("-" + nan_text, nan_text)
+    return text
+
+
+def _chunk_lines(lines: tuple, slots: tuple, rows: int, choice) -> str:
+    """The chunk's template: ``lines`` with ``slots`` filled in, one a row."""
+    if choice is None:
+        return lines[0] % slots * rows
+    filled = tuple(line % slots for line in lines)
+    return "".join(map(filled.__getitem__, choice))
+
+
+def _write_csv(fh: BinaryIO, data: np.ndarray) -> None:
+    """Write a float array of k rows as csv, each row flattened row-major.
+
+    The bytes are those NumPy's savetxt writes with ``fmt="%.17g"`` and
+    ``delimiter=","``.  Each chunk formats each distinct column once
+    (``_chunk_text``): a column constant over the chunk is one literal, and
+    an entry (i, j), i > j, of a (k, m, m) array that is the exact negation
+    of (j, i), as in an antisymmetric matrix, reuses its text.
+    """
+    rows = data.reshape(len(data), math.prod(data.shape[1:]))
+    line = ",".join(["%s"] * rows.shape[1]) + "\n"
+    pairs = _mirror_pairs(data.shape[1:])
     for span in _text_chunks(len(rows), rows.shape[1]):
-        values = tuple(rows[span].ravel().tolist())
-        fh.write((template * (span.stop - span.start)) % values)
+        fh.write(_chunk_text(rows[span].T, "%.17g", (line,), pairs=pairs).encode())
 
 
-def save_csv(path, rows: np.ndarray) -> None:
-    """Atomically write a (k, n) float array as csv, one row per line."""
-    atomic_write(path, lambda fh: _write_csv(fh, rows))
+def save_csv(path, data: np.ndarray) -> None:
+    """Atomically write a float array of k rows as csv, one row per line."""
+    atomic_write(path, lambda fh: _write_csv(fh, data))
 
 
 def save_mesh(mesh: Mesh, path: str) -> None:

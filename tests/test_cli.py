@@ -462,6 +462,38 @@ def _valid_mask(k: int, *invalid) -> np.ndarray:
     return valid
 
 
+def _antisymmetric(k: int, m: int) -> np.ndarray:
+    """A (k, m, m) block as the evaluator lays one out: the repr edges in
+    each upper entry, their ``np.negative`` below it, +0.0 on the diagonal."""
+    block = np.zeros((k, m, m))
+    upper = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for (i, j), column in zip(upper, _edge_block(len(upper), k + 3)[:, 3:]):
+        block[:, i, j] = column
+        np.negative(column, out=block[:, j, i])
+    return block
+
+
+def _with_entries(block: np.ndarray, *entries) -> np.ndarray:
+    """``block`` with each (row, i, j, value) of ``entries`` written in."""
+    block = block.copy()
+    for row, i, j, value in entries:
+        block[row, i, j] = value
+    return block
+
+
+def _with_upper(block: np.ndarray, *entries) -> np.ndarray:
+    """``block`` with each (row, i, j, value) of ``entries`` written in
+    above the diagonal and its ``np.negative`` below it."""
+    return _with_entries(block, *entries, *(
+        (row, j, i, np.negative(value)) for row, i, j, value in entries
+    ))
+
+
+def _constant_columns(k: int) -> np.ndarray:
+    """Columns of 0.0, -0.0, NaN and 1e16, then one of the repr edges."""
+    return np.vstack((np.repeat([[0.0], [-0.0], [np.nan], [1e16]], k, axis=1), _edge_block(1, k)))
+
+
 def _residual_text_columns() -> np.ndarray:
     columns = _edge_block(2, 40).astype(object)
     columns[0, 17] = "2.0*a*x1"
@@ -471,7 +503,10 @@ def _residual_text_columns() -> np.ndarray:
 
 # Hand-built results for the jsonl writer.  At 48 values a chunk, a
 # 3-column record result has 16 rows a chunk, so poles at rows 20 and 40
-# put a finite chunk before and after each non-finite one.
+# put a finite chunk before and after each non-finite one.  A 3x3 matrix
+# has 5 rows a chunk and a 4x4 one 3, so the matrix cases below put a pole,
+# an invalid row or a row that is not antisymmetric inside a chunk whose
+# other rows are.
 WRITER_CASES = {
     "repr_edges": lambda: _records(_edge_block(3, 40)),
     "nan_chunk": lambda: _records(_with_poles(_edge_block(3, 64), (20, 1, np.nan))),
@@ -504,6 +539,34 @@ WRITER_CASES = {
         "matrix", np.where(np.arange(180).reshape(20, 3, 3) == 100, np.nan, _edge_block(20, 3, 3))
     ),
     "matrix_k0": lambda: BatchResult("matrix", np.empty((0, 3, 3))),
+    "antisymmetric_m3_poles": lambda: BatchResult("matrix", _with_upper(
+        _antisymmetric(20, 3), (7, 0, 1, np.nan), (8, 0, 2, np.inf), (12, 1, 2, -np.inf)
+    )),
+    "antisymmetric_m4_poles": lambda: BatchResult("matrix", _with_upper(
+        _antisymmetric(20, 4), (4, 0, 3, np.nan), (5, 1, 2, np.inf), (10, 2, 3, -np.inf)
+    )),
+    # -0.0 above the diagonal and +0.0 below it, in every row of (1, 2).
+    "antisymmetric_negative_zero": lambda: BatchResult("matrix", _with_upper(
+        _antisymmetric(20, 3), *((row, 0, 1, -0.0) for row in range(20))
+    )),
+    # The evaluator writes neither side of an absent key: +0.0 both sides.
+    "antisymmetric_absent_key": lambda: BatchResult("matrix", _with_entries(
+        _antisymmetric(20, 4), *((row, i, j, 0.0) for row in range(20) for i, j in ((1, 3), (3, 1)))
+    )),
+    # A gauge-invalid row is NaN throughout, the diagonal too.
+    "antisymmetric_invalid_row": lambda: BatchResult("matrix", _with_entries(
+        _antisymmetric(20, 3), *((7, i, j, np.nan) for i in range(3) for j in range(3))
+    ), valid=_valid_mask(20, 7)),
+    "antisymmetry_broken_in_one_row": lambda: BatchResult("matrix", _with_entries(
+        _antisymmetric(20, 3), (6, 1, 0, 0.1)
+    )),
+    "records_constant_columns": lambda: _records(
+        _with_poles(_constant_columns(30), *((20, c, np.nan) for c in range(5))),
+        valid=_valid_mask(30, 20),
+    ),
+    "vector_constant_columns": lambda: BatchResult("vector", _constant_columns(40).T),
+    # 48 rows a chunk: one chunk of each constant, then a chunk of edges.
+    "scalar_constant_chunks": lambda: BatchResult("scalar", _constant_columns(48).ravel()),
     "vector_float32": lambda: BatchResult("vector", _edge_block(40, 3).astype(np.float32)),
     "scalar_int64": lambda: BatchResult("scalar", np.arange(-50, 50)),
     # json.dumps writes true where a bare %s fill would write True.
@@ -590,6 +653,43 @@ class TestColumnarOutput:
             cli.write_result(WRITER_CASES["nan_chunk"](), str(out), "jsonl")
 
 
+    def test_only_distinct_upper_entries_formatted(self, tmp_path, monkeypatch):
+        # Per chunk, an antisymmetric matrix's text needs only the entries on
+        # and above the diagonal that are not constant there; each entry
+        # below reuses its transpose's text.  In the suite's matrices the
+        # diagonal is constant, so only upper entries are formatted.
+        calls = []
+        format_columns = geometry._format_columns
+
+        def spy(template, values, spec, order=None):
+            calls.append([[spec % v for v in column] for column in values.tolist()])
+            return format_columns(template, values, spec, order)
+
+        monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
+        monkeypatch.setattr(geometry, "_format_columns", spy)
+        matrices = [r for r in suite_results(70) if r.kind == "matrix"]
+        assert len(matrices) == 7
+        matrices += [WRITER_CASES[case]() for case in (
+            "antisymmetric_m3_poles", "antisymmetric_m4_poles", "antisymmetric_negative_zero",
+            "antisymmetric_absent_key", "antisymmetric_invalid_row",
+        )]
+        for result in matrices:
+            k, m = result.data.shape[:2]
+            rows = result.data.reshape(k, m * m)
+            lower = {i * m + j for i in range(m) for j in range(i)}
+            for fmt, text in (("jsonl", json.dumps), ("csv", "%.17g".__mod__)):
+                expected = []
+                for span in geometry._text_chunks(k, m * m):
+                    bits = rows[span].view(np.uint64)
+                    expected.append([
+                        list(map(text, rows[span, c].tolist())) for c in range(m * m)
+                        if c not in lower and (bits[:, c] != bits[0, c]).any()
+                    ])
+                calls.clear()
+                cli.write_result(result, str(tmp_path / f"out.{fmt}"), fmt)
+                assert calls == expected
+
+
 # Multivector files that are valid JSON but not a multivector: a non-object
 # "coeffs", "dim" or "degree" that are not JSON integers, a coefficient
 # beyond the float64 range or a bool, and keys outside the key rule.
@@ -612,6 +712,8 @@ MALFORMED_MULTIVECTORS = {
     "key_with_zero_twice": '{"dim": 3, "degree": 2, "coeffs": {"1,2": "x3", "01,2": "x1"}}',
     "key_underscore_sign": '{"dim": 3, "degree": 2, "coeffs": {"0_1,+2": "x3"}}',
     "key_arabic_digit": '{"dim": 3, "degree": 2, "coeffs": {" 1 , \\u0663": "x2"}}',
+    # An index of more digits than Python's int() reads.
+    "key_beyond_int_digits": '{"dim": 3, "degree": 1, "coeffs": {"%s": "x1"}}' % ("1" * 5000),
 }
 
 _json_values = st.recursive(

@@ -329,6 +329,8 @@ class TestJson:
         {"dim": 3, "degree": 2, "coeffs": {",": "x1"}},
         [3, 2, {}],
         None,
+        # A digit run beyond Python's 4,300-digit limit on int().
+        {"dim": 3, "degree": 1, "coeffs": {"1" * 5000: "x1"}},
     ])
     def test_malformed_json_rejected(self, data):
         # dim and degree are JSON integers, never truncated; coeffs is an object.
