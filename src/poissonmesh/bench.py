@@ -34,7 +34,6 @@ __all__ = [
     "time_method",
     "fit_loglog",
     "benchmark_suite",
-    "run_benchmark",
     "default_environment",
 ]
 
@@ -114,19 +113,19 @@ class TimingReport:
 
 
 def time_method(
-    method: str,
-    evaluator: Callable[[Mesh], BatchResult],
-    dim: int,
+    case: BenchCase,
     sizes: Sequence[int],
+    options: EvalOptions | None = None,
     repeats: int = 5,
     seed: int = 0,
-    workers: int | None = None,
-    environment: str | None = None,
-    mode: str = "records",
 ) -> TimingReport:
-    """Time a prepared evaluator over seeded random meshes of each size.
+    """Prepare a case's evaluator and time it over seeded random meshes of
+    each size.
 
-    Mesh generation is excluded from the timed region; each repeat times a
+    ``case.factory(options)`` runs once, before timing starts.  The report
+    names the case's method and the ``mode`` and ``workers`` of the options
+    (default ``EvalOptions()``) the evaluator was prepared with.  Mesh
+    generation is excluded from the timed region; each repeat times a
     single evaluator call and one read of its ``data`` (records build there).
     Per size, garbage from earlier work is collected, then one untimed
     warm-up call pre-faults pages and rebuilds allocator arenas, and the
@@ -134,6 +133,9 @@ def time_method(
     ``timeit`` does; reference counting still frees each call's output),
     so the repeats measure steady-state cost.
     """
+    options = EvalOptions() if options is None else options
+    # Prepared first, so that an input error outranks a bad repeat count.
+    evaluator = case.factory(options)
     if repeats < 1:
         raise MultivectorError(f"repeats must be >= 1, got {repeats}")
     sizes = tuple(int(k) for k in sizes)
@@ -141,7 +143,7 @@ def time_method(
     gc_was_enabled = gc.isenabled()
     try:
         for index, k in enumerate(sizes):
-            mesh = random_mesh(k, dim, seed=seed + index)
+            mesh = random_mesh(k, case.dim, seed=seed + index)
             gc.collect()
             evaluator(mesh).data
             if gc_was_enabled:
@@ -159,17 +161,15 @@ def time_method(
         if gc_was_enabled:
             gc.enable()
     return TimingReport(
-        method=method,
+        method=case.method,
         sizes=sizes,
         mean_s=tuple(means),
         std_s=tuple(stds),
         repeats=repeats,
         seed=seed,
-        workers=workers,
-        mode=mode,
-        environment=(
-            default_environment() if environment is None else environment
-        ),
+        workers=options.workers,
+        mode=options.mode,
+        environment=default_environment(),
     )
 
 
@@ -299,29 +299,3 @@ def benchmark_suite() -> dict[str, BenchCase]:
     ]
     return {case.method: case for case in cases}
 
-
-def run_benchmark(
-    case: BenchCase,
-    sizes: Sequence[int],
-    repeats: int = 5,
-    seed: int = 0,
-    workers: int | None = None,
-    mode: str = "records",
-    params: Mapping[str, float] | None = None,
-) -> TimingReport:
-    """Prepare a case's evaluator, time it over the sizes, and fit."""
-    options = EvalOptions(mode=mode, params=dict(params or {}), workers=workers)
-    evaluator = case.factory(options)
-    report = time_method(
-        case.method,
-        evaluator,
-        case.dim,
-        sizes,
-        repeats=repeats,
-        seed=seed,
-        workers=workers,
-        mode=mode,
-    )
-    if len(report.sizes) >= 2:
-        report = fit_loglog(report)
-    return report

@@ -9,7 +9,8 @@ Output formats: ``jsonl`` (one JSON object per mesh point; coefficient keys
 are comma-joined index tuples under "coeffs", with a "valid" flag where the
 method produces one; a dense result, such as the always-dense
 ``num_bivector_to_matrix``, gives {"matrix": [[...], ...]}, {"vector": [...]}
-or {"value": ...} lines), ``npy`` (a float64 tensor shaped (k,), (k, m), or
+or {"value": ...} lines, with the "valid" flag after them when the result
+has a mask), ``npy`` (a float64 tensor shaped (k,), (k, m), or
 (k, m, m); a sibling ``<out>.valid.npy`` carries the validity mask when
 present), and ``csv`` (the same tensor flattened to one row per point).
 ``jsonl`` uses the records output mode; ``npy`` and ``csv`` use dense mode.
@@ -35,12 +36,13 @@ import math
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import bench as bench_mod
 from . import evaluate as ev
+from .bench import BenchCase, benchmark_suite, fit_loglog, time_method
 from .evaluate import EvalOptions, MeshDimensionError
 from .expressions import ExpressionError, UnboundParameterError
 from .geometry import (
@@ -170,8 +172,9 @@ def _argument_input(args):
     return _scalar_arg(raw)
 
 
-def _build_case(args, options: EvalOptions):
-    """(dim, evaluator) for the requested method from parsed flags."""
+def _build_case(args) -> BenchCase:
+    """The requested method's inputs, read and checked from parsed flags, as a
+    case whose factory prepares the method with the options it is given."""
     method = args.method
     dim = args.dim
 
@@ -180,59 +183,59 @@ def _build_case(args, options: EvalOptions):
 
     if method == "num_bivector":
         P = bivector()
-        return P.dim, ev.prepare_bivector(P, options, dim=dim)
+        return BenchCase(method, P.dim, partial(ev.prepare_bivector, P, dim=dim))
     if method == "num_bivector_to_matrix":
         P = bivector()
-        return P.dim, ev.prepare_bivector_to_matrix(P, options, dim=dim)
+        return BenchCase(method, P.dim, partial(ev.prepare_bivector_to_matrix, P, dim=dim))
     if method == "num_hamiltonian_vf":
         P = bivector()
         h = _scalar_arg(_require(args, "h"))
-        return P.dim, ev.prepare_hamiltonian_vf(P, h, options, dim=dim)
+        return BenchCase(method, P.dim, partial(ev.prepare_hamiltonian_vf, P, h, dim=dim))
     if method == "num_poisson_bracket":
         P = bivector()
         f = _scalar_arg(_require(args, "f"))
         g = _scalar_arg(_require(args, "g"))
-        return P.dim, ev.prepare_poisson_bracket(P, f, g, options, dim=dim)
+        return BenchCase(method, P.dim, partial(ev.prepare_poisson_bracket, P, f, g, dim=dim))
     if method == "num_sharp_morphism":
         P = bivector()
         alpha = _load_multivector(_require(args, "alpha"), "--alpha")
-        return P.dim, ev.prepare_sharp_morphism(P, alpha, options, dim=dim)
+        return BenchCase(method, P.dim, partial(ev.prepare_sharp_morphism, P, alpha, dim=dim))
     if method == "num_coboundary_operator":
         P = bivector()
         A = _argument_input(args)
-        return P.dim, ev.prepare_coboundary_operator(P, A, options, dim=dim)
+        return BenchCase(method, P.dim, partial(ev.prepare_coboundary_operator, P, A, dim=dim))
     if method == "num_modular_vf":
         P = bivector()
         f0 = _scalar_arg(args.f0)
-        return P.dim, ev.prepare_modular_vf(P, f0, options, dim=dim)
+        return BenchCase(method, P.dim, partial(ev.prepare_modular_vf, P, f0, dim=dim))
     if method == "num_curl_operator":
         A = _argument_input(args)
         f0 = _scalar_arg(args.f0)
         a_dim = A.dim if isinstance(A, Multivector) else dim
         if a_dim is None:
             raise MultivectorError("--dim is required for a scalar --argument")
-        return a_dim, ev.prepare_curl_operator(A, f0, options, dim=dim)
+        return BenchCase(method, a_dim, partial(ev.prepare_curl_operator, A, f0, dim=dim))
     if method == "num_one_forms_bracket":
         P = bivector()
         alpha = _load_multivector(_require(args, "alpha"), "--alpha")
         beta = _load_multivector(_require(args, "beta"), "--beta")
-        return P.dim, ev.prepare_one_forms_bracket(
-            P, alpha, beta, options, dim=dim
+        return BenchCase(
+            method, P.dim, partial(ev.prepare_one_forms_bracket, P, alpha, beta, dim=dim)
         )
     if method == "num_gauge_transformation":
         P = bivector()
         lam = _load_multivector(_require(args, "lam"), "--lam")
-        return P.dim, ev.prepare_gauge_transformation(P, lam, options, dim=dim)
+        return BenchCase(method, P.dim, partial(ev.prepare_gauge_transformation, P, lam, dim=dim))
     if method == "num_linear_normal_form_r3":
         P = bivector()
-        return 3, ev.prepare_linear_normal_form_r3(P, options)
+        return BenchCase(method, 3, partial(ev.prepare_linear_normal_form_r3, P))
     if method == "num_flaschka_ratiu_bivector":
         casimirs = _scalar_list_arg(_require(args, "casimir"))
         if dim is None:
             raise MultivectorError(
                 "--dim is required for num_flaschka_ratiu_bivector"
             )
-        return dim, ev.prepare_flaschka_ratiu_bivector(casimirs, dim, options)
+        return BenchCase(method, dim, partial(ev.prepare_flaschka_ratiu_bivector, casimirs, dim))
     raise MultivectorError(f"unknown method {method!r}")
 
 
@@ -262,22 +265,23 @@ def _write_jsonl(result: BatchResult, fh) -> None:
     are its entries in row-major order.  A ``%s`` slot writes a float as
     ``json.dumps`` does; only the entries that are not finite float64 (poles,
     residual text, other dtypes) are first swapped for their tokens.  A
-    record with a valid flag takes one of two lines, ``false`` or ``true``.
+    row of a result with a valid mask, records or dense, takes one of two
+    lines, ``false`` or ``true``.
     ``geometry._chunk_text`` formats each distinct column of a chunk once.
     """
-    valid, pairs = None, ()
+    valid, pairs = result.valid, ()
     if result.kind == "records":
-        columns, valid = result.columns, result.valid
+        columns = result.columns
         skeleton = {"coeffs": {
             _key_text(key) if isinstance(key, tuple) else key: _SLOT for key in result.keys
         }}
-        if valid is not None:
-            skeleton["valid"] = _SLOT
     else:
         columns = result.data.reshape(len(result), math.prod(result.data.shape[1:])).T
         pairs = _mirror_pairs(result.data.shape[1:])
         name = "value" if result.kind == "scalar" else result.kind
         skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
+    if valid is not None:
+        skeleton["valid"] = _SLOT
     template = json.dumps(skeleton).replace(json.dumps(_SLOT), _SLOT) + "\n"
     lines = (template,) if valid is None else tuple(
         template % ((_SLOT,) * len(columns) + (flag,)) for flag in ("false", "true")
@@ -323,9 +327,10 @@ def cmd_eval(args) -> int:
         mode=mode, params=_parse_params(args.param), workers=args.workers
     )
     t0 = time.perf_counter()
-    dim, evaluator = _build_case(args, options)
+    case = _build_case(args)
+    evaluator = case.factory(options)
     t1 = time.perf_counter()
-    mesh = _load_mesh_arg(args.mesh, args.dim if args.dim is not None else dim)
+    mesh = _load_mesh_arg(args.mesh, args.dim if args.dim is not None else case.dim)
     t2 = time.perf_counter()
     result = evaluator(mesh)
     t3 = time.perf_counter()
@@ -364,15 +369,8 @@ def cmd_bench(args) -> int:
     options = EvalOptions(
         mode="records", params=_parse_params(args.param), workers=args.workers
     )
-    if custom:
-        dim, evaluator = _build_case(args, options)
-    else:
-        case = bench_mod.benchmark_suite()[args.method]
-        dim, evaluator = case.dim, case.factory(options)
-    report = bench_mod.fit_loglog(bench_mod.time_method(
-        args.method, evaluator, dim, sizes, repeats=args.repeats, seed=args.seed,
-        workers=args.workers, mode=options.mode,
-    ))
+    case = _build_case(args) if custom else benchmark_suite()[args.method]
+    report = fit_loglog(time_method(case, sizes, options, repeats=args.repeats, seed=args.seed))
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
     atomic_write(args.out, lambda fh: fh.write(text.encode()))
     print(

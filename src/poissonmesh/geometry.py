@@ -278,11 +278,8 @@ class Mesh:
         return self.k
 
 
-def as_mesh(points: Union[Mesh, np.ndarray, Iterable], dim: int | None = None) -> Mesh:
-    mesh = points if isinstance(points, Mesh) else Mesh(np.asarray(points, dtype=float))
-    if dim is not None and mesh.dim != dim:
-        raise ValueError(f"mesh has dimension {mesh.dim}, expected {dim}")
-    return mesh
+def as_mesh(points: Union[Mesh, np.ndarray, Iterable]) -> Mesh:
+    return points if isinstance(points, Mesh) else Mesh(np.asarray(points, dtype=float))
 
 
 def corners_mesh(dim: int) -> Mesh:
@@ -445,7 +442,7 @@ def save_mesh(mesh: Mesh, path: str) -> None:
         raise ValueError(f"unsupported mesh format: {text}")
 
 
-def load_mesh(path: str, dim: int | None = None) -> Mesh:
+def load_mesh(path: str) -> Mesh:
     text = str(path)
     if text.endswith(".npy"):
         arr = np.load(text)
@@ -453,7 +450,7 @@ def load_mesh(path: str, dim: int | None = None) -> Mesh:
         arr = np.loadtxt(text, delimiter=",", ndmin=2)
     else:
         raise ValueError(f"unsupported mesh format: {text}")
-    return as_mesh(arr, dim)
+    return as_mesh(arr)
 
 
 # --- Batch results ----------------------------------------------------------

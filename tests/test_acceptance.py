@@ -274,12 +274,12 @@ def scaling_reports():
     reports = {}
     start = time.perf_counter()
     for name in SLOPE_METHODS:
-        reports[name] = bench.run_benchmark(
+        reports[name] = bench.fit_loglog(bench.time_method(
             suite[name], SCALING_SIZES, repeats=7, seed=SEED
-        )
-    reports["num_modular_vf"] = bench.run_benchmark(
+        ))
+    reports["num_modular_vf"] = bench.fit_loglog(bench.time_method(
         suite["num_modular_vf"], (10**4, 10**5, 10**6), repeats=7, seed=SEED
-    )
+    ))
     reports["_elapsed"] = time.perf_counter() - start
     return reports
 

@@ -96,19 +96,13 @@ class TestFitLoglog:
 class TestTimeMethod:
     def test_single_repeat_reports_zero_std(self):
         case = bench.benchmark_suite()["num_bivector"]
-        evaluator = case.factory(EvalOptions())
-        report = time_method(
-            case.method, evaluator, case.dim, [100, 200], repeats=1, seed=2
-        )
+        report = time_method(case, [100, 200], repeats=1, seed=2)
         assert report.std_s == (0.0, 0.0)
         assert report.slope is None
 
     def test_monotone_means_across_decades(self):
         case = bench.benchmark_suite()["num_bivector"]
-        evaluator = case.factory(EvalOptions())
-        report = time_method(
-            case.method, evaluator, case.dim, [200, 20000], repeats=3, seed=3
-        )
+        report = time_method(case, [200, 20000], repeats=3, seed=3)
         assert report.mean_s[1] > report.mean_s[0]
 
     def test_records_timing_builds_data(self, monkeypatch):
@@ -123,22 +117,46 @@ class TestTimeMethod:
 
         monkeypatch.setattr(geometry, "_records_from_columns", counting)
         case = bench.benchmark_suite()["num_hamiltonian_vf"]
-        evaluator = case.factory(EvalOptions())
-        time_method(case.method, evaluator, case.dim, [10, 20], repeats=2, seed=1)
+        time_method(case, [10, 20], repeats=2, seed=1)
         assert built == [10] * 3 + [20] * 3
 
     def test_method_errors_propagate(self):
         def broken(mesh):
             raise RuntimeError("boom")
 
+        case = BenchCase("broken", 3, lambda options: broken)
         with pytest.raises(RuntimeError, match="boom"):
-            time_method("broken", broken, 3, [10, 20], repeats=1, seed=0)
+            time_method(case, [10, 20], repeats=1, seed=0)
 
     def test_invalid_repeats(self):
         case = bench.benchmark_suite()["num_bivector"]
-        evaluator = case.factory(EvalOptions())
         with pytest.raises(MultivectorError, match="repeats"):
-            time_method("x", evaluator, 3, [10], repeats=0, seed=0)
+            time_method(case, [10], repeats=0, seed=0)
+
+    def test_reports_the_options_it_prepared_with(self):
+        # The report's mode and workers are those the factory was given,
+        # and the factory runs once, before any timed call.
+        suite_case = bench.benchmark_suite()["num_sharp_morphism"]
+        given = []
+
+        def factory(options):
+            given.append(options)
+            return suite_case.factory(options)
+
+        case = BenchCase(suite_case.method, suite_case.dim, factory)
+        options = EvalOptions(mode="dense", workers=2)
+        report = fit_loglog(time_method(case, [100, 400], options, repeats=2, seed=4))
+        assert given == [options]
+        assert report.mode == "dense"
+        assert report.workers == 2
+        assert report.method == "num_sharp_morphism"
+        assert report.environment == bench.default_environment()
+        assert report.slope is not None and report.r2 is not None
+
+    def test_default_options_report_records_single_threaded(self):
+        case = bench.benchmark_suite()["num_bivector"]
+        report = time_method(case, [10, 20], repeats=1, seed=0)
+        assert (report.mode, report.workers) == ("records", None)
 
 
 class TestBenchmarkSuite:
@@ -161,14 +179,3 @@ class TestBenchmarkSuite:
             mesh = random_mesh(20, case.dim, seed=1)
             result = evaluator(mesh)
             assert len(result.data) == 20, name
-
-    def test_run_benchmark_attaches_fit_and_workers(self):
-        case = bench.benchmark_suite()["num_sharp_morphism"]
-        report = bench.run_benchmark(
-            case, [100, 400], repeats=2, seed=4, workers=2
-        )
-        assert report.slope is not None
-        assert report.r2 is not None
-        assert report.workers == 2
-        assert report.mode == "records"
-        assert report.method == "num_sharp_morphism"

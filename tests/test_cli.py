@@ -417,10 +417,15 @@ def suite_results(k: int) -> list:
 
 
 def reference_jsonl(result: BatchResult) -> str:
-    """``json.dumps`` of each record or dense row, one per line."""
+    """``json.dumps`` of each record or dense row, one per line, with its
+    ``"valid"`` flag when the result has a mask."""
     if result.kind != "records":
         name = "value" if result.kind == "scalar" else result.kind
-        return "".join(json.dumps({name: row}) + "\n" for row in result.data.tolist())
+        flags = [None] * len(result) if result.valid is None else result.valid.tolist()
+        return "".join(
+            json.dumps({name: row} if flag is None else {name: row, "valid": flag}) + "\n"
+            for row, flag in zip(result.data.tolist(), flags)
+        )
     lines = []
     for record in result.data:
         obj = {"coeffs": {
@@ -678,8 +683,10 @@ class TestColumnarOutput:
             rows = result.data.reshape(k, m * m)
             lower = {i * m + j for i in range(m) for j in range(i)}
             for fmt, text in (("jsonl", json.dumps), ("csv", "%.17g".__mod__)):
+                # A jsonl line of a masked result also holds its valid flag.
+                width = m * m + (fmt == "jsonl" and result.valid is not None)
                 expected = []
-                for span in geometry._text_chunks(k, m * m):
+                for span in geometry._text_chunks(k, width):
                     bits = rows[span].view(np.uint64)
                     expected.append([
                         list(map(text, rows[span, c].tolist())) for c in range(m * m)
@@ -1030,6 +1037,21 @@ class TestBench:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["std_s"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "inputs", [(), ("--bivector", EXAMPLES / "so3.json")], ids=["suite", "custom"]
+    )
+    def test_report_names_the_options_it_ran_with(self, tmp_path, inputs):
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "bench", "--method", "num_bivector", *inputs, "--workers", 2,
+            "--sizes", "100,300", "--repeats", 1, "--out", out,
+        )
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert (report["method"], report["mode"], report["workers"]) == (
+            "num_bivector", "records", 2
+        )
 
     def test_single_size_rejected(self, tmp_path):
         code = run_cli(

@@ -87,11 +87,12 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(np.zeros((0, 3)))
 
-    def test_as_mesh_checks_dimension(self):
+    def test_as_mesh_passes_a_mesh_through(self):
         mesh = random_mesh(10, 3, seed=0)
-        assert as_mesh(mesh, 3) is mesh
-        with pytest.raises(ValueError):
-            as_mesh(mesh, 4)
+        assert as_mesh(mesh) is mesh
+        built = as_mesh([(0, 1), (2, 3)])
+        assert built.points.dtype == np.float64
+        assert built.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
 
     def test_len(self):
         assert len(random_mesh(7, 2, seed=0)) == 7
