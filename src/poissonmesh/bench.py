@@ -9,8 +9,11 @@ A log10-log10 ordinary-least-squares fit of mean time against mesh size
 summarizes the empirical scaling: slope near 1 means linear growth in the
 point count.
 
-``benchmark_suite`` provides a fixed set of inputs — one per method — used
-by the scaling tests and the command-line ``bench`` subcommand.
+``method_case`` builds a method's case from its ``prepare_*`` inputs; it
+is the one place that knows how each method takes its dimension, and the
+command line builds every case through it.  ``benchmark_suite`` provides a
+fixed set of inputs — one per method, built by ``method_case`` — used by
+the scaling tests and the command-line ``bench`` subcommand.
 """
 
 from __future__ import annotations
@@ -20,17 +23,19 @@ import platform
 import statistics
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import evaluate as ev
 from .evaluate import EvalOptions
-from .geometry import BatchResult, Mesh, MultivectorError, random_mesh
+from .geometry import BatchResult, Mesh, Multivector, MultivectorError, random_mesh
 
 __all__ = [
     "TimingReport",
     "BenchCase",
+    "method_case",
     "time_method",
     "fit_loglog",
     "benchmark_suite",
@@ -243,59 +248,49 @@ class BenchCase:
     factory: Callable[[EvalOptions], Callable[[Mesh], BatchResult]]
 
 
+def method_case(method: str, inputs: Sequence, dim: int | None = None) -> BenchCase:
+    """The case of ``num_<name>`` whose factory calls ``evaluate.prepare_<name>``
+    with ``inputs``, in its parameter order, and the options it is given.
+
+    The factory is ``partial(prepare, *inputs, dim=dim)``, with two
+    exceptions: the R^3 normal form takes no ``dim`` and its case dimension
+    is 3, and the Flaschka-Ratiu construction takes ``dim`` by position.
+    Otherwise the case dimension is that of the first input if it is a
+    ``Multivector``, else ``dim``.
+    """
+    if not (method.startswith("num_") and method in ev.__all__):
+        raise MultivectorError(f"unknown method {method!r}")
+    prepare = getattr(ev, "prepare_" + method.removeprefix("num_"))
+    if method == "num_linear_normal_form_r3":
+        return BenchCase(method, 3, partial(prepare, *inputs))
+    case_dim = inputs[0].dim if isinstance(inputs[0], Multivector) else dim
+    if case_dim is None:
+        raise MultivectorError(f"{method}: no input gives a dimension; pass dim")
+    if method == "num_flaschka_ratiu_bivector":
+        return BenchCase(method, case_dim, partial(prepare, *inputs, dim))
+    return BenchCase(method, case_dim, partial(prepare, *inputs, dim=dim))
+
+
+# Each method's ``prepare_*`` inputs; every case is on R^3 but Flaschka-Ratiu's.
+_SUITE = {
+    "num_bivector": (_P3,),
+    "num_bivector_to_matrix": (_E3,),
+    "num_hamiltonian_vf": (_P3, _H3),
+    "num_poisson_bracket": (_P3, _H3, _G3),
+    "num_sharp_morphism": (_P3, _ALPHA3),
+    "num_coboundary_operator": (_P3, _HEAVY_ONE_FORM),
+    "num_modular_vf": (_Q3, "exp(x3)"),
+    "num_curl_operator": (_Q3, "1"),
+    "num_one_forms_bracket": (_P3, _ALPHA3, _BETA3),
+    "num_gauge_transformation": (_P3, _LAMBDA3),
+    "num_linear_normal_form_r3": (_P3_NEG,),
+    "num_flaschka_ratiu_bivector": (_CASIMIRS4,),
+}
+
+
 def benchmark_suite() -> dict[str, BenchCase]:
     """The fixed per-method benchmark inputs, keyed by method name."""
-    cases = [
-        BenchCase(
-            "num_bivector", 3,
-            lambda o: ev.prepare_bivector(_P3, o, dim=3),
-        ),
-        BenchCase(
-            "num_bivector_to_matrix", 3,
-            lambda o: ev.prepare_bivector_to_matrix(_E3, o, dim=3),
-        ),
-        BenchCase(
-            "num_hamiltonian_vf", 3,
-            lambda o: ev.prepare_hamiltonian_vf(_P3, _H3, o, dim=3),
-        ),
-        BenchCase(
-            "num_poisson_bracket", 3,
-            lambda o: ev.prepare_poisson_bracket(_P3, _H3, _G3, o, dim=3),
-        ),
-        BenchCase(
-            "num_sharp_morphism", 3,
-            lambda o: ev.prepare_sharp_morphism(_P3, _ALPHA3, o, dim=3),
-        ),
-        BenchCase(
-            "num_coboundary_operator", 3,
-            lambda o: ev.prepare_coboundary_operator(
-                _P3, _HEAVY_ONE_FORM, o, dim=3, degree=1
-            ),
-        ),
-        BenchCase(
-            "num_modular_vf", 3,
-            lambda o: ev.prepare_modular_vf(_Q3, "exp(x3)", o, dim=3),
-        ),
-        BenchCase(
-            "num_curl_operator", 3,
-            lambda o: ev.prepare_curl_operator(_Q3, "1", o, dim=3, degree=2),
-        ),
-        BenchCase(
-            "num_one_forms_bracket", 3,
-            lambda o: ev.prepare_one_forms_bracket(_P3, _ALPHA3, _BETA3, o, dim=3),
-        ),
-        BenchCase(
-            "num_gauge_transformation", 3,
-            lambda o: ev.prepare_gauge_transformation(_P3, _LAMBDA3, o, dim=3),
-        ),
-        BenchCase(
-            "num_linear_normal_form_r3", 3,
-            lambda o: ev.prepare_linear_normal_form_r3(_P3_NEG, o),
-        ),
-        BenchCase(
-            "num_flaschka_ratiu_bivector", 4,
-            lambda o: ev.prepare_flaschka_ratiu_bivector(_CASIMIRS4, 4, o),
-        ),
-    ]
-    return {case.method: case for case in cases}
-
+    return {
+        method: method_case(method, inputs, 4 if method == "num_flaschka_ratiu_bivector" else 3)
+        for method, inputs in _SUITE.items()
+    }

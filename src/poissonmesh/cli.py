@@ -36,13 +36,11 @@ import math
 import os
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluate as ev
-from .bench import BenchCase, benchmark_suite, fit_loglog, time_method
+from .bench import BenchCase, benchmark_suite, fit_loglog, method_case, time_method
 from .evaluate import EvalOptions, MeshDimensionError
 from .expressions import ExpressionError, UnboundParameterError
 from .geometry import (
@@ -69,32 +67,23 @@ EXIT_UNBOUND_PARAMETER = 4
 EXIT_DIMENSION = 5
 EXIT_IO = 6
 
-METHODS = (
-    "num_bivector",
-    "num_bivector_to_matrix",
-    "num_hamiltonian_vf",
-    "num_poisson_bracket",
-    "num_sharp_morphism",
-    "num_coboundary_operator",
-    "num_modular_vf",
-    "num_curl_operator",
-    "num_one_forms_bracket",
-    "num_gauge_transformation",
-    "num_linear_normal_form_r3",
-    "num_flaschka_ratiu_bivector",
-)
-
-_INPUT_FLAGS = (
-    "bivector",
-    "argument",
-    "alpha",
-    "beta",
-    "lam",
-    "h",
-    "f",
-    "g",
-    "casimir",
-)
+# Each method's input flags, in the order its ``prepare_*`` takes them.
+_INPUTS = {
+    "num_bivector": ("bivector",),
+    "num_bivector_to_matrix": ("bivector",),
+    "num_hamiltonian_vf": ("bivector", "h"),
+    "num_poisson_bracket": ("bivector", "f", "g"),
+    "num_sharp_morphism": ("bivector", "alpha"),
+    "num_coboundary_operator": ("bivector", "argument"),
+    "num_modular_vf": ("bivector", "f0"),
+    "num_curl_operator": ("argument", "f0"),
+    "num_one_forms_bracket": ("bivector", "alpha", "beta"),
+    "num_gauge_transformation": ("bivector", "lam"),
+    "num_linear_normal_form_r3": ("bivector",),
+    "num_flaschka_ratiu_bivector": ("casimir",),
+}
+METHODS = tuple(_INPUTS)
+_INPUT_FLAGS = tuple(dict.fromkeys(flag for row in _INPUTS.values() for flag in row))
 
 
 # --- Input loading ----------------------------------------------------------
@@ -163,80 +152,38 @@ def _require(args, flag: str):
     return value
 
 
-def _argument_input(args):
-    """The coboundary/curl argument: a JSON multivector file, or a scalar
-    inline or as @path; the library infers its degree."""
-    raw = _require(args, "argument")
-    if not raw.startswith("@") and os.path.isfile(raw):
-        return _load_multivector(raw, "--argument")
+def _read_input(args, flag: str):
+    """One input flag's value, read and checked: a multivector JSON file, a
+    scalar inline or as @path, or a list of Casimirs.  An ``--argument`` is
+    a multivector if it names a file, and the library infers its degree."""
+    if flag == "f0":
+        return _scalar_arg("1" if args.f0 is None else args.f0)
+    raw = _require(args, flag)
+    if flag == "casimir":
+        return _scalar_list_arg(raw)
+    if flag in ("bivector", "alpha", "beta", "lam") or (
+        flag == "argument" and not raw.startswith("@") and os.path.isfile(raw)
+    ):
+        return _load_multivector(raw, f"--{flag}")
     return _scalar_arg(raw)
 
 
 def _build_case(args) -> BenchCase:
-    """The requested method's inputs, read and checked from parsed flags, as a
-    case whose factory prepares the method with the options it is given."""
-    method = args.method
-    dim = args.dim
-
-    def bivector():
-        return _load_multivector(_require(args, "bivector"), "--bivector")
-
-    if method == "num_bivector":
-        P = bivector()
-        return BenchCase(method, P.dim, partial(ev.prepare_bivector, P, dim=dim))
-    if method == "num_bivector_to_matrix":
-        P = bivector()
-        return BenchCase(method, P.dim, partial(ev.prepare_bivector_to_matrix, P, dim=dim))
-    if method == "num_hamiltonian_vf":
-        P = bivector()
-        h = _scalar_arg(_require(args, "h"))
-        return BenchCase(method, P.dim, partial(ev.prepare_hamiltonian_vf, P, h, dim=dim))
-    if method == "num_poisson_bracket":
-        P = bivector()
-        f = _scalar_arg(_require(args, "f"))
-        g = _scalar_arg(_require(args, "g"))
-        return BenchCase(method, P.dim, partial(ev.prepare_poisson_bracket, P, f, g, dim=dim))
-    if method == "num_sharp_morphism":
-        P = bivector()
-        alpha = _load_multivector(_require(args, "alpha"), "--alpha")
-        return BenchCase(method, P.dim, partial(ev.prepare_sharp_morphism, P, alpha, dim=dim))
-    if method == "num_coboundary_operator":
-        P = bivector()
-        A = _argument_input(args)
-        return BenchCase(method, P.dim, partial(ev.prepare_coboundary_operator, P, A, dim=dim))
-    if method == "num_modular_vf":
-        P = bivector()
-        f0 = _scalar_arg(args.f0)
-        return BenchCase(method, P.dim, partial(ev.prepare_modular_vf, P, f0, dim=dim))
-    if method == "num_curl_operator":
-        A = _argument_input(args)
-        f0 = _scalar_arg(args.f0)
-        a_dim = A.dim if isinstance(A, Multivector) else dim
-        if a_dim is None:
-            raise MultivectorError("--dim is required for a scalar --argument")
-        return BenchCase(method, a_dim, partial(ev.prepare_curl_operator, A, f0, dim=dim))
-    if method == "num_one_forms_bracket":
-        P = bivector()
-        alpha = _load_multivector(_require(args, "alpha"), "--alpha")
-        beta = _load_multivector(_require(args, "beta"), "--beta")
-        return BenchCase(
-            method, P.dim, partial(ev.prepare_one_forms_bracket, P, alpha, beta, dim=dim)
-        )
-    if method == "num_gauge_transformation":
-        P = bivector()
-        lam = _load_multivector(_require(args, "lam"), "--lam")
-        return BenchCase(method, P.dim, partial(ev.prepare_gauge_transformation, P, lam, dim=dim))
-    if method == "num_linear_normal_form_r3":
-        P = bivector()
-        return BenchCase(method, 3, partial(ev.prepare_linear_normal_form_r3, P))
-    if method == "num_flaschka_ratiu_bivector":
-        casimirs = _scalar_list_arg(_require(args, "casimir"))
-        if dim is None:
-            raise MultivectorError(
-                "--dim is required for num_flaschka_ratiu_bivector"
-            )
-        return BenchCase(method, dim, partial(ev.prepare_flaschka_ratiu_bivector, casimirs, dim))
-    raise MultivectorError(f"unknown method {method!r}")
+    """The requested method's inputs, read and checked from parsed flags in
+    the order of its ``_INPUTS`` row, as a case whose factory prepares the
+    method with the options it is given.  A given input flag outside the
+    row is an error, not silently dropped."""
+    method, row = args.method, _INPUTS[args.method]
+    for flag in _INPUT_FLAGS:
+        if flag not in row and getattr(args, flag) is not None:
+            raise MultivectorError(f"--{flag} is not an input of {method}")
+    inputs = [_read_input(args, flag) for flag in row]
+    try:
+        return method_case(method, inputs, args.dim)
+    except MultivectorError:
+        raise MultivectorError(
+            f"--dim is required for {method}: no input gives a dimension"
+        ) from None
 
 
 # --- Output writing ---------------------------------------------------------
@@ -365,7 +312,7 @@ def cmd_bench(args) -> int:
         raise MultivectorError(
             f"bench needs at least 2 distinct sizes, got {sizes}"
         )
-    custom = any(getattr(args, flag, None) for flag in _INPUT_FLAGS)
+    custom = any(getattr(args, flag) is not None for flag in _INPUT_FLAGS)
     options = EvalOptions(
         mode="records", params=_parse_params(args.param), workers=args.workers
     )
@@ -397,7 +344,7 @@ def _add_eval_input_flags(parser):
     parser.add_argument("--h", help="Hamiltonian expression or @file")
     parser.add_argument("--f", help="first bracket argument or @file")
     parser.add_argument("--g", help="second bracket argument or @file")
-    parser.add_argument("--f0", default="1",
+    parser.add_argument("--f0",
                         help="volume scaling function (default 1)")
     parser.add_argument("--casimir", action="append",
                         help="Casimir expression or @file with one per line "

@@ -5,7 +5,8 @@ import pytest
 
 import goldens as g
 from poissonmesh import bench, geometry
-from poissonmesh.bench import BenchCase, TimingReport, fit_loglog, time_method
+from poissonmesh import evaluate as ev
+from poissonmesh.bench import BenchCase, TimingReport, fit_loglog, method_case, time_method
 from poissonmesh.evaluate import EvalOptions
 from poissonmesh.geometry import MultivectorError
 
@@ -171,6 +172,47 @@ class TestBenchmarkSuite:
             "num_linear_normal_form_r3", "num_flaschka_ratiu_bivector",
         }
 
+    def test_cases_give_the_bits_of_the_explicit_prepare_calls(self):
+        # The calls each suite case replaced, coboundary and curl degrees
+        # given explicitly; the suite infers them from the coefficient keys.
+        b = bench
+        explicit = {
+            "num_bivector": lambda o: ev.prepare_bivector(b._P3, o, dim=3),
+            "num_bivector_to_matrix": lambda o: ev.prepare_bivector_to_matrix(b._E3, o, dim=3),
+            "num_hamiltonian_vf": lambda o: ev.prepare_hamiltonian_vf(b._P3, b._H3, o, dim=3),
+            "num_poisson_bracket":
+                lambda o: ev.prepare_poisson_bracket(b._P3, b._H3, b._G3, o, dim=3),
+            "num_sharp_morphism": lambda o: ev.prepare_sharp_morphism(b._P3, b._ALPHA3, o, dim=3),
+            "num_coboundary_operator": lambda o: ev.prepare_coboundary_operator(
+                b._P3, b._HEAVY_ONE_FORM, o, dim=3, degree=1
+            ),
+            "num_modular_vf": lambda o: ev.prepare_modular_vf(b._Q3, "exp(x3)", o, dim=3),
+            "num_curl_operator": lambda o: ev.prepare_curl_operator(b._Q3, "1", o, dim=3, degree=2),
+            "num_one_forms_bracket":
+                lambda o: ev.prepare_one_forms_bracket(b._P3, b._ALPHA3, b._BETA3, o, dim=3),
+            "num_gauge_transformation":
+                lambda o: ev.prepare_gauge_transformation(b._P3, b._LAMBDA3, o, dim=3),
+            "num_linear_normal_form_r3": lambda o: ev.prepare_linear_normal_form_r3(b._P3_NEG, o),
+            "num_flaschka_ratiu_bivector":
+                lambda o: ev.prepare_flaschka_ratiu_bivector(b._CASIMIRS4, 4, o),
+        }
+        suite = bench.benchmark_suite()
+        assert list(suite) == list(explicit)
+        for method, case in suite.items():
+            assert case.method == method
+            assert case.dim == (4 if method == "num_flaschka_ratiu_bivector" else 3)
+            mesh = geometry.random_mesh(50, case.dim, seed=5)
+            for mode in ("records", "dense"):
+                ours = case.factory(EvalOptions(mode=mode))(mesh)
+                theirs = explicit[method](EvalOptions(mode=mode))(mesh)
+                assert (ours.kind, ours.keys) == (theirs.kind, theirs.keys), (method, mode)
+                for x, y in ((ours.columns, theirs.columns), (ours.valid, theirs.valid)):
+                    assert (x is None) == (y is None), (method, mode)
+                    if x is not None:
+                        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (method, mode)
+                if ours.columns is None:
+                    assert ours.data.tobytes() == theirs.data.tobytes(), (method, mode)
+
     def test_every_case_evaluates(self):
         from poissonmesh.geometry import random_mesh
 
@@ -179,3 +221,26 @@ class TestBenchmarkSuite:
             mesh = random_mesh(20, case.dim, seed=1)
             result = evaluator(mesh)
             assert len(result.data) == 20, name
+
+
+class TestMethodCase:
+    def test_no_dimension_is_an_error(self):
+        with pytest.raises(MultivectorError, match="no input gives a dimension"):
+            method_case("num_curl_operator", ("x1*x2", "1"))
+        with pytest.raises(MultivectorError, match="no input gives a dimension"):
+            method_case("num_flaschka_ratiu_bivector", (["x1", "x2"],))
+        with pytest.raises(MultivectorError, match="no input gives a dimension"):
+            method_case("num_bivector", (bench._P3,))
+
+    def test_unknown_method_is_an_error(self):
+        for name in ("num_everything", "bivector", "prepare_bivector", "num_"):
+            with pytest.raises(MultivectorError, match="unknown method"):
+                method_case(name, (bench._P3,), 3)
+
+    def test_dimension_from_the_first_multivector_input(self):
+        P = geometry.Multivector.build(4, 2, {(1, 2): "x3", (3, 4): "x1"})
+        case = method_case("num_hamiltonian_vf", (P, "x1*x4"))
+        assert (case.method, case.dim) == ("num_hamiltonian_vf", 4)
+        assert case.factory(EvalOptions(mode="dense"))(geometry.random_mesh(5, 4, seed=0)).data.shape == (5, 4)
+        # The normal form is on R^3 whatever dim says.
+        assert method_case("num_linear_normal_form_r3", (bench._P3_NEG,), 7).dim == 3

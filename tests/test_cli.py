@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import filecmp
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -917,6 +919,32 @@ class TestExitCodes:
         assert "'--'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_input_flag_outside_the_method_row_is_validation(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        code = run_cli(
+            "eval", "num_bivector", "--bivector", EXAMPLES / "so3.json",
+            "--h", "not valid ((", "--alpha", tmp_path / "nothere.json",
+            "--mesh", "corners", "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "--h is not an input of num_bivector" in capsys.readouterr().err
+        assert not out.exists()
+        code = run_cli(
+            "eval", "num_curl_operator", "--argument", EXAMPLES / "quartic_so3.json",
+            "--bivector", EXAMPLES / "so3.json", "--mesh", "corners", "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "--bivector is not an input of num_curl_operator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["num_curl_operator", "--argument", "x1*x2"],
+        ["num_flaschka_ratiu_bivector", "--casimir", "x1", "--casimir", "x2"],
+    ], ids=["scalar_curl_argument", "casimirs"])
+    def test_dim_is_named_where_no_input_gives_the_dimension(self, tmp_path, capsys, argv):
+        code = run_cli("eval", *argv, "--mesh", "corners", "--out", tmp_path / "out.jsonl")
+        assert code == cli.EXIT_VALIDATION
+        assert f"--dim is required for {argv[0]}" in capsys.readouterr().err
+
     def test_degree_option_is_gone(self, tmp_path):
         # A JSON argument carries its own degree and inline text is degree 0.
         with pytest.raises(SystemExit) as err:
@@ -1053,6 +1081,17 @@ class TestBench:
             "num_bivector", "records", 2
         )
 
+    def test_any_given_input_flag_means_custom_inputs(self, tmp_path, capsys):
+        # --f0 alone once timed the suite's exp(x3) and dropped the flag.
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "bench", "--method", "num_modular_vf", "--f0", "1/0*x1",
+            "--sizes", "100,200", "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "--bivector is required for num_modular_vf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_size_rejected(self, tmp_path):
         code = run_cli(
             "bench", "--method", "num_bivector",
@@ -1070,3 +1109,29 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+class TestMethodTable:
+    def test_methods_are_the_suite_in_evaluate_order(self):
+        names = tuple(name for name in ev.__all__ if name.startswith("num_"))
+        assert cli.METHODS == names == tuple(bench.benchmark_suite())
+        assert tuple(cli._INPUTS) == cli.METHODS
+
+    def test_every_input_flag_is_an_eval_and_bench_option(self):
+        commands = next(
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ).choices
+        for command in ("eval", "bench"):
+            options = commands[command]._option_string_actions
+            for row in cli._INPUTS.values():
+                for flag in row:
+                    assert f"--{flag}" in options, (command, flag)
+        f0 = commands["eval"]._option_string_actions["--f0"]
+        assert f0.default is None and "default 1" in f0.help
+
+    def test_readme_table_is_the_input_table(self):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        rows = re.findall(r"^\| `(num_\w+)` \| (.*) \|$", text, re.M)
+        table = {method: tuple(re.findall(r"`--(\w+)`", flags)) for method, flags in rows}
+        assert list(table.items()) == list(cli._INPUTS.items())
