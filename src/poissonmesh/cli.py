@@ -16,14 +16,20 @@ present), and ``csv`` (the same tensor flattened to one row per point).
 ``jsonl`` uses the records output mode; ``npy`` and ``csv`` use dense mode.
 Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
 (csv: nan, inf, -inf).  jsonl and csv are written in chunks of at most
-49,152 values (16,384 rows of three).  jsonl bytes are those of
-``json.dumps``: each chunk fills one line template from its values, and
-only poles, residual text and non-float64 entries are swapped for tokens.
-csv bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")``.  Both
+16,384 values.  jsonl bytes are those of ``json.dumps`` and csv bytes those
+of ``np.savetxt(fmt="%.17g", delimiter=",")``.  A float64 chunk is
+formatted in NumPy by ``geometry._chunk_text``: one digit kernel writes each
+value's ``float.__repr__`` or ``%.17g`` characters, zeros, poles, the line's
+literal pieces and each row's valid flag into fixed byte slots, and one
+``bytes.translate`` deletes the padding.  Python formats a value itself
+only where a rounding or shortest-digit decision falls within the kernel's
+error bound, and for magnitudes below 1e-290 (subnormals included), so the
+bytes are exact.  Only a chunk that is not float64 (residual text, other
+dtypes) is filled into a line template from ``json.dumps`` tokens.  Both
 writers format each distinct column of a chunk once, and the bytes do not
 change for it: a float64 column constant over the chunk is one literal in
-its line template, and a matrix entry (i, j), i > j, that is the sign flip
-of (j, i) over the chunk, or NaN with it, reuses that entry's text.
+its line, and a matrix entry (i, j), i > j, that is the sign flip of (j, i)
+over the chunk, or NaN with it, reuses that entry's text.
 Every file, ``mesh`` output included, is written beside its target and then
 renamed into place, so a failed write leaves no partial file.
 """
@@ -165,6 +171,11 @@ def _read_input(args, flag: str):
         flag == "argument" and not raw.startswith("@") and os.path.isfile(raw)
     ):
         return _load_multivector(raw, f"--{flag}")
+    if flag == "argument" and args.method == "num_curl_operator":
+        raise MultivectorError(
+            "--argument of num_curl_operator must be a multivector JSON file: "
+            "curl needs degree >= 1, and a scalar has degree 0"
+        )
     return _scalar_arg(raw)
 
 
@@ -189,32 +200,29 @@ def _build_case(args) -> BenchCase:
 # --- Output writing ---------------------------------------------------------
 
 
-_SLOT = "%s"  # a value's place in a line template, quoted until the template is done
+_SLOT = "%s"  # a value's place in a line template
 
 
-def _tokenized(block: np.ndarray, swap: np.ndarray) -> np.ndarray:
-    """An object copy of ``block``, each ``swap`` entry its ``json.dumps`` token."""
-    block = block.astype(object)
-    block[swap] = list(map(json.dumps, block[swap].tolist()))
-    return block
-
-
-def _json_ready(block: np.ndarray) -> np.ndarray:
-    """``block`` with each entry that is not finite float64 its token."""
-    swap = ~np.isfinite(block) if block.dtype == np.float64 else np.ones(block.shape, bool)
-    return _tokenized(block, swap) if swap.any() else block
+def _token_text(block: np.ndarray, pieces: tuple, flags=None) -> bytes:
+    """The lines of a chunk that is not float64 (residual text, other
+    dtypes): ``pieces`` with the ``json.dumps`` token of each value, and of
+    each flag, between them."""
+    columns = block.tolist() + ([] if flags is None else [flags.tolist()])
+    line = "%s".join(piece.decode().replace("%", "%%") for piece in pieces)
+    values = [value for row in zip(*columns) for value in row]
+    return (line * block.shape[1] % tuple(map(json.dumps, values))).encode()
 
 
 def _write_jsonl(result: BatchResult, fh) -> None:
-    """Fill one line template, built once per result, a chunk of rows at a time.
+    """Write one line per row, a chunk of rows at a time, from line pieces
+    built once per result.
 
     A record's slots are its ``keys``, read from ``columns``; a dense row's
-    are its entries in row-major order.  A ``%s`` slot writes a float as
-    ``json.dumps`` does; only the entries that are not finite float64 (poles,
-    residual text, other dtypes) are first swapped for their tokens.  A
-    row of a result with a valid mask, records or dense, takes one of two
-    lines, ``false`` or ``true``.
-    ``geometry._chunk_text`` formats each distinct column of a chunk once.
+    are its entries in row-major order.  A row of a result with a valid
+    mask, records or dense, ends in a ``"valid"`` flag.  A float64 chunk is
+    formatted by ``geometry._chunk_text``, which writes each value, pole
+    and flag as ``json.dumps`` does; any other chunk (residual text, other
+    dtypes) is filled with ``json.dumps`` tokens.
     """
     valid, pairs = result.valid, ()
     if result.kind == "records":
@@ -229,14 +237,15 @@ def _write_jsonl(result: BatchResult, fh) -> None:
         skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
     if valid is not None:
         skeleton["valid"] = _SLOT
-    template = json.dumps(skeleton).replace(json.dumps(_SLOT), _SLOT) + "\n"
-    lines = (template,) if valid is None else tuple(
-        template % ((_SLOT,) * len(columns) + (flag,)) for flag in ("false", "true")
-    )
+    line = json.dumps(skeleton) + "\n"
+    pieces = tuple(piece.encode() for piece in line.split(json.dumps(_SLOT)))
     for span in _text_chunks(len(result), len(columns) + (valid is not None)):
-        choice = None if valid is None else valid[span].tolist()
+        flags = None if valid is None else valid[span]
         # Unnamed, so a chunk's text is freed before the next one is formatted.
-        fh.write(_chunk_text(columns[:, span], _SLOT, lines, choice, pairs, _json_ready).encode())
+        fh.write(
+            _chunk_text(columns[:, span], "json", pieces, flags, pairs)
+            if columns.dtype == np.float64 else _token_text(columns[:, span], pieces, flags)
+        )
 
 
 def write_result(result: BatchResult, path: str, fmt: str):
@@ -313,6 +322,11 @@ def cmd_bench(args) -> int:
             f"bench needs at least 2 distinct sizes, got {sizes}"
         )
     custom = any(getattr(args, flag) is not None for flag in _INPUT_FLAGS)
+    if args.dim is not None and not custom:
+        raise MultivectorError(
+            f"--dim applies only to custom inputs; the suite case of {args.method} "
+            "has its own dimension"
+        )
     options = EvalOptions(
         mode="records", params=_parse_params(args.param), workers=args.workers
     )
@@ -332,12 +346,12 @@ def cmd_bench(args) -> int:
 
 def _add_eval_input_flags(parser):
     parser.add_argument("--dim", type=int, default=None,
-                        help="ambient dimension (required for corners meshes, "
-                             "scalar curl arguments, and Casimir constructions)")
+                        help="ambient dimension (required for corners meshes and "
+                             "Casimir constructions)")
     parser.add_argument("--bivector", help="bivector field JSON file")
     parser.add_argument("--argument",
-                        help="multivector JSON file, inline scalar expression, "
-                             "or @file scalar (coboundary/curl argument)")
+                        help="multivector JSON file (coboundary or curl argument), "
+                             "or inline or @file scalar (coboundary only)")
     parser.add_argument("--alpha", help="one-form JSON file")
     parser.add_argument("--beta", help="one-form JSON file")
     parser.add_argument("--lam", help="two-form JSON file")

@@ -14,7 +14,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable, Mapping, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -316,8 +316,9 @@ def atomic_write(path, write: Callable[[BinaryIO], object]) -> None:
 
 
 # Values per chunk of csv or jsonl text: text is formatted one chunk at a
-# time, so only one chunk's strings are alive, whatever the row width.
-_CHUNK_VALUES = 49_152
+# time, so only one chunk's slots, line and kernel temporaries (some 4 MB)
+# are alive, whatever the row width.
+_CHUNK_VALUES = 16_384
 
 
 def _row_chunks(k: int, rows: int) -> list:
@@ -340,74 +341,295 @@ def _mirror_pairs(shape: tuple) -> tuple:
     return tuple((i * m + j, j * m + i) for i in range(m) for j in range(i))
 
 
-def _format_columns(template: str, values: np.ndarray, spec: str, order=None) -> str:
-    """Fill ``template`` row by row from the (columns, rows) block ``values``:
-    with each value, or, given ``order``, with the ``spec`` texts of the
-    columns it lists, so that one column's text can fill several slots."""
-    if order is None:
-        return template % tuple(values.T.ravel().tolist())
-    texts = ((spec + "\n") * values.size % tuple(values.ravel().tolist())).split("\n")
-    texts = np.array(texts[:-1], dtype=object).reshape(values.shape)
-    return template % tuple(texts[order].T.ravel().tolist())
+# --- Float text ---------------------------------------------------------------
+#
+# ``_float_slots`` writes float64 values as text in one of two styles:
+# "json", the bytes of ``json.dumps`` (``float.__repr__``: the shortest
+# digits that read back to the value; NaN, Infinity, -Infinity), and
+# "%.17g", the bytes of ``'%.17g' %`` (17 significant digits; nan, inf,
+# -inf).  Each value gets a 48-byte slot; the bytes its text does not use
+# are NUL, and ``bytes.translate(None, b"\0")`` deletes them:
+#
+#   byte 0        "-" or NUL
+#   bytes 1-5     "0." and up to three zeros, for 1e-5 <= |x| < 1
+#   bytes 6-39    the 17 digits, digit j at byte 2j + 4, each followed by a
+#                 byte for the decimal point
+#   bytes 40-47   an exponent "e+XX" or "e-XXX", or the "0" of a json "12.0"
+#
+# With E = floor(log10 |x|), the digits are those of an integer near
+# y = |x| * 10**(16 - E), in [1e16, 1e17).  y is the double-double product
+# of |x| and a 10**(16 - E) built from exact integers; its error is below
+# 1e-13 (in units of the 17th digit).  "%.17g" takes the integer nearest y.
+# "json" takes, of the integers in the rounding interval of x (half way to
+# each neighbour, scaled likewise), the one with the most trailing zeros,
+# and of two or more such the one nearest y.  Where a rounding lies within
+# _TOL of a tie or an interval end within _TOL of an integer (_TOL is far
+# above y's error), and for |x| outside [1e-290, max) other than 0, inf and
+# nan, Python formats the value, so the bytes are exact by construction.
+
+_EMIN, _EMAX = -290, 308  # the decimal exponents the table covers
+_TOL = 2.0 ** -30
+_SLOT = 48
+_E16, _E17 = 10 ** 16, 10 ** 17
 
 
-def _chunk_text(block: np.ndarray, spec: str, lines: tuple, choice=None,
-                pairs: tuple = (), ready=None) -> str:
-    """The text of the (columns, rows) chunk ``block``, each distinct column
-    formatted once.
+def _split(a: np.ndarray) -> tuple:
+    """(head, tail) of ``a`` with ``head`` its top 27 significand bits: with
+    ``_halves`` of a power, every product of two parts is exact."""
+    head = (a.view(np.uint64) & np.uint64(0xFFFF_FFFF_FC00_0000)).view(np.float64)
+    return head, a - head
 
-    ``lines`` are line templates, one ``%s`` per column and no ``-`` before
-    one; row r takes ``lines[choice[r]]``, or ``lines[0]`` if ``choice`` is
-    None.  The plan is checked on the chunk's data, and the text is that of
-    formatting every value by ``spec``:
 
-    - a float64 column whose bits are all equal is a literal in the lines;
+def _halves(power: float) -> tuple:
+    """(head, tail) of ``power`` with ``head`` its top 26 bits, rounded."""
+    m, q = math.frexp(power)
+    head = math.ldexp(round(m * 2.0 ** 26), q - 26)
+    return head, power - head
+
+
+def _ratio(e: int) -> tuple:
+    """10**e as an exact (numerator, denominator) of Python ints."""
+    return (10 ** e, 1) if e >= 0 else (1, 10 ** -e)
+
+
+def _power_tables() -> tuple:
+    """For E in [_EMIN, _EMAX]: 10**(16 - E) as high part, its halves and low
+    part; and for E in [_EMIN, _EMAX + 1] the least float64 >= 10**E.  Each
+    int division is correctly rounded."""
+    high, low, least = [], [], []
+    for e in range(_EMIN, _EMAX + 2):
+        num, den = _ratio(e)
+        f = num / den if e <= 308 else math.inf
+        if f < math.inf:
+            f_num, f_den = f.as_integer_ratio()
+            f = math.nextafter(f, math.inf) if f_num * den < num * f_den else f
+        least.append(f)
+        num, den = _ratio(16 - e)
+        high.append(num / den)
+        h_num, h_den = high[-1].as_integer_ratio()
+        low.append((num * h_den - h_num * den) / (den * h_den))
+    del high[-1], low[-1]
+    head, tail = zip(*map(_halves, high))
+    return tuple(map(np.array, (high, head, tail, low, least)))
+
+
+_HIGH, _HEAD, _TAIL, _LOW, _LEAST = _power_tables()
+_MAX = np.finfo(np.float64).max
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple:
+    """y = a * 10**(16 - e) as ``whole + rest``: an int64 and a float64 of
+    at most about 10, with an error below 1e-13."""
+    k = e - _EMIN
+    p = a * _HIGH[k]
+    ah, at = _split(a)
+    hh, ht = _HEAD[k], _TAIL[k]
+    rest = ((ah * hh - p) + ah * ht + at * hh) + at * ht + a * _LOW[k]
+    return p.astype(np.int64), rest  # p >= 2**53 is a whole number
+
+
+def _nearest(whole: np.ndarray, rest: np.ndarray) -> tuple:
+    """The int64 nearest ``whole + rest``, and where that is within _TOL of a tie."""
+    fl = np.floor(rest)
+    frac = rest - fl
+    return whole + fl.astype(np.int64) + (frac > 0.5), np.abs(frac - 0.5) < _TOL
+
+
+def _shortest(a, e, whole, rest, digits, unsure) -> None:
+    """Set ``digits`` (the integers nearest y) to the integers with the
+    most trailing zeros in the rounding interval of ``a`` scaled as y is,
+    the one nearest y of two or more, and mark ``unsure`` where an end of
+    the interval is within _TOL of an integer or the nearest of a tie."""
+    # The interval is (y - below, y + above).  ``first`` and ``last`` are
+    # its first and last integers, and a multiple of 10**p lies in it iff
+    # the last p digits of ``last`` are below ``count``, its integer count.
+    high = _HIGH[e - _EMIN] * 0.5
+    below = rest - (a - np.nextafter(a, 0)) * high
+    above = rest + (np.nextafter(a, math.inf) - a) * high
+    first, last = np.floor(below), np.floor(above)
+    unsure |= np.abs(below - first - 0.5) > 0.5 - _TOL
+    unsure |= np.abs(above - last - 0.5) > 0.5 - _TOL
+    count = last - first
+    last = whole + last.astype(np.int64)
+    last2 = (last % 100).astype(np.float64)
+    last1 = last2 - np.floor(last2 * 0.1) * 10
+    tens = np.flatnonzero((last1 < count) & (last2 >= count))
+    digits[tens] = last[tens] - last1[tens].astype(np.int64)
+    many = tens[last1[tens] + 10 < count[tens]]  # two or more multiples of ten
+    near, tie = _nearest(whole[many] // 10, (whole[many] % 10 + rest[many]) * 0.1)
+    unsure[many] |= tie
+    least = digits[many] - ((count[many] - last1[many] - 1) // 10 * 10).astype(np.int64)
+    digits[many] = np.clip(near * 10, least, digits[many])
+    hundreds = np.flatnonzero(last2 < count)  # one multiple of 100 at most
+    digits[hundreds] = last[hundreds] - last2[hundreds].astype(np.int64)
+
+
+def _decimal(a: np.ndarray, shortest: bool) -> tuple:
+    """(digits, E, unsure) of the finite ``a`` in [_LEAST[0], _MAX): the
+    17-digit int64 in [1e16, 1e17) of ``a`` as "%.17g" or, if ``shortest``,
+    as "json" has them, with trailing zeros; the decimal exponent of the
+    first digit; and where the choice was within _TOL of undecidable."""
+    e = np.floor(np.log10(a)).astype(np.intp)  # off by one at worst, and >= _EMIN - 1
+    e += a >= _LEAST[e + 1 - _EMIN]
+    e -= a < _LEAST[e - _EMIN]
+    whole, rest = _scaled(a, e)
+    digits, unsure = _nearest(whole, rest)
+    if shortest:
+        _shortest(a, e, whole, rest, digits, unsure)
+    over = digits == _E17
+    digits[over] = _E16
+    e += over
+    return digits, e, unsure
+
+
+_WORD = np.dtype("<u8")  # eight bytes of text, the first in the low byte
+
+
+def _words(texts, at: int = 0) -> np.ndarray:
+    """Each text of at most ``8 - at`` bytes as a word, its first byte at
+    byte ``at``."""
+    return np.array([int.from_bytes(bytes(at) + t, "little") for t in texts], dtype=_WORD)
+
+
+def _slot_bytes(text: bytes) -> bytes:
+    """``text`` laid out in a slot: its "-" at byte 0, the rest from byte 1."""
+    return (text if text[:1] == b"-" else b"\0" + text).ljust(_SLOT, b"\0")
+
+
+# Digits j = 2..17 in four words of four, each digit followed by a NUL.
+_GROUP_TEXT = np.zeros((10, 10, 10, 10, 8), np.uint8)
+for _place in range(4):
+    _GROUP_TEXT[..., 2 * _place] = np.arange(48, 58).reshape((10,) + (1,) * (3 - _place))
+_GROUP_TEXT = _GROUP_TEXT.view(_WORD).ravel()
+# Masks showing the first n digits of a group, n clipped to [0, 4]: _SHOWN[n + 12].
+_SHOWN = _words(b"\xff\0" * min(max(n, 0), 4) for n in range(-12, 17))
+_LEAD = _words((b"", b"0.", b"0.0", b"0.00", b"0.000"), at=1)
+_ENDS = _words([b"", b"0"] + [b"e%+03d" % e for e in range(_EMIN - 1, _EMAX + 2)])
+
+
+class _Style(NamedTuple):
+    shortest: bool  # the shortest digits that read back, else 17
+    exponent_from: int  # E at and above which the text has an exponent
+    tokens: np.ndarray  # the slots of 0, -0, nan, nan, inf, -inf
+    python: Callable[[float], str]
+
+
+def _style(shortest: bool, exponent_from: int, python) -> _Style:
+    tokens = (0.0, -0.0, math.nan, math.nan, math.inf, -math.inf)
+    tokens = b"".join(_slot_bytes(python(x).encode()) for x in tokens)
+    return _Style(shortest, exponent_from,
+                  np.frombuffer(tokens, _WORD).reshape(6, _SLOT // 8), python)
+
+
+_STYLES = {
+    "json": _style(True, 16, json.dumps),
+    "%.17g": _style(False, 17, "%.17g".__mod__),
+}
+
+
+def _float_slots(values: np.ndarray, style: str) -> tuple:
+    """The ``style`` text of each float64 of the 1-d ``values`` in its
+    (len(values), 48) uint8 slot, and how many of the values Python formatted."""
+    form = _STYLES[style]
+    size = len(values)
+    a = np.abs(values)
+    odd = ~((a >= _LEAST[0]) & (a < _MAX))
+    a[odd] = 1.0
+    digits, e, unsure = _decimal(a, form.shortest)
+    shown = np.full(size, 17)  # digits without trailing zeros
+    live = np.flatnonzero(digits % 10 == 0)
+    while len(live):
+        shown[live] -= 1
+        live = live[digits[live] % 10 ** (18 - shown[live]) == 0]
+    plain = (e >= -4) & (e < form.exponent_from)
+    integral = plain & (e >= 0)  # the point follows digit e + 1
+    zeros = integral & (shown <= e + 1)  # digits to fill with zeros: "1200"
+    kept = np.where(zeros, e + 1, shown)
+    sign = values.view(np.uint64) >> np.uint64(63)
+    words = np.empty((size, _SLOT // 8), _WORD)
+    words[:, 0] = sign * np.uint64(45) | _LEAD[np.where(plain & (e < 0), -e, 0)] | (
+        (digits // _E16).astype(np.uint64) + np.uint64(48) << np.uint64(48))
+    rest = digits % _E16
+    for word, unit in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1), 1):
+        group = rest // unit
+        rest -= group * unit
+        words[:, word] = _GROUP_TEXT[group] & _SHOWN[kept + (15 - 4 * word)]
+    words[:, 5] = _ENDS[np.where(plain, zeros & form.shortest, e + 3 - _EMIN)]
+    point = np.where(plain, (shown > e + 1) | form.shortest, shown > 1) & (integral | ~plain)
+    slots = words.view(np.uint8)
+    holes = np.arange(5, size * _SLOT, _SLOT) + 2 * np.where(integral, e + 1, 1)
+    slots.ravel()[holes] = point * np.uint8(46)  # "." in the hole after its digit
+    special = np.flatnonzero(odd)  # 0, nan and inf are tokens; Python formats the rest
+    xs = values[special]
+    token = ~np.isfinite(xs) | (xs == 0)
+    code = 2 * np.isnan(xs) + 4 * np.isinf(xs) + sign[special].astype(np.intp)
+    words[special[token]] = form.tokens[code[token]]
+    python = np.union1d(special[~token], np.flatnonzero(unsure))
+    for i in python.tolist():
+        slots[i] = np.frombuffer(_slot_bytes(form.python(values[i].item()).encode()), np.uint8)
+    return slots, len(python)
+
+
+_FLAGS = _words((b"false", b"true"))
+
+
+def _chunk_text(block: np.ndarray, style: str, pieces: tuple, flags=None,
+                pairs: tuple = ()) -> bytes:
+    """The text of the float64 (columns, rows) chunk ``block``: row r is
+    ``pieces`` (bytes) with the ``style`` text of column c's row-r value
+    between pieces c and c + 1 and, given ``flags``, ``false`` or ``true``
+    between the last two pieces.
+
+    Each distinct column is formatted once, by a plan checked on the chunk's
+    data, and the text is that of formatting every value:
+
+    - a column whose bits are all equal is formatted once, into the pieces;
     - the lower column of a ``pairs`` entry (lower, upper), neither
       constant, that is the sign flip of the upper's bits in every row, or
-      NaN where it is, takes the upper's text with the sign flipped: a
-      leading ``-`` dropped, a NaN's text kept, else ``-`` prepended;
-    - every other column is formatted from ``ready(values)`` (by default
-      the values themselves).
+      NaN where it is, takes the upper's slots with the sign flipped (a
+      NaN's text has none);
+    - every other column is formatted value by value.
     """
-    ready = ready or (lambda values: values)
     n, rows = block.shape
-    literals, mirrors = {}, {}
-    if block.dtype == np.float64 and n:
-        bits = block.view(np.uint64)
-        constant = (bits == bits[:, :1]).all(axis=1)
-        columns = np.flatnonzero(constant)
-        literals = dict(zip(columns.tolist(), (
-            spec % value for value in ready(block[columns, :1]).ravel().tolist()
-        )))
-        if pairs:
-            lower, upper = np.array(pairs).T
-            nan = np.isnan(block[lower])
-            flipped = (bits[lower] == bits[upper] ^ _SIGN_BIT) | nan & np.isnan(block[upper])
-            keep = flipped.all(axis=1) & ~constant[lower] & ~constant[upper]
-            mirrors = dict(zip(lower[keep].tolist(), upper[keep].tolist()))
-    formatted = [c for c in range(n) if c not in literals and c not in mirrors]
-    values = ready(block if len(formatted) == n else block[formatted])
-    order, slot = None, spec
-    if mirrors:
-        place = {c: i for i, c in enumerate(formatted)}
-        order = [place[mirrors.get(c, c)] for c in range(n) if c not in literals]
-        slot = "%s"  # each slot takes a text, not a value
-    slots = tuple(literals.get(c, "-%s" if c in mirrors else slot) for c in range(n))
-    text = _format_columns(_chunk_lines(lines, slots, rows, choice), values, spec, order)
-    if mirrors:
-        text = text.replace("--", "")  # a negative text in a "-%s" slot
-        if nan[keep].any():
-            nan_text = spec % ready(np.full((1, 1), np.nan))[0, 0]
-            text = text.replace("-" + nan_text, nan_text)
-    return text
-
-
-def _chunk_lines(lines: tuple, slots: tuple, rows: int, choice) -> str:
-    """The chunk's template: ``lines`` with ``slots`` filled in, one a row."""
-    if choice is None:
-        return lines[0] % slots * rows
-    filled = tuple(line % slots for line in lines)
-    return "".join(map(filled.__getitem__, choice))
+    bits = block.view(np.uint64)
+    constant = (bits == bits[:, :1]).all(axis=1)
+    mirrors = {}
+    if pairs:
+        lower, upper = np.array(pairs).T
+        nan = np.isnan(block[lower]) & np.isnan(block[upper])
+        flipped = (bits[lower] == bits[upper] ^ _SIGN_BIT) | nan
+        keep = flipped.all(axis=1) & ~constant[lower] & ~constant[upper]
+        mirrors = dict(zip(lower[keep].tolist(), upper[keep].tolist()))
+    constants = np.flatnonzero(constant).tolist()
+    formatted = [c for c in range(n) if not constant[c] and c not in mirrors]
+    slots, _ = _float_slots(np.concatenate((block[formatted].ravel(), block[constants, 0])), style)
+    texts = {c: slots[i * rows:(i + 1) * rows] for i, c in enumerate(formatted)}
+    literals = {c: slots[len(formatted) * rows + i].tobytes().translate(None, b"\0")
+                for i, c in enumerate(constants)}
+    # The line: literal runs, each followed by a column's slots, then the flag.
+    runs, columns = [pieces[0]], []
+    for c in range(n):
+        if c in literals:
+            runs[-1] += literals[c] + pieces[c + 1]
+        else:
+            columns.append(c)
+            runs.append(pieces[c + 1])
+    runs += pieces[n + 1:]
+    widths = [_SLOT] * len(columns) + [8] * len(pieces[n + 1:]) + [0]
+    template = bytearray(b"".join(run + bytes(width) for run, width in zip(runs, widths)))
+    text = template * rows  # written through ``line``, then stripped of its NULs
+    line = np.frombuffer(text, np.uint8).reshape(rows, len(template))
+    at = 0
+    for run, c in zip(runs, columns):
+        at += len(run)
+        line[:, at:at + _SLOT] = texts[mirrors.get(c, c)]
+        if c in mirrors:
+            line[:, at] = np.where(np.isnan(block[c]), 0, 45 - line[:, at])
+        at += _SLOT
+    if flags is not None:
+        at += len(runs[-2])
+        line[:, at:at + 8] = _FLAGS[flags.astype(np.intp)].view(np.uint8).reshape(rows, 8)
+    return text.translate(None, b"\0")
 
 
 def _write_csv(fh: BinaryIO, data: np.ndarray) -> None:
@@ -419,11 +641,11 @@ def _write_csv(fh: BinaryIO, data: np.ndarray) -> None:
     an entry (i, j), i > j, of a (k, m, m) array that is the exact negation
     of (j, i), as in an antisymmetric matrix, reuses its text.
     """
-    rows = data.reshape(len(data), math.prod(data.shape[1:]))
-    line = ",".join(["%s"] * rows.shape[1]) + "\n"
+    rows = np.asarray(data, dtype=np.float64).reshape(len(data), math.prod(data.shape[1:]))
+    pieces = tuple((b",".join([b"%s"] * rows.shape[1]) + b"\n").split(b"%s"))
     pairs = _mirror_pairs(data.shape[1:])
     for span in _text_chunks(len(rows), rows.shape[1]):
-        fh.write(_chunk_text(rows[span].T, "%.17g", (line,), pairs=pairs).encode())
+        fh.write(_chunk_text(rows[span].T, "%.17g", pieces, pairs=pairs))
 
 
 def save_csv(path, data: np.ndarray) -> None:

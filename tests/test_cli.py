@@ -628,9 +628,9 @@ class TestColumnarOutput:
 
     @pytest.mark.parametrize("case", sorted(WRITER_CASES))
     def test_both_writer_paths_match_json_dumps(self, tmp_path, monkeypatch, case):
-        # At 48 values a chunk, finite chunks fill the template straight from
-        # their values and the others after their poles, text or non-float64
-        # entries become tokens, often within one result.
+        # At 48 values a chunk, float64 chunks, with or without poles, invalid
+        # rows, constant or mirrored columns, go through the float kernel, and
+        # chunks of text or other dtypes through json.dumps tokens.
         monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
         result = WRITER_CASES[case]()
         out = tmp_path / "out.jsonl"
@@ -644,36 +644,43 @@ class TestColumnarOutput:
             assert out.read_bytes() == ref.read_bytes()
 
     def test_finite_results_never_tokenized(self, tmp_path, monkeypatch):
-        def refuse(block, swap):
+        # Every float64 chunk, poles and invalid rows included, is written by
+        # the float kernel; only other dtypes take the json.dumps token path.
+        def refuse(block, pieces, flags=None):
             raise AssertionError("a chunk was tokenized")
 
         monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
-        monkeypatch.setattr(cli, "_tokenized", refuse)
+        monkeypatch.setattr(cli, "_token_text", refuse)
         out = tmp_path / "out.jsonl"
-        finite = [r for r in suite_results(70) if _all_finite(r)]
-        assert len(finite) == 25  # all but the residual-text normal form
-        for result in finite:
+        results = [r for r in suite_results(70) if (
+            r.columns if r.kind == "records" else r.data).dtype == np.float64]
+        assert len(results) == 25  # all but the residual-text normal form
+        assert sum(_all_finite(r) for r in results) == 25
+        results += [WRITER_CASES[case]() for case in (
+            "nan_chunk", "infinity_chunk", "invalid_nan_row", "pole_and_invalid_row",
+            "antisymmetric_invalid_row", "records_constant_columns",
+        )]
+        for result in results:
             cli.write_result(result, str(out), "jsonl")
             assert out.read_text() == reference_jsonl(result)
-        # The spy sits on the step a chunk with a pole does take.
+        # The spy sits on the step a residual-text chunk does take.
         with pytest.raises(AssertionError, match="tokenized"):
-            cli.write_result(WRITER_CASES["nan_chunk"](), str(out), "jsonl")
-
+            cli.write_result(WRITER_CASES["residual_text"](), str(out), "jsonl")
 
     def test_only_distinct_upper_entries_formatted(self, tmp_path, monkeypatch):
         # Per chunk, an antisymmetric matrix's text needs only the entries on
-        # and above the diagonal that are not constant there; each entry
-        # below reuses its transpose's text.  In the suite's matrices the
-        # diagonal is constant, so only upper entries are formatted.
+        # and above the diagonal that are not constant there, value by value,
+        # and one value of each constant entry; each entry below reuses its
+        # transpose's text.  In the suite's matrices the diagonal is constant.
         calls = []
-        format_columns = geometry._format_columns
+        float_slots = geometry._float_slots
 
-        def spy(template, values, spec, order=None):
-            calls.append([[spec % v for v in column] for column in values.tolist()])
-            return format_columns(template, values, spec, order)
+        def spy(values, style):
+            calls.append(values.tolist())
+            return float_slots(values, style)
 
         monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
-        monkeypatch.setattr(geometry, "_format_columns", spy)
+        monkeypatch.setattr(geometry, "_float_slots", spy)
         matrices = [r for r in suite_results(70) if r.kind == "matrix"]
         assert len(matrices) == 7
         matrices += [WRITER_CASES[case]() for case in (
@@ -684,19 +691,23 @@ class TestColumnarOutput:
             k, m = result.data.shape[:2]
             rows = result.data.reshape(k, m * m)
             lower = {i * m + j for i in range(m) for j in range(i)}
-            for fmt, text in (("jsonl", json.dumps), ("csv", "%.17g".__mod__)):
+            for fmt in ("jsonl", "csv"):
                 # A jsonl line of a masked result also holds its valid flag.
                 width = m * m + (fmt == "jsonl" and result.valid is not None)
                 expected = []
                 for span in geometry._text_chunks(k, width):
                     bits = rows[span].view(np.uint64)
-                    expected.append([
-                        list(map(text, rows[span, c].tolist())) for c in range(m * m)
-                        if c not in lower and (bits[:, c] != bits[0, c]).any()
-                    ])
+                    varies = (bits != bits[0]).any(axis=0)
+                    expected.append(
+                        [v for c in range(m * m) if varies[c] and c not in lower
+                         for v in rows[span, c].tolist()]
+                        + [rows[span][0, c] for c in range(m * m) if not varies[c]]
+                    )
                 calls.clear()
                 cli.write_result(result, str(tmp_path / f"out.{fmt}"), fmt)
-                assert calls == expected
+                assert [np.array(call).view(np.uint64).tolist() for call in calls] == [
+                    np.array(values).view(np.uint64).tolist() for values in expected
+                ]
 
 
 # Multivector files that are valid JSON but not a multivector: a non-object
@@ -760,7 +771,6 @@ SCALAR_FLAGS = {
     "coboundary_argument": lambda text: [
         "num_coboundary_operator", "--bivector", EXAMPLES / "so3.json", f"--argument={text}"
     ],
-    "curl_argument": lambda text: ["num_curl_operator", "--dim", 3, f"--argument={text}"],
     "casimir": lambda text: ["num_flaschka_ratiu_bivector", "--dim", 3, f"--casimir={text}"],
 }
 # Grammar tokens of the expression language and characters outside it.
@@ -937,13 +947,30 @@ class TestExitCodes:
         assert "--bivector is not an input of num_curl_operator" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["num_curl_operator", "--argument", "x1*x2"],
         ["num_flaschka_ratiu_bivector", "--casimir", "x1", "--casimir", "x2"],
-    ], ids=["scalar_curl_argument", "casimirs"])
+    ], ids=["casimirs"])
     def test_dim_is_named_where_no_input_gives_the_dimension(self, tmp_path, capsys, argv):
         code = run_cli("eval", *argv, "--mesh", "corners", "--out", tmp_path / "out.jsonl")
         assert code == cli.EXIT_VALIDATION
         assert f"--dim is required for {argv[0]}" in capsys.readouterr().err
+
+    # Curl takes a field of degree >= 1, so no scalar can succeed: it is
+    # refused before --dim is asked for or the text is parsed.
+    @pytest.mark.parametrize("argv", [
+        ["--argument", "x1*x2"],
+        ["--argument", "x1*x2", "--dim", 3],
+        ["--argument", "x1 +", "--dim", 3],
+        ["--argument", "@scalar.txt", "--dim", 3],
+    ], ids=["inline", "inline_with_dim", "unparsable_with_dim", "scalar_file"])
+    def test_curl_refuses_a_scalar_argument(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "scalar.txt").write_text("x1*x2\n")
+        code = run_cli("eval", "num_curl_operator", *argv, "--mesh", "corners", "--out", "out.jsonl")
+        assert code == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "--argument of num_curl_operator must be a multivector JSON file" in err
+        assert "--dim" not in err
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_degree_option_is_gone(self, tmp_path):
         # A JSON argument carries its own degree and inline text is degree 0.
@@ -1080,6 +1107,25 @@ class TestBench:
         assert (report["method"], report["mode"], report["workers"]) == (
             "num_bivector", "records", 2
         )
+
+    def test_dim_without_custom_inputs_is_validation(self, tmp_path, capsys):
+        # The suite case brings its own dimension; --dim once was dropped
+        # silently and the suite's R^4 case timed.
+        out = tmp_path / "report.json"
+        code = run_cli(
+            "bench", "--method", "num_flaschka_ratiu_bivector", "--dim", 6,
+            "--sizes", "100,200", "--repeats", 1, "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "--dim applies only to custom inputs" in capsys.readouterr().err
+        assert not out.exists()
+        code = run_cli(
+            "bench", "--method", "num_flaschka_ratiu_bivector", "--dim", 6,
+            "--casimir", "x1*x2", "--casimir", "x3+x4", "--casimir", "x5*x6",
+            "--casimir", "x1+x6", "--sizes", "100,200", "--repeats", 1, "--out", out,
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["method"] == "num_flaschka_ratiu_bivector"
 
     def test_any_given_input_flag_means_custom_inputs(self, tmp_path, capsys):
         # --f0 alone once timed the suite's exp(x3) and dropped the flag.
