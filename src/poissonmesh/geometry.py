@@ -564,7 +564,8 @@ def _float_slots(values: np.ndarray, style: str) -> tuple:
     token = ~np.isfinite(xs) | (xs == 0)
     code = 2 * np.isnan(xs) + 4 * np.isinf(xs) + sign[special].astype(np.intp)
     words[special[token]] = form.tokens[code[token]]
-    python = np.union1d(special[~token], np.flatnonzero(unsure))
+    unsure[special[~token]] = True
+    python = np.flatnonzero(unsure)
     for i in python.tolist():
         slots[i] = np.frombuffer(_slot_bytes(form.python(values[i].item()).encode()), np.uint8)
     return slots, len(python)
@@ -574,7 +575,7 @@ _FLAGS = _words((b"false", b"true"))
 
 
 def _chunk_text(block: np.ndarray, style: str, pieces: tuple, flags=None,
-                pairs: tuple = ()) -> bytes:
+                pairs: tuple = ()) -> bytearray:
     """The text of the float64 (columns, rows) chunk ``block``: row r is
     ``pieces`` (bytes) with the ``style`` text of column c's row-r value
     between pieces c and c + 1 and, given ``flags``, ``false`` or ``true``
