@@ -23,7 +23,8 @@ value's ``float.__repr__`` or ``%.17g`` characters, zeros, poles, the line's
 literal pieces and each row's valid flag into fixed byte slots, and one
 ``bytes.translate`` deletes the padding.  Python formats a value itself
 only where a rounding or shortest-digit decision falls within the kernel's
-error bound, and for magnitudes below 1e-290 (subnormals included), so the
+error bound and is not an exact tie or integer (those are decided in
+int64), and for magnitudes below 1e-290 (subnormals included), so the
 bytes are exact.  Only a chunk that is not float64 (residual text, other
 dtypes) is filled into a line template from ``json.dumps`` tokens.  Both
 writers format each distinct column of a chunk once, and the bytes do not
@@ -47,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BenchCase, benchmark_suite, fit_loglog, method_case, time_method
-from .evaluate import EvalOptions, MeshDimensionError
+from .evaluate import EvalOptions, MeshDimensionError, _thread_count
 from .expressions import ExpressionError, UnboundParameterError
 from .geometry import (
     BatchResult,
@@ -295,10 +296,11 @@ def cmd_eval(args) -> int:
     invalid = "" if result.valid is None else (
         f", {len(result) - np.count_nonzero(result.valid)} invalid"
     )
+    threads = _thread_count(len(mesh), options.workers)
     print(
         f"{len(mesh.points)} points, prepare {t1 - t0:.3f} s, load {t2 - t1:.3f} s, "
-        f"eval {t3 - t2:.3f} s, write {t4 - t3:.3f} s, "
-        f"{result.nonfinite} non-finite{invalid}"
+        f"eval {t3 - t2:.3f} s on {threads} thread{'s' * (threads > 1)}, "
+        f"write {t4 - t3:.3f} s, {result.nonfinite} non-finite{invalid}"
     )
     return EXIT_OK
 
@@ -366,7 +368,8 @@ def _add_eval_input_flags(parser):
     parser.add_argument("--param", action="append",
                         help="parameter binding name=value (repeatable)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="worker thread count (default: single-threaded)")
+                        help="worker thread count (default: the usable cores, at "
+                             "most one thread per 8 chunks of 16,384 points)")
 
 
 def build_parser() -> argparse.ArgumentParser:

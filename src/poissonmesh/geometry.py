@@ -364,8 +364,11 @@ def _mirror_pairs(shape: tuple) -> tuple:
 # each neighbour, scaled likewise), the one with the most trailing zeros,
 # and of two or more such the one nearest y.  Where a rounding lies within
 # _TOL of a tie or an interval end within _TOL of an integer (_TOL is far
-# above y's error), and for |x| outside [1e-290, max) other than 0, inf and
-# nan, Python formats the value, so the bytes are exact by construction.
+# above y's error), the kernel decides it in int64 from the value's bits if
+# it is exactly one: a tie goes to the even integer and an end belongs to
+# the interval where the significand is even, as Python rounds.  Python
+# formats the other such values, and those with |x| outside [1e-290, max)
+# other than 0, inf and nan, so the bytes are exact by construction.
 
 _EMIN, _EMAX = -290, 308  # the decimal exponents the table covers
 _TOL = 2.0 ** -30
@@ -435,11 +438,70 @@ def _nearest(whole: np.ndarray, rest: np.ndarray) -> tuple:
     return whole + fl.astype(np.int64) + (frac > 0.5), np.abs(frac - 0.5) < _TOL
 
 
+_FIVES = 5 ** np.arange(28, dtype=np.int64)  # every power of 5 below 2**63
+_ONE = 1 << 52  # the implicit bit of a normal significand
+
+
+def _integer(n, twos, s) -> tuple:
+    """Where n * 2**twos * 10**s, for odd int64 ``n``, is an integer, and
+    its int64 value there (which must be below 2**63)."""
+    fives = _FIVES[np.minimum(np.abs(s), len(_FIVES) - 1)]
+    twos = twos + s
+    where = (twos >= 0) & (np.abs(s) < len(_FIVES)) & ((s >= 0) | (n % fives == 0))
+    return where, np.where(s >= 0, n * fives, n // fives) << np.clip(twos, 0, 62)
+
+
+def _binary(a: np.ndarray) -> tuple:
+    """(M, q) of the normal float64s a = M * 2**q, M in [2**52, 2**53)."""
+    bits = a.view(np.int64)
+    return bits & (_ONE - 1) | _ONE, (bits >> 52) - 1075
+
+
+def _even_ties(a, e, rows, tens: int) -> tuple:
+    """For ``rows`` of ``a`` whose y / ``tens`` is within _TOL of a tie:
+    which are exactly ties (2y is then an integer), and the even integer
+    Python rounds those to."""
+    m, q = _binary(a[rows])
+    zeros = np.frexp((m & -m).astype(np.float64))[1] - 1  # M's trailing zero bits
+    exact, twice = _integer(m >> zeros, q + 1 + zeros, 16 - e[rows])
+    half = twice[exact] // (2 * tens)
+    return exact, half + (half & 1)
+
+
+def _integer_ends(a, e, whole, ends, marks) -> None:
+    """Where ``marks`` flag an end of the rounding interval of ``a`` that
+    is exactly an integer in y's units, set ``ends`` (first, last) there as
+    ``_shortest`` reads them and clear the mark.
+
+    With a = M * 2**q, the ends are (2M -+ 1) * 2**(q - 1) * 10**(16 - e),
+    and the lower one of a power of two (4M - 1) * 2**(q - 2).  Python
+    reads ``a`` back from an end exactly where M is even (round half to
+    even), so those intervals hold their ends.
+    """
+    rows = np.flatnonzero(marks[0] | marks[1])
+    if not len(rows):
+        return
+    m, q = _binary(a[rows])
+    s = 16 - e[rows]
+    closed = m % 2 == 0
+    for side, (end, mark) in enumerate(zip(ends, marks)):
+        n, twos = 2 * m + (2 * side - 1), q - 1
+        if side == 0:  # the gap below a power of two is half the gap above
+            power = m == _ONE
+            n[power], twos[power] = 4 * _ONE - 1, q[power] - 2
+        exact, value = _integer(n, twos, s)
+        at = rows[exact]
+        # first is the integer before the interval's first, last its last.
+        end[at] = value[exact] - whole[at] - (closed if side == 0 else ~closed)[exact]
+        mark[at] = False
+
+
 def _shortest(a, e, whole, rest, digits, unsure) -> None:
     """Set ``digits`` (the integers nearest y) to the integers with the
     most trailing zeros in the rounding interval of ``a`` scaled as y is,
     the one nearest y of two or more, and mark ``unsure`` where an end of
-    the interval is within _TOL of an integer or the nearest of a tie."""
+    the interval is within _TOL of an integer or the nearest of a tie, and
+    not exactly one."""
     # The interval is (y - below, y + above).  ``first`` and ``last`` are
     # its first and last integers, and a multiple of 10**p lies in it iff
     # the last p digits of ``last`` are below ``count``, its integer count.
@@ -447,8 +509,9 @@ def _shortest(a, e, whole, rest, digits, unsure) -> None:
     below = rest - (a - np.nextafter(a, 0)) * high
     above = rest + (np.nextafter(a, math.inf) - a) * high
     first, last = np.floor(below), np.floor(above)
-    unsure |= np.abs(below - first - 0.5) > 0.5 - _TOL
-    unsure |= np.abs(above - last - 0.5) > 0.5 - _TOL
+    marks = np.abs(below - first - 0.5) > 0.5 - _TOL, np.abs(above - last - 0.5) > 0.5 - _TOL
+    _integer_ends(a, e, whole, (first, last), marks)
+    unsure |= marks[0] | marks[1]
     count = last - first
     last = whole + last.astype(np.int64)
     last2 = (last % 100).astype(np.float64)
@@ -457,7 +520,11 @@ def _shortest(a, e, whole, rest, digits, unsure) -> None:
     digits[tens] = last[tens] - last1[tens].astype(np.int64)
     many = tens[last1[tens] + 10 < count[tens]]  # two or more multiples of ten
     near, tie = _nearest(whole[many] // 10, (whole[many] % 10 + rest[many]) * 0.1)
-    unsure[many] |= tie
+    ties = np.flatnonzero(tie)
+    if len(ties):
+        exact, even = _even_ties(a, e, many[ties], 10)
+        near[ties[exact]] = even
+        unsure[many[ties[~exact]]] = True
     least = digits[many] - ((count[many] - last1[many] - 1) // 10 * 10).astype(np.int64)
     digits[many] = np.clip(near * 10, least, digits[many])
     hundreds = np.flatnonzero(last2 < count)  # one multiple of 100 at most
@@ -474,6 +541,11 @@ def _decimal(a: np.ndarray, shortest: bool) -> tuple:
     e -= a < _LEAST[e - _EMIN]
     whole, rest = _scaled(a, e)
     digits, unsure = _nearest(whole, rest)
+    rows = np.flatnonzero(unsure)
+    if len(rows):
+        exact, even = _even_ties(a, e, rows, 1)
+        digits[rows[exact]] = even
+        unsure[rows[exact]] = False
     if shortest:
         _shortest(a, e, whole, rest, digits, unsure)
     over = digits == _E17

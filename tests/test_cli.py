@@ -4,6 +4,7 @@ import argparse
 import filecmp
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -305,6 +306,26 @@ class TestEval:
         assert rows[0]["valid"] is False
         assert rows[1]["valid"] is True
         assert rows[1]["coeffs"]["1,2"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("chunks", [0, 16])
+    def test_summary_names_the_threads(self, tmp_path, capsys, chunks):
+        # By default a call runs on the usable cores, one thread per 8 of
+        # its 16,384-point chunks: the corners' 8 points on one thread.
+        if chunks:
+            mesh = tmp_path / "mesh.npy"
+            save_mesh(random_mesh(chunks * 16384, 3, seed=5), str(mesh))
+        affinity = getattr(os, "sched_getaffinity", None)
+        cores = len(affinity(0)) if affinity else os.cpu_count()
+        assert run_cli(
+            "eval", "num_bivector", "--bivector", EXAMPLES / "so3.json", "--dim", 3,
+            "--mesh", mesh if chunks else "corners", "--out", tmp_path / "out.npy",
+        ) == 0
+        summary = capsys.readouterr().out
+        threads = min(cores, 2) if chunks else 1
+        assert re.search(
+            rf", eval [0-9.]+ s on {threads} thread{'s' if threads > 1 else ''}, write ", summary
+        ), summary
+        assert summary.endswith(" 0 non-finite\n")
 
     def test_gauge_summary_counts_invalid_points(self, tmp_path, capsys):
         out = tmp_path / "gauge.jsonl"
@@ -834,6 +855,18 @@ class TestExitCodes:
             "--mesh", mesh_path, "--out", tmp_path / "out.jsonl",
         )
         assert code == cli.EXIT_DIMENSION
+
+    def test_ragged_csv_mesh_is_validation(self, tmp_path, capsys):
+        mesh_path = tmp_path / "ragged.csv"
+        mesh_path.write_text("0,1,2\n3,4\n")
+        out = tmp_path / "out.jsonl"
+        code = run_cli(
+            "eval", "num_bivector", "--bivector", EXAMPLES / "so3.json",
+            "--mesh", mesh_path, "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "error: invalid input" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_required_flag_is_validation(self, tmp_path):
         code = run_cli(

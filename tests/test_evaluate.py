@@ -932,6 +932,32 @@ class TestModesAndConcurrency:
         with pytest.raises(MultivectorError, match="workers"):
             EvalOptions(mode="dense", workers=workers)
 
+    def test_default_thread_count(self, monkeypatch):
+        # None: the usable cores, at most one thread per 8 chunks, so calls
+        # under 16 chunks run serially; a given count is kept up to the
+        # chunk count.
+        chunk = ev._CHUNK_ROWS
+        for cores in (1, 2, 64):
+            monkeypatch.setattr(ev, "_usable_cores", lambda cores=cores: cores)
+            assert [ev._thread_count(rows, None) for rows in (
+                0, 8, 15 * chunk, 15 * chunk + 1, 24 * chunk + 1, 10**6
+            )] == [1, 1, 1, min(cores, 2), min(cores, 3), min(cores, 7)]
+            assert [ev._thread_count(rows, 4) for rows in (0, 8, chunk + 1, 10**6)] == [
+                1, 1, 2, 4
+            ]
+            assert ev._thread_count(10**6, 100) == 62
+
+    def test_unbound_normal_form_across_threads(self, monkeypatch):
+        # Residual-text records run through the same chunks and threads.
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 3)
+        serial, threaded = (
+            ev.num_linear_normal_form_r3(
+                g.LINEAR_MIXED_R3, corners_mesh(3), EvalOptions(workers=w)
+            )
+            for w in (1, 3)
+        )
+        assert threaded.data == serial.data == g.NORMAL_FORM_RECORDS
+
     def test_more_workers_than_chunks(self, monkeypatch):
         monkeypatch.setattr(ev, "_CHUNK_ROWS", 100)
         mesh = random_mesh(250, 3, seed=SEED + 22)

@@ -132,6 +132,36 @@ class TestMeshSerialization:
         np.savetxt(ref, rows, fmt="%.17g", delimiter=",")
         assert ours.read_bytes() == ref.read_bytes()
 
+    # load_mesh reads a csv exactly as np.loadtxt(delimiter=",", ndmin=2):
+    # the same array, or the same exception.
+    @pytest.mark.parametrize("text", [
+        pytest.param(b"# x1,x2\n1,2\n3,4 # a point\n", id="comments"),
+        pytest.param(b"\n1,2\n\n3,4\n\n", id="blank_lines"),
+        pytest.param(b" 1 , 2\n\t3,\t4 \n", id="spaces"),
+        pytest.param(b"1,2\r\n3,4\r\n", id="crlf"),
+        pytest.param(b"1\n2\n3\n", id="one_column"),
+        pytest.param(b"1,2,3,4\n", id="one_row"),
+        pytest.param(b"1e3,-2.5E-3\n+4,.5\n5.,1e-310\n", id="exponents"),
+        pytest.param(b"nan,1\n2,3\n", id="nan"),
+        pytest.param(b"inf,-inf\n", id="inf"),
+        pytest.param(b"1,2\n3\n", id="ragged"),
+        pytest.param(b"1,x\n", id="not_a_number"),
+        pytest.param(b"1,,2\n", id="empty_field"),
+    ])
+    def test_csv_reads_as_loadtxt(self, tmp_path, text):
+        path = tmp_path / "mesh.csv"
+        path.write_bytes(text)
+        try:
+            expected = as_mesh(np.loadtxt(path, delimiter=",", ndmin=2))
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                load_mesh(str(path))
+            assert str(raised.value) == str(exc)
+        else:
+            got = load_mesh(str(path))
+            assert got.points.shape == expected.points.shape
+            assert got.points.tobytes() == expected.points.tobytes()
+
     def test_unknown_format(self, tmp_path):
         mesh = random_mesh(5, 2, seed=0)
         with pytest.raises(ValueError):

@@ -116,14 +116,28 @@ def test_tokens_zeros_and_subnormals():
 
 
 def test_python_formats_few_values():
-    # Random data needs Python for none of its values; the edges (ties and
-    # interval ends within the error bound, |x| below 1e-290) for some.
-    scales = 10.0 ** np.arange(-6, 7).repeat(10**4)
+    # Random data needs Python for none of its values, whole magnitudes
+    # with exact ties and integer interval ends included; only |x| below
+    # 1e-290 and decisions within the error bound that are not exact do.
+    scales = 10.0 ** np.arange(-6, 21).repeat(10**4)
     values = np.random.default_rng(22).normal(size=len(scales)) * scales
     for style in STYLES:
         assert mismatches(values, style) == ([], 0)
-    assert kernel_texts([1 + 2**-17], "%.17g") == (["1.0000076293945312"], 1)  # a tie
+    assert kernel_texts([1 + 2**-17], "%.17g") == (["1.0000076293945312"], 0)  # a tie
     assert kernel_texts([5e-324], "json") == (["5e-324"], 1)
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_exact_ties_and_interval_ends(style):
+    # Few significant bits make exact ties at every scale, and magnitudes
+    # from 1e15 to 1e40 rounding-interval ends that are integers of the
+    # 17th digit; the kernel decides all of them itself.
+    rng = np.random.default_rng(25)
+    n = 3 * 10**4
+    few_bits = rng.integers(1, 2**20, n) * np.ldexp(1.0, rng.integers(-80, 80, n))
+    large = (10.0 ** rng.uniform(15, 40, n)).view(np.int64) ^ rng.integers(0, 2**12, n)
+    values = np.concatenate((few_bits, large.view(np.float64)))
+    assert mismatches(with_neighbours(values), style) == ([], 0)
 
 
 def test_writer_mixes_every_kind(tmp_path, monkeypatch):
