@@ -66,6 +66,7 @@ class TimingReport:
     slope: float | None = None
     intercept: float | None = None
     r2: float | None = None
+    threads: tuple[int, ...] | None = None  # per size, the threads its calls ran on
 
     def __post_init__(self):
         if len(self.sizes) != len(self.mean_s) or len(self.sizes) != len(
@@ -82,6 +83,8 @@ class TimingReport:
             raise MultivectorError("standard deviations must be non-negative")
         if self.r2 is not None and not 0.0 <= self.r2 <= 1.0:
             raise MultivectorError(f"R^2 must lie in [0, 1], got {self.r2}")
+        if self.threads is not None and len(self.threads) != len(self.sizes):
+            raise MultivectorError("sizes and threads must align")
 
     def to_json_dict(self) -> dict:
         return {
@@ -96,6 +99,7 @@ class TimingReport:
             "seed": self.seed,
             "workers": self.workers,
             "mode": self.mode,
+            "threads": None if self.threads is None else list(self.threads),
             "environment": self.environment,
         }
 
@@ -114,6 +118,8 @@ class TimingReport:
             slope=data.get("slope"),
             intercept=data.get("intercept"),
             r2=data.get("r2"),
+            threads=None if data.get("threads") is None
+            else tuple(int(t) for t in data["threads"]),
         )
 
 
@@ -129,7 +135,9 @@ def time_method(
 
     ``case.factory(options)`` runs once, before timing starts.  The report
     names the case's method and the ``mode`` and ``workers`` of the options
-    (default ``EvalOptions()``) the evaluator was prepared with.  Mesh
+    (default ``EvalOptions()``) the evaluator was prepared with, and per size
+    the threads its calls ran on (``evaluate._thread_count``): a fit across
+    sizes that ran on different thread counts is not per-point work.  Mesh
     generation is excluded from the timed region; each repeat times a
     single evaluator call and one read of its ``data`` (records build there).
     Per size, garbage from earlier work is collected, then one untimed
@@ -175,6 +183,7 @@ def time_method(
         workers=options.workers,
         mode=options.mode,
         environment=default_environment(),
+        threads=tuple(ev._thread_count(k, options.workers) for k in sizes),
     )
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from .bench import BenchCase, benchmark_suite, fit_loglog, method_case, time_method
 from .evaluate import EvalOptions, MeshDimensionError, _thread_count
-from .expressions import ExpressionError, UnboundParameterError
+from .expressions import ExpressionDepthError, ExpressionError, UnboundParameterError
 from .geometry import (
     BatchResult,
     Mesh,
@@ -338,7 +338,7 @@ def cmd_bench(args) -> int:
     atomic_write(args.out, lambda fh: fh.write(text.encode()))
     print(
         f"{args.method} ({report.mode}): slope={report.slope:.3f} "
-        f"r2={report.r2:.4f} -> {args.out}"
+        f"r2={report.r2:.4f} threads={','.join(map(str, report.threads))} -> {args.out}"
     )
     return EXIT_OK
 
@@ -424,6 +424,13 @@ def main(argv=None) -> int:
     except UnboundParameterError as exc:
         print(f"error: unbound parameter: {exc}", file=sys.stderr)
         return EXIT_UNBOUND_PARAMETER
+    except (ExpressionDepthError, RecursionError):
+        # A set-up reports a tree too deep for its recursive walkers, such as
+        # the derivative of a sum of about 990 terms, as ExpressionDepthError.
+        # Multivector files are read before it, and the JSON decoder and the
+        # expression parser recurse once per level of nesting.
+        print(f"error: invalid input: {ExpressionDepthError()}", file=sys.stderr)
+        return EXIT_VALIDATION
     except ExpressionError as exc:
         print(f"error: expression parse failure: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -436,16 +443,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except RecursionError:
-        # The expression core walks trees recursively, so a very long
-        # expression exceeds the interpreter's recursion limit: a sum of
-        # about 330 terms when the bracket compares f == g, 990 elsewhere.
-        print(
-            "error: invalid input: an expression is nested too deeply to "
-            "process; split it into smaller expressions",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

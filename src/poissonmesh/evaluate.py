@@ -13,6 +13,14 @@ such a field too, in cofactor form: X = M adj(G) / det G, G = I - Lambda M,
 with det G as one more output of its program, a guard that marks the points
 where G is singular invalid.
 
+Set-up: every ``prepare_*`` runs inside one ``expressions.interning()``
+scope, so the equal subtrees it builds (the Schouten brackets, one-forms
+bracket and cofactors repeat many) are one node, and the derivative memo
+and the compile table find them by identity instead of walking them.
+Equality stays structural, and the table is emptied when the set-up
+returns, so nothing is kept from one set-up to the next.  A tree too deep
+for the recursive walkers raises ``ExpressionDepthError``.
+
 Chunks: meshes are processed in row chunks of ``_CHUNK_ROWS`` = 16,384 rows.
 Each (k,) temporary of a program is then 128 KB, not 512 KB as at 65,536
 rows, so a chunk's working set stays in the CPU cache: the dense calls of
@@ -46,6 +54,7 @@ as residual text, so each point is partially evaluated.  Non-finite values
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -55,11 +64,13 @@ import numpy as np
 
 from .expressions import (
     Expression,
+    ExpressionDepthError,
     Num,
     compile_expressions,
     differentiate,
     fold_add,
     fold_mul,
+    interning,
     partial_eval,
     to_source,
 )
@@ -288,6 +299,23 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
     return evaluator
 
 
+def _set_up(prepare):
+    """``prepare`` run in one intern scope (``expressions.interning``), so the
+    equal subtrees it builds are one node, and with a tree too deep for the
+    recursive walkers (derivative, rendering, substitution) reported as an
+    ExpressionDepthError, not a bare RecursionError."""
+
+    @functools.wraps(prepare)
+    def set_up(*args, **kwargs):
+        try:
+            with interning():
+                return prepare(*args, **kwargs)
+        except RecursionError:
+            raise ExpressionDepthError() from None
+
+    return set_up
+
+
 def _components(m: int) -> tuple:
     return tuple((i,) for i in range(1, m + 1))
 
@@ -295,6 +323,7 @@ def _components(m: int) -> tuple:
 # --- 1. Bivector evaluation -------------------------------------------------
 
 
+@_set_up
 def prepare_bivector(P, options: EvalOptions | None = None, dim: int | None = None):
     P = validate_multivector(P, dim, 2)
     return _field_evaluator(P, _opts(options))
@@ -308,6 +337,7 @@ def num_bivector(P, mesh, options=None, dim=None) -> BatchResult:
 # --- 2. Matrix form ---------------------------------------------------------
 
 
+@_set_up
 def prepare_bivector_to_matrix(P, options=None, dim=None):
     P = validate_multivector(P, dim, 2)
     # The matrix form is a dense layout whatever the requested mode.
@@ -322,6 +352,7 @@ def num_bivector_to_matrix(P, mesh, options=None, dim=None) -> BatchResult:
 # --- 3. Hamiltonian vector field -------------------------------------------
 
 
+@_set_up
 def prepare_hamiltonian_vf(P, h, options=None, dim=None):
     P = validate_multivector(P, dim, 2)
     field = schouten_coboundary(P, as_expression(h, P.dim))
@@ -336,6 +367,7 @@ def num_hamiltonian_vf(P, h, mesh, options=None, dim=None) -> BatchResult:
 # --- 4. Poisson bracket -----------------------------------------------------
 
 
+@_set_up
 def prepare_poisson_bracket(P, f, g, options=None, dim=None):
     options = _opts(options)
     P = validate_multivector(P, dim, 2)
@@ -359,6 +391,7 @@ def num_poisson_bracket(P, f, g, mesh, options=None, dim=None) -> BatchResult:
 # --- 5. Sharp morphism ------------------------------------------------------
 
 
+@_set_up
 def prepare_sharp_morphism(P, alpha, options=None, dim=None):
     P = validate_multivector(P, dim, 2)
     return _field_evaluator(sharp_sym(P, alpha), _opts(options), _components(P.dim))
@@ -372,6 +405,7 @@ def num_sharp_morphism(P, alpha, mesh, options=None, dim=None) -> BatchResult:
 # --- 6. Coboundary (Schouten) operator -------------------------------------
 
 
+@_set_up
 def prepare_coboundary_operator(P, A, options=None, dim=None, degree=None):
     P = validate_multivector(P, dim, 2)
     return _field_evaluator(schouten_coboundary(P, A, degree=degree), _opts(options))
@@ -385,6 +419,7 @@ def num_coboundary_operator(P, A, mesh, options=None, dim=None, degree=None):
 # --- 7. Modular vector field ------------------------------------------------
 
 
+@_set_up
 def prepare_modular_vf(P, f0="1", options=None, dim=None):
     P = validate_multivector(P, dim, 2)
     return _field_evaluator(modular_vf_sym(P, f0), _opts(options))
@@ -398,6 +433,7 @@ def num_modular_vf(P, f0="1", mesh=None, options=None, dim=None) -> BatchResult:
 # --- 8. Curl (divergence) operator -----------------------------------------
 
 
+@_set_up
 def prepare_curl_operator(A, f0="1", options=None, dim=None, degree=None):
     A = validate_multivector(A, dim, degree)
     return _field_evaluator(curl_sym(A, f0), _opts(options))
@@ -411,6 +447,7 @@ def num_curl_operator(A, f0="1", mesh=None, options=None, dim=None, degree=None)
 # --- 9. Bracket of one-forms ------------------------------------------------
 
 
+@_set_up
 def prepare_one_forms_bracket(P, alpha, beta, options=None, dim=None):
     P = validate_multivector(P, dim, 2)
     field = one_forms_bracket_sym(P, alpha, beta)
@@ -425,6 +462,7 @@ def num_one_forms_bracket(P, alpha, beta, mesh, options=None, dim=None):
 # --- 10. Gauge transformation ----------------------------------------------
 
 
+@_set_up
 def prepare_gauge_transformation(P, lam, options=None, dim=None):
     P = validate_multivector(P, dim, 2)
     m = P.dim
@@ -451,6 +489,7 @@ def num_gauge_transformation(P, lam, mesh, options=None, dim=None) -> BatchResul
 # --- 11. Linear normal form on R^3 -----------------------------------------
 
 
+@_set_up
 def prepare_linear_normal_form_r3(P, options=None):
     options = _opts(options)
     rep = linear_normal_form_r3(P).representative
@@ -495,6 +534,7 @@ def num_linear_normal_form_r3(P, mesh, options=None) -> BatchResult:
 # --- 12. Flaschka-Ratiu bivector -------------------------------------------
 
 
+@_set_up
 def prepare_flaschka_ratiu_bivector(casimirs: Sequence, dim: int, options=None):
     return _field_evaluator(flaschka_ratiu_sym(casimirs, dim), _opts(options))
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 import re
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -39,6 +41,7 @@ __all__ = [
     "Pow",
     "Call",
     "ExpressionError",
+    "ExpressionDepthError",
     "UnboundParameterError",
     "CompiledFunction",
     "parse",
@@ -59,6 +62,17 @@ class ExpressionError(ValueError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class ExpressionDepthError(ExpressionError):
+    """An expression is nested too deeply for the recursive tree walkers."""
+
+    def __init__(
+        self,
+        message: str = "an expression is nested too deeply to process; "
+        "split it into smaller expressions",
+    ):
+        super().__init__(message)
 
 
 class UnboundParameterError(ExpressionError):
@@ -119,6 +133,15 @@ class Expression:
     children's cached values, and kept in slots: neither ever walks a tree.
     Common-subexpression elimination hashes every node it visits, and every
     field validation asks for the coordinate bound, so both depend on that.
+    ``==`` walks both trees with an explicit stack, so it has no depth limit,
+    and tries identity and the cached hash at every pair of nodes first.
+
+    Inside ``interning()``, which every ``evaluate.prepare_*`` opens, the
+    constructors return the node already built with the same type, child
+    identities and value, so equal subtrees built there are one object and
+    the derivative memo and the compile table find them by identity.
+    Equality stays structural: nodes built outside a scope, or on either
+    side of one, compare and hash as before.
     """
 
     __slots__ = ("_hash", "_top")
@@ -126,8 +149,52 @@ class Expression:
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Expression):
+            return NotImplemented
+        # Pairs still to compare wait on a stack; a left operand is compared
+        # next without one (sums nest to the left), an identical pair never.
+        a, b, todo = self, other, []
+        while True:
+            kind = type(a)
+            if kind is not type(b) or a._hash != b._hash:
+                return False
+            if isinstance(a, _Binary):
+                if a.right is not b.right:
+                    todo.append((a.right, b.right))
+                a, b = a.left, b.left
+                if a is not b:
+                    continue
+            elif kind is Num:
+                # Equal float64 bits: 0.0 and -0.0 are different constants
+                # (their reciprocals differ), and a NaN constant equals itself.
+                x, y = a.value, b.value
+                if not ((x == y and x != 0.0) or _float_bits(x) == _float_bits(y)):
+                    return False
+            elif kind is Coord:
+                if a.index != b.index:
+                    return False
+            elif kind is Param:
+                if a.name != b.name:
+                    return False
+            elif kind is Neg:
+                a, b = a.child, b.child
+                if a is not b:
+                    continue
+            else:
+                if a.fn != b.fn:
+                    return False
+                a, b = a.arg, b.arg
+                if a is not b:
+                    continue
+            if not todo:
+                return True
+            a, b = todo.pop()
+
     def __reduce__(self):
-        # Copies and pickles rebuild through __init__, which fills the
+        # Copies and pickles rebuild through the constructor, which fills the
         # cached slots (a hash is only valid in the process that made it).
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
@@ -143,59 +210,135 @@ class Expression:
         return to_source(self)
 
 
+# --- Interning --------------------------------------------------------------
+#
+# While a scope is open, each constructor keys the nodes it builds by type,
+# child identities and value (a ``Num`` by its float64 bits, so 0.0 and -0.0
+# and NaN payloads stay apart) and returns the node it built before for the
+# same key.  Keys name children by ``id``; the node each key maps to holds
+# those children, so no id is reused while the key is in the table.  The
+# scope also holds one derivative memo per coordinate (``differentiate_all``).
+# The outermost scope empties both on exit, so nothing outlives the set-up
+# that opened it, and a second set-up of the same inputs redoes all the work
+# of the first.  The scope is process-wide: a node built on a thread outside
+# any scope while another thread's is open may be shared, or stay in the table
+# until the next outermost scope exits; neither changes a value.
+
+_interned: dict = {}
+_derivatives: dict = {}  # coordinate index -> derivative memo of the scope
+_scopes = 0
+_scope_lock = threading.Lock()
+
+
+@contextmanager
+def interning():
+    """Intern the nodes built until the outermost open scope exits."""
+    global _scopes
+    with _scope_lock:
+        if not _scopes:
+            # The folds return these two, so they are the scope's 0.0 and 1.0.
+            _interned.update({(Num, _float_bits(num.value)): num for num in (_ZERO, _ONE)})
+        _scopes += 1
+    try:
+        yield
+    finally:
+        with _scope_lock:
+            _scopes -= 1
+            if not _scopes:
+                _interned.clear()
+                _derivatives.clear()
+
+
 def _node(cls):
-    """Frozen slotted dataclass with field-wise equality and the cached hash."""
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls.__hash__ = Expression.__hash__
-    return cls
+    """Frozen slotted dataclass; equality and hash are ``Expression``'s."""
+    return dataclass(frozen=True, slots=True, init=False, eq=False)(cls)
+
+
+# Nodes are frozen, so a constructor fills the slots of ``_new(cls)``
+# through the slot descriptors' own setters: the cheapest way, and building
+# nodes is the hot path of parsing, differentiation and folding.
+_new = object.__new__
 
 
 @_node
 class Num(Expression):
     value: float
 
-    def __init__(self, value: float):
-        _set_value(self, value)
-        _set_hash(self, hash(_float_bits(value)))
-        _set_top(self, 0)
-
-    def __eq__(self, other):
-        # Equal float64 bits: 0.0 and -0.0 are different constants (their
-        # reciprocals differ), and a NaN constant equals itself.
-        if type(other) is not Num:
-            return NotImplemented
-        a, b = self.value, other.value
-        return (a == b and a != 0.0) or _float_bits(a) == _float_bits(b)
+    def __new__(cls, value: float):
+        bits = _float_bits(value)
+        scoped = _scopes
+        if scoped:
+            key = (Num, bits)
+            node = _interned.get(key)
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_value(node, value)
+        _set_hash(node, hash(bits))
+        _set_top(node, 0)
+        if scoped:
+            _interned[key] = node
+        return node
 
 
 @_node
 class Coord(Expression):
     index: int  # 1-based
 
-    def __init__(self, index: int):
-        _set_index(self, index)
-        _set_hash(self, hash((Coord, index)))
-        _set_top(self, index)
+    def __new__(cls, index: int):
+        scoped = _scopes
+        if scoped:
+            key = (Coord, index)
+            node = _interned.get(key)
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_index(node, index)
+        _set_hash(node, hash((Coord, index)))
+        _set_top(node, index)
+        if scoped:
+            _interned[key] = node
+        return node
 
 
 @_node
 class Param(Expression):
     name: str
 
-    def __init__(self, name: str):
-        _set_name(self, name)
-        _set_hash(self, hash((Param, name)))
-        _set_top(self, 0)
+    def __new__(cls, name: str):
+        scoped = _scopes
+        if scoped:
+            key = (Param, name)
+            node = _interned.get(key)
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_name(node, name)
+        _set_hash(node, hash((Param, name)))
+        _set_top(node, 0)
+        if scoped:
+            _interned[key] = node
+        return node
 
 
 @_node
 class Neg(Expression):
     child: Expression
 
-    def __init__(self, child: Expression):
-        _set_child(self, child)
-        _set_hash(self, hash((Neg, child._hash)))
-        _set_top(self, child._top)
+    def __new__(cls, child: Expression):
+        scoped = _scopes
+        if scoped:
+            key = (Neg, id(child))
+            node = _interned.get(key)
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_child(node, child)
+        _set_hash(node, hash((Neg, child._hash)))
+        _set_top(node, child._top)
+        if scoped:
+            _interned[key] = node
+        return node
 
 
 @_node
@@ -203,11 +346,21 @@ class _Binary(Expression):
     left: Expression
     right: Expression
 
-    def __init__(self, left: Expression, right: Expression):
-        _set_left(self, left)
-        _set_right(self, right)
-        _set_hash(self, hash((type(self), left._hash, right._hash)))
-        _set_top(self, left._top if left._top > right._top else right._top)
+    def __new__(cls, left: Expression, right: Expression):
+        scoped = _scopes
+        if scoped:
+            key = (cls, id(left), id(right))
+            node = _interned.get(key)
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        _set_hash(node, hash((cls, left._hash, right._hash)))
+        _set_top(node, left._top if left._top > right._top else right._top)
+        if scoped:
+            _interned[key] = node
+        return node
 
 
 @_node
@@ -240,16 +393,23 @@ class Call(Expression):
     fn: str
     arg: Expression
 
-    def __init__(self, fn: str, arg: Expression):
-        _set_fn(self, fn)
-        _set_arg(self, arg)
-        _set_hash(self, hash((Call, fn, arg._hash)))
-        _set_top(self, arg._top)
+    def __new__(cls, fn: str, arg: Expression):
+        scoped = _scopes
+        if scoped:
+            key = (Call, fn, id(arg))
+            node = _interned.get(key)
+            if node is not None:
+                return node
+        node = _new(cls)
+        _set_fn(node, fn)
+        _set_arg(node, arg)
+        _set_hash(node, hash((Call, fn, arg._hash)))
+        _set_top(node, arg._top)
+        if scoped:
+            _interned[key] = node
+        return node
 
 
-# Nodes are frozen, so their __init__ fills the slots through the slot
-# descriptors' own setters: the cheapest way, and building nodes is the hot
-# path of parsing, differentiation and folding.
 _set_hash = Expression._hash.__set__
 _set_top = Expression._top.__set__
 _set_value = Num.value.__set__
@@ -512,10 +672,12 @@ def differentiate_all(exprs: Sequence[Expression], index: int) -> list[Expressio
 
     Equal to differentiating each on its own, but a subtree that occurs more
     than once among them is differentiated once and its result shared.
+    Inside ``interning()`` the memo is the scope's, so that holds across
+    every call of the scope too.
     """
     if index < 1:
         raise ExpressionError(f"coordinate index must be >= 1, got {index}")
-    memo: dict = {}
+    memo = _derivatives.setdefault(index, {}) if _scopes else {}
     return [_derivative(e, index, memo) for e in exprs]
 
 

@@ -52,6 +52,16 @@ class TestTimingReport:
         again = TimingReport.from_json_dict(report.to_json_dict())
         assert again == report
 
+    def test_threads_round_trip_and_default_to_none(self):
+        report = make_report([10, 20], [0.1, 0.2], threads=(1, 2))
+        data = report.to_json_dict()
+        assert data["threads"] == [1, 2]
+        assert TimingReport.from_json_dict(data) == report
+        del data["threads"]  # a report written before the field existed
+        assert TimingReport.from_json_dict(data).threads is None
+        with pytest.raises(MultivectorError, match="threads must align"):
+            make_report([10, 20], [0.1, 0.2], threads=(1,))
+
     def test_mode_round_trips_and_defaults_to_records(self):
         report = make_report([10, 20], [0.1, 0.2], mode="dense")
         data = report.to_json_dict()
@@ -157,7 +167,17 @@ class TestTimeMethod:
     def test_default_options_report_records_single_threaded(self):
         case = bench.benchmark_suite()["num_bivector"]
         report = time_method(case, [10, 20], repeats=1, seed=0)
-        assert (report.mode, report.workers) == ("records", None)
+        assert (report.mode, report.workers, report.threads) == ("records", None, (1, 1))
+
+    def test_reports_the_threads_of_each_size(self):
+        # 300,000 points are 19 chunks of 16,384: the default runs them on up
+        # to 2 usable cores, and a slope across the two sizes mixes counts.
+        case = bench.benchmark_suite()["num_bivector"]
+        sizes = (1_000, 300_000)
+        report = time_method(case, sizes, EvalOptions(mode="dense"), repeats=1)
+        assert report.threads == (1, min(ev._usable_cores(), 2))
+        report = time_method(case, sizes, EvalOptions(mode="dense", workers=1), repeats=1)
+        assert report.threads == (1, 1)
 
 
 class TestBenchmarkSuite:

@@ -1027,6 +1027,20 @@ class TestExitCodes:
         assert "nested too deeply" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_deeply_nested_multivector_file_is_validation(self, tmp_path, capsys):
+        # Multivector files are read before any set-up, and the parser recurses
+        # once per parenthesis.
+        deep = tmp_path / "deep.json"
+        deep.write_text(json.dumps(
+            {"dim": 3, "degree": 2, "coeffs": {"1,2": "(" * 400 + "x1" + ")" * 400}}
+        ))
+        out = tmp_path / "out.jsonl"
+        code = run_cli("eval", "num_bivector", "--bivector", deep, "--mesh", "corners",
+                       "--out", out)
+        assert code == cli.EXIT_VALIDATION
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_output_file_on_failure(self, tmp_path):
         out = tmp_path / "out.jsonl"
         run_cli(
@@ -1105,10 +1119,12 @@ class TestBench:
         report = json.loads(out.read_text())
         assert set(report) == {
             "method", "sizes", "mean_s", "std_s", "slope", "intercept",
-            "r2", "repeats", "seed", "workers", "mode", "environment",
+            "r2", "repeats", "seed", "workers", "mode", "threads", "environment",
         }
         assert report["mode"] == "records"
-        assert "num_bivector (records): slope=" in capsys.readouterr().out
+        assert report["threads"] == [1, 1]
+        out = capsys.readouterr().out
+        assert "num_bivector (records): slope=" in out and " threads=1,1 -> " in out
         assert report["method"] == "num_bivector"
         assert report["sizes"] == [200, 400]
         assert len(report["mean_s"]) == 2

@@ -1,16 +1,23 @@
 """Tests for the batch mesh-evaluation layer."""
 
+import struct
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldens as g
 import oracles
 from poissonmesh import bench
 from poissonmesh import evaluate as ev
+from poissonmesh import expressions as ex
 from poissonmesh.evaluate import EvalOptions, MeshDimensionError
 from poissonmesh.expressions import (
+    ExpressionDepthError,
     ExpressionError,
     Num,
     UnboundParameterError,
@@ -1269,3 +1276,148 @@ class TestReadOnlyPoints:
                     assert transposed.tobytes() == (-reference[key]).tobytes(), key
                 assert value.tobytes() == reference[key].tobytes(), (mode, key)
         assert points.tobytes() == before.tobytes()
+
+
+# --- Interned set-up ----------------------------------------------------------
+
+
+def _ops(fn) -> tuple:
+    """A program as data: each op with its ufunc, slot or output number, and
+    its constant by float64 bits."""
+    return fn.dim, fn.n_slots, [
+        (op, struct.pack("<d", arg) if isinstance(arg, float) else arg)
+        for op, arg in fn.program
+    ]
+
+
+def _set_up_programs(case, options, interned: bool) -> list:
+    """The programs a case's set-up compiles, with its trees built inside the
+    set-up's intern scope or, through the undecorated ``prepare_*``, outside."""
+    made = []
+
+    def recording(exprs, dim, params=None):
+        fn = compile_expressions(exprs, dim, params)
+        made.append(_ops(fn))
+        return fn
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ev, "compile_expressions", recording)
+        if interned:
+            case.factory(options)
+        else:
+            factory = case.factory
+            factory.func.__wrapped__(*factory.args, options, **factory.keywords)
+    return made
+
+
+def _random_case(method: str, m: int, rng) -> bench.BenchCase:
+    """The case of ``method`` on random polynomial fields from ``oracles``."""
+    field = oracles.random_multivector_dict
+    scalar = oracles.random_polynomial_text
+    inputs = {
+        "num_bivector": lambda: (field(rng, m, 2),),
+        "num_bivector_to_matrix": lambda: (field(rng, m, 2),),
+        "num_hamiltonian_vf": lambda: (field(rng, m, 2), scalar(rng, m)),
+        "num_poisson_bracket": lambda: (field(rng, m, 2), scalar(rng, m), scalar(rng, m)),
+        "num_sharp_morphism": lambda: (field(rng, m, 2), field(rng, m, 1)),
+        "num_coboundary_operator": lambda: (field(rng, m, 2), field(rng, m, 1)),
+        "num_modular_vf": lambda: (field(rng, m, 2), scalar(rng, m)),
+        "num_curl_operator": lambda: (field(rng, m, 2), scalar(rng, m)),
+        "num_one_forms_bracket": lambda: (field(rng, m, 2), field(rng, m, 1), field(rng, m, 1)),
+        "num_gauge_transformation": lambda: (field(rng, m, 2), field(rng, m, 2)),
+        "num_flaschka_ratiu_bivector": lambda: ([scalar(rng, m) for _ in range(m - 2)],),
+    }[method]()
+    return bench.method_case(method, inputs, m)
+
+
+def _long_sum(terms: int) -> str:
+    return " + ".join(f"x1*x2**{i}" for i in range(terms))
+
+
+class TestInternedSetUp:
+    @pytest.mark.parametrize("options", [EvalOptions(), DENSE], ids=["records", "dense"])
+    def test_suite_programs_equal_those_of_trees_built_outside_a_scope(self, options):
+        for method, case in bench.benchmark_suite().items():
+            inside = _set_up_programs(case, options, interned=True)
+            assert inside == _set_up_programs(case, options, interned=False), method
+            assert len(inside) == 1, method
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 4))
+    def test_random_field_programs_equal_those_built_outside_a_scope(self, seed, m):
+        rng = np.random.default_rng(seed)
+        for method in bench._SUITE:
+            if method == "num_linear_normal_form_r3":
+                continue
+            case = _random_case(method, m, rng)
+            inside = _set_up_programs(case, EvalOptions(), interned=True)
+            assert inside == _set_up_programs(case, EvalOptions(), interned=False), method
+            assert len(inside) == 1, method
+
+    def test_table_is_empty_whenever_no_set_up_runs(self, monkeypatch):
+        sizes = []
+        compile_in_scope = ev.compile_expressions
+
+        def recording(exprs, dim, params=None):
+            sizes.append(len(ex._interned))
+            return compile_in_scope(exprs, dim, params)
+
+        monkeypatch.setattr(ev, "compile_expressions", recording)
+        for case in bench.benchmark_suite().values():
+            case.factory(EvalOptions(mode="dense"))
+            assert (ex._scopes, ex._interned, ex._derivatives) == (0, {}, {}), case.method
+        assert len(sizes) == 12 and min(sizes) > 0
+        failing = [
+            lambda: ev.prepare_hamiltonian_vf(g.SO3, "c*x1", dim=3),  # unbound parameter
+            lambda: ev.prepare_hamiltonian_vf(g.SO3, "x1 +", dim=3),  # parse error
+            lambda: ev.prepare_hamiltonian_vf(g.SO3, _long_sum(1000), dim=3),  # too deep
+        ]
+        for prepare in failing:
+            with pytest.raises(ExpressionError):
+                prepare()
+            assert (ex._scopes, ex._interned, ex._derivatives) == (0, {}, {})
+
+    def test_concurrent_set_ups_share_one_scope_count(self):
+        # Set-ups on several threads open and close their scopes in any
+        # order; a lost update of the count would leave the table full or
+        # empty it under a running set-up.
+        cases = list(bench.benchmark_suite().values())
+        meshes = [random_mesh(50, case.dim, seed=SEED) for case in cases]
+
+        def outputs():
+            return [
+                case.factory(DENSE)(mesh).data.tobytes() for case, mesh in zip(cases, meshes)
+            ]
+
+        serial, results, switch = outputs(), {}, sys.getswitchinterval()
+
+        def work(thread):
+            results[thread] = [outputs() for _ in range(3)]
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert (ex._scopes, ex._interned, ex._derivatives) == (0, {}, {})
+        assert results == {t: [serial] * 3 for t in range(4)}
+
+    def test_too_deep_for_the_walkers_is_an_expression_error(self):
+        with pytest.raises(ExpressionDepthError, match="nested too deeply") as err:
+            ev.prepare_hamiltonian_vf(g.SO3, _long_sum(1000), dim=3)
+        assert not isinstance(err.value, RecursionError)
+
+    def test_bracket_of_a_long_sum_with_itself_is_zero(self):
+        h = _long_sum(1000)
+        zero = [(3, 0, [(ex._OP_CONST, struct.pack("<d", 0.0)), (ex._OP_OUT, 0)])]
+        # The same text, and equal trees parsed outside the set-up.
+        for f, g_ in ((h, h), (parse(h, 3), parse(h, 3))):
+            case = bench.method_case("num_poisson_bracket", (g.SO3, f, g_), 3)
+            assert _set_up_programs(case, DENSE, interned=True) == zero
+            res = case.factory(DENSE)(corners_mesh(3))
+            assert res.data.tobytes() == np.zeros(8).tobytes()

@@ -1,6 +1,7 @@
 """Tests for the expression language: parsing, differentiation, compilation."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -278,6 +279,36 @@ class TestNodeIdentity:
         e = ex.parse("x1/-0.0 + x1/0.0", 1)
         assert ex.compile_expression(e, 1).n_slots == 0
         assert math.isnan(ex.compile_expression(e, 1)([1.0]))
+
+    def test_equality_of_deep_trees_has_no_depth_limit(self):
+        # Sums nest to the left, so the first term is the deepest leaf.
+        terms = [f"x1*x2**{i}" for i in range(10_000)]
+        a = ex.parse(" + ".join(terms), 3)
+        b = ex.parse(" + ".join(terms), 3)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a != ex.parse(" + ".join(["x1*x2**0.5"] + terms[1:]), 3)
+        zero = ex.parse(" + ".join(["x1*0.0**x3"] + terms[1:]), 3)
+        negative_zero = ex.parse(" + ".join(["x1*(-0.0)**x3"] + terms[1:]), 3)
+        assert zero != negative_zero
+        assert zero == ex.parse(" + ".join(["x1*0.0**x3"] + terms[1:]), 3)
+
+    def test_interning_shares_equal_nodes_until_the_outermost_scope_exits(self):
+        source = "x1*sin(x2) - x3**2/a + -x1"
+        nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+        other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000002))[0]
+        with ex.interning():
+            a = ex.parse(source, 3)
+            assert ex.parse(source, 3) is a
+            # Constants are keyed by their bits.
+            assert ex.Num(0.0) is ex.Num(0.0) and ex.Num(0.0) is not ex.Num(-0.0)
+            assert ex.Num(nan) is ex.Num(nan) and ex.Num(nan) is not ex.Num(other_nan)
+            with ex.interning():
+                assert ex.parse(source, 3) is a
+            assert ex.parse(source, 3) is a
+        assert not ex._interned and not ex._derivatives
+        b = ex.parse(source, 3)
+        assert b is not a and b == a and hash(b) == hash(a)
 
     def test_nodes_have_no_instance_dict(self):
         x = ex.Coord(1)
