@@ -24,7 +24,7 @@ import statistics
 import time
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class TimingReport:
     std_s: tuple[float, ...]
     repeats: int
     seed: int
-    workers: int | None = None
     mode: str = "records"  # the output layout the evaluator was timed in
     environment: str = ""
     slope: float | None = None
@@ -97,30 +96,10 @@ class TimingReport:
             "r2": self.r2,
             "repeats": self.repeats,
             "seed": self.seed,
-            "workers": self.workers,
             "mode": self.mode,
             "threads": None if self.threads is None else list(self.threads),
             "environment": self.environment,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "TimingReport":
-        return cls(
-            method=data["method"],
-            sizes=tuple(int(k) for k in data["sizes"]),
-            mean_s=tuple(float(v) for v in data["mean_s"]),
-            std_s=tuple(float(v) for v in data["std_s"]),
-            repeats=int(data["repeats"]),
-            seed=int(data["seed"]),
-            workers=data.get("workers"),
-            mode=data.get("mode", "records"),
-            environment=data.get("environment", ""),
-            slope=data.get("slope"),
-            intercept=data.get("intercept"),
-            r2=data.get("r2"),
-            threads=None if data.get("threads") is None
-            else tuple(int(t) for t in data["threads"]),
-        )
 
 
 def time_method(
@@ -134,17 +113,17 @@ def time_method(
     each size.
 
     ``case.factory(options)`` runs once, before timing starts.  The report
-    names the case's method and the ``mode`` and ``workers`` of the options
-    (default ``EvalOptions()``) the evaluator was prepared with, and per size
-    the threads its calls ran on (``evaluate._thread_count``): a fit across
-    sizes that ran on different thread counts is not per-point work.  Mesh
-    generation is excluded from the timed region; each repeat times a
-    single evaluator call and one read of its ``data`` (records build there).
-    Per size, garbage from earlier work is collected, then one untimed
-    warm-up call pre-faults pages and rebuilds allocator arenas, and the
-    cyclic garbage collector stays paused across the timed repeats (as
-    ``timeit`` does; reference counting still frees each call's output),
-    so the repeats measure steady-state cost.
+    names the case's method and the ``mode`` of the options (default
+    ``EvalOptions()``) the evaluator was prepared with, and per size the
+    threads its calls ran on (the warm-up call's ``BatchResult.threads``):
+    a fit across sizes that ran on different thread counts is not per-point
+    work.  Mesh generation is excluded from the timed region; each repeat
+    times a single evaluator call and one read of its ``data`` (records
+    build there).  Per size, garbage from earlier work is collected, then
+    one untimed warm-up call pre-faults pages and rebuilds allocator
+    arenas, and the cyclic garbage collector stays paused across the timed
+    repeats (as ``timeit`` does; reference counting still frees each call's
+    output), so the repeats measure steady-state cost.
     """
     options = EvalOptions() if options is None else options
     # Prepared first, so that an input error outranks a bad repeat count.
@@ -152,13 +131,16 @@ def time_method(
     if repeats < 1:
         raise MultivectorError(f"repeats must be >= 1, got {repeats}")
     sizes = tuple(int(k) for k in sizes)
-    means, stds = [], []
+    means, stds, threads = [], [], []
     gc_was_enabled = gc.isenabled()
     try:
         for index, k in enumerate(sizes):
             mesh = random_mesh(k, case.dim, seed=seed + index)
             gc.collect()
-            evaluator(mesh).data
+            warm_up = evaluator(mesh)
+            warm_up.data
+            threads.append(warm_up.threads)
+            del warm_up  # freed before the timed calls, as each of them is
             if gc_was_enabled:
                 gc.disable()
             samples = []
@@ -180,10 +162,9 @@ def time_method(
         std_s=tuple(stds),
         repeats=repeats,
         seed=seed,
-        workers=options.workers,
         mode=options.mode,
         environment=default_environment(),
-        threads=tuple(ev._thread_count(k, options.workers) for k in sizes),
+        threads=tuple(threads),
     )
 
 

@@ -13,6 +13,8 @@ or {"value": ...} lines, with the "valid" flag after them when the result
 has a mask), ``npy`` (a float64 tensor shaped (k,), (k, m), or
 (k, m, m); a sibling ``<out>.valid.npy`` carries the validity mask when
 present), and ``csv`` (the same tensor flattened to one row per point).
+A ``<out>.valid.npy`` that an earlier run left beside a file written
+without one is removed.
 ``jsonl`` uses the records output mode; ``npy`` and ``csv`` use dense mode.
 Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
 (csv: nan, inf, -inf).  jsonl and csv are written in chunks of at most
@@ -48,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import BenchCase, benchmark_suite, fit_loglog, method_case, time_method
-from .evaluate import EvalOptions, MeshDimensionError, _thread_count
+from .evaluate import EvalOptions, MeshDimensionError
 from .expressions import ExpressionDepthError, ExpressionError, UnboundParameterError
 from .geometry import (
     BatchResult,
@@ -252,21 +254,22 @@ def _write_jsonl(result: BatchResult, fh) -> None:
 def write_result(result: BatchResult, path: str, fmt: str):
     if fmt == "jsonl":
         atomic_write(path, lambda fh: _write_jsonl(result, fh))
-        return
-    if result.kind == "records":
+    elif result.kind == "records":
         raise MultivectorError(
             f"format {fmt!r} requires a dense result; use --format jsonl"
         )
-    data = np.asarray(result.data, dtype=np.float64)
-    if fmt == "npy":
+    elif fmt == "npy":
+        data = np.asarray(result.data, dtype=np.float64)
         atomic_write(path, lambda fh: np.save(fh, data))
-        if result.valid is not None:
-            atomic_write(f"{path}.valid.npy", lambda fh: np.save(fh, result.valid))
-        return
-    if fmt == "csv":
-        save_csv(path, data)
-        return
-    raise MultivectorError(f"unknown output format {fmt!r}")
+    elif fmt == "csv":
+        save_csv(path, np.asarray(result.data, dtype=np.float64))
+    else:
+        raise MultivectorError(f"unknown output format {fmt!r}")
+    sidecar = f"{path}.valid.npy"
+    if fmt == "npy" and result.valid is not None:
+        atomic_write(sidecar, lambda fh: np.save(fh, result.valid))
+    elif os.path.exists(sidecar):
+        os.unlink(sidecar)  # an earlier result's mask describes another file
 
 
 def _infer_format(path: str, explicit: str | None) -> str:
@@ -280,9 +283,7 @@ def _infer_format(path: str, explicit: str | None) -> str:
 def cmd_eval(args) -> int:
     fmt = _infer_format(args.out, args.format)
     mode = "records" if fmt == "jsonl" else "dense"
-    options = EvalOptions(
-        mode=mode, params=_parse_params(args.param), workers=args.workers
-    )
+    options = EvalOptions(mode=mode, params=_parse_params(args.param))
     t0 = time.perf_counter()
     case = _build_case(args)
     evaluator = case.factory(options)
@@ -296,7 +297,7 @@ def cmd_eval(args) -> int:
     invalid = "" if result.valid is None else (
         f", {len(result) - np.count_nonzero(result.valid)} invalid"
     )
-    threads = _thread_count(len(mesh), options.workers)
+    threads = result.threads
     print(
         f"{len(mesh.points)} points, prepare {t1 - t0:.3f} s, load {t2 - t1:.3f} s, "
         f"eval {t3 - t2:.3f} s on {threads} thread{'s' * (threads > 1)}, "
@@ -329,9 +330,7 @@ def cmd_bench(args) -> int:
             f"--dim applies only to custom inputs; the suite case of {args.method} "
             "has its own dimension"
         )
-    options = EvalOptions(
-        mode="records", params=_parse_params(args.param), workers=args.workers
-    )
+    options = EvalOptions(mode="records", params=_parse_params(args.param))
     case = _build_case(args) if custom else benchmark_suite()[args.method]
     report = fit_loglog(time_method(case, sizes, options, repeats=args.repeats, seed=args.seed))
     text = json.dumps(report.to_json_dict(), indent=2) + "\n"
@@ -367,9 +366,6 @@ def _add_eval_input_flags(parser):
                              "(repeatable)")
     parser.add_argument("--param", action="append",
                         help="parameter binding name=value (repeatable)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker thread count (default: the usable cores, at "
-                             "most one thread per 8 chunks of 16,384 points)")
 
 
 def build_parser() -> argparse.ArgumentParser:

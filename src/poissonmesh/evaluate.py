@@ -25,20 +25,21 @@ Chunks: meshes are processed in row chunks of ``_CHUNK_ROWS`` = 16,384 rows.
 Each (k,) temporary of a program is then 128 KB, not 512 KB as at 65,536
 rows, so a chunk's working set stays in the CPU cache: the dense calls of
 ``bench.benchmark_suite()`` at 10**6 points took about a fifth less time.
-Smaller chunks cost more interpreter time per point, which worker threads
-pay under the GIL: at 8,192 rows ``workers=2`` ran slower than serial for
-the smaller programs.  Every op is row-wise, so the chunk size never
-changes a value.  Worker threads only spread the same chunk list (the chunk
-boundaries never depend on the worker count), so outputs are bitwise
-identical for any worker count.
+Smaller chunks cost more interpreter time per point, which threads pay
+under the GIL: at 8,192 rows two threads ran slower than one for the
+smaller programs.  Every op is row-wise, so the chunk size never changes a
+value.  Threads only spread the same chunk list (the chunk boundaries never
+depend on the thread count), so outputs are bitwise identical for any
+thread count.
 
-Threads: ``workers=None`` runs a call on the process's usable cores, at
-most one thread per ``_CHUNKS_PER_THREAD`` = 8 chunks (``_thread_count``).
-On 2 cores, over the dense suite calls, a second thread took 1.04x the
-serial time at 4 chunks, 0.89x at 8, 0.83x at 16 and 0.69x at 62, while the
-smallest programs took 1.4-1.8x at 4 chunks and about 1.0x at 16.  So calls
-under 16 chunks (up to 245,760 rows) stay serial and start no pool, which
-would also cost a second allocator arena.
+Threads: a call runs on the process's usable cores (``os.sched_getaffinity``,
+so ``taskset`` and cpusets cap it), at most one thread per
+``_CHUNKS_PER_THREAD`` = 8 chunks (``_thread_count``), and reports the count
+in ``BatchResult.threads``.  On 2 cores, over the dense suite calls, a second
+thread took 1.04x the serial time at 4 chunks, 0.89x at 8, 0.83x at 16 and
+0.69x at 62, while the smallest programs took 1.4-1.8x at 4 chunks and about
+1.0x at 16.  So calls under 16 chunks (up to 245,760 rows) stay serial and
+start no pool, which would also cost a second allocator arena.
 
 Output layout: a program writes each coefficient straight into the result.
 ``records`` mode fills a (coefficients, k) block, the result's columns (its
@@ -137,32 +138,21 @@ class MeshDimensionError(MultivectorError):
 
 @dataclass(frozen=True)
 class EvalOptions:
-    """Output mode, parameter bindings, and parallelism for batch methods.
+    """Output mode and parameter bindings for batch methods.
 
     ``mode`` is "records" or "dense".  Dense output requires every free
     parameter bound through ``params`` (the normal-form method in records
     mode is the one consumer of unbound parameters, emitted as residual
-    text).  ``workers`` is a thread count, an int >= 1, or None (the
-    default): the process's usable cores, at most one thread per 8 chunks of
-    16,384 rows, so a call of up to 245,760 points (15 chunks) runs on one
-    thread.  No thread count changes an output bit.
+    text).
     """
 
     mode: str = "records"
     params: Mapping[str, float] = field(default_factory=dict)
-    workers: int | None = None
 
     def __post_init__(self):
         if self.mode not in ("records", "dense"):
             raise MultivectorError(
                 f"unknown output mode {self.mode!r}; expected 'records' or 'dense'"
-            )
-        workers = self.workers
-        if workers is not None and (
-            not isinstance(workers, int) or isinstance(workers, bool) or workers < 1
-        ):
-            raise MultivectorError(
-                f"workers must be None or an int >= 1, got {workers!r}"
             )
 
 
@@ -186,22 +176,20 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _thread_count(rows: int, workers: int | None) -> int:
-    """The threads a call over ``rows`` mesh points runs on: ``workers``, or
-    for None the usable cores, at most one per ``_CHUNKS_PER_THREAD``
-    chunks; never more than the call has chunks, and at least one."""
+def _thread_count(rows: int) -> int:
+    """The threads a call over ``rows`` mesh points runs on: the usable
+    cores, at most one per ``_CHUNKS_PER_THREAD`` chunks, and at least one."""
     chunks = -(-rows // _CHUNK_ROWS)
-    if workers is None:
-        workers = min(_usable_cores(), chunks // _CHUNKS_PER_THREAD)
-    return max(1, min(workers, chunks))
+    return max(1, min(_usable_cores(), chunks // _CHUNKS_PER_THREAD))
 
 
-def _run_chunks(kernel, mesh: Mesh, workers: int | None) -> None:
-    """Call ``kernel(points, rows)`` on fixed-size row chunks of the mesh.
+def _run_chunks(kernel, mesh: Mesh) -> int:
+    """Call ``kernel(points, rows)`` on fixed-size row chunks of the mesh and
+    return the number of threads that ran them.
 
     ``rows`` is the chunk's slice; the kernel writes its output into those
     rows of arrays the caller allocated, so chunks are never copied or
-    joined.  Chunk boundaries are independent of the worker count and chunks
+    joined.  Chunk boundaries are independent of the thread count and chunks
     write disjoint rows, so results are deterministic.  ``_thread_count``
     sets how many threads share them.
     """
@@ -212,15 +200,16 @@ def _run_chunks(kernel, mesh: Mesh, workers: int | None) -> None:
         for rows in share:
             kernel(pts[rows], rows)
 
-    workers = _thread_count(len(pts), workers)
-    if workers == 1:
+    threads = _thread_count(len(pts))
+    if threads == 1:
         run(spans)
     else:
-        # One task per thread, each taking every workers-th chunk: a task
+        # One task per thread, each taking every threads-th chunk: a task
         # per chunk would cost a future's overhead on every chunk.
-        shares = [spans[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        shares = [spans[i::threads] for i in range(threads)]
+        with ThreadPoolExecutor(threads) as pool:
             list(pool.map(run, shares))  # re-raises a kernel's exception
+    return threads
 
 
 def _count_nonfinite(values: np.ndarray) -> int:
@@ -284,17 +273,17 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
                 counts.append(-np.count_nonzero(~ok) * (view.size // len(pts)))
             counts.append(_count_nonfinite(view))
 
-        _run_chunks(kernel, mesh, options.workers)
+        threads = _run_chunks(kernel, mesh)
         # Counted per coefficient: a matrix block holds each one twice.
         nonfinite = sum(counts) // (2 if degree == 2 and not records else 1)
         if records:
             record_keys = tuple("value" if key == () else key for key in keys)
             return BatchResult(
                 "records", keys=record_keys, valid=valid, nonfinite=nonfinite,
-                columns=block,
+                columns=block, threads=threads,
             )
         kind = ("scalar", "vector", "matrix")[degree]
-        return BatchResult(kind, block, valid=valid, nonfinite=nonfinite)
+        return BatchResult(kind, block, valid=valid, nonfinite=nonfinite, threads=threads)
 
     return evaluator
 
@@ -516,8 +505,10 @@ def prepare_linear_normal_form_r3(P, options=None):
                     columns[j, r] = value
             counts.append(nonfinite)
 
-        _run_chunks(kernel, mesh, options.workers)
-        return BatchResult("records", keys=keys, nonfinite=sum(counts), columns=columns)
+        threads = _run_chunks(kernel, mesh)
+        return BatchResult(
+            "records", keys=keys, nonfinite=sum(counts), columns=columns, threads=threads
+        )
 
     return evaluator
 

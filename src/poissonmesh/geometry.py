@@ -257,7 +257,10 @@ class Mesh:
     points: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.points, dtype=np.float64)
+        arr = np.asarray(self.points)
+        if np.iscomplexobj(arr):  # float64 would keep only the real parts
+            raise ValueError("mesh has complex entries; coordinates must be real")
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"mesh must be a 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -279,7 +282,7 @@ class Mesh:
 
 
 def as_mesh(points: Union[Mesh, np.ndarray, Iterable]) -> Mesh:
-    return points if isinstance(points, Mesh) else Mesh(np.asarray(points, dtype=float))
+    return points if isinstance(points, Mesh) else Mesh(points)
 
 
 def corners_mesh(dim: int) -> Mesh:
@@ -790,7 +793,8 @@ class BatchResult:
     exactly ``keys``, in that order, then ``"valid"`` (a bool) when
     ``valid`` is set; ``len`` and the writers read only the columns.
     ``valid`` (optional) marks points where the operation was defined;
-    ``nonfinite`` counts non-finite coefficient evaluations.
+    ``nonfinite`` counts non-finite coefficient evaluations; ``threads`` is
+    the number of threads the evaluation ran on.
     """
 
     kind: str
@@ -799,6 +803,7 @@ class BatchResult:
     valid: np.ndarray | None = None
     nonfinite: int = 0
     columns: np.ndarray | None = None
+    threads: int = 1
 
     def __len__(self) -> int:
         return len(self.data) if self.columns is None else self.columns.shape[1]

@@ -333,22 +333,24 @@ class TestEmpiricalScaling:
 
 
 class TestDeterminism:
-    """Identical seeds and inputs give bitwise-identical output files for
-    single- and multi-worker runs."""
+    """Identical seeds and inputs give bitwise-identical output files on one
+    thread and on several."""
 
-    def test_output_files_bitwise_identical(self, tmp_path):
+    def test_output_files_bitwise_identical(self, tmp_path, monkeypatch, capsys):
         mesh_path = tmp_path / "mesh.npy"
         assert cli.main([
             "mesh", "random", "--k", "140000", "--dim", "3", "--seed",
             str(SEED), "--out", str(mesh_path),
         ]) == 0
+        # 140,000 points are 9 chunks: one thread per chunk up to the cores.
+        monkeypatch.setattr(ev, "_CHUNKS_PER_THREAD", 1)
 
-        def run(method, out, workers, extra):
-            argv = [
-                "eval", method, "--mesh", str(mesh_path),
-                "--out", str(out), "--workers", str(workers),
-            ] + extra
+        def run(method, out, cores, extra):
+            monkeypatch.setattr(ev, "_usable_cores", lambda: cores)
+            argv = ["eval", method, "--mesh", str(mesh_path), "--out", str(out)] + extra
+            capsys.readouterr()
             assert cli.main(argv) == 0
+            assert f" on {cores} thread{'s' * (cores > 1)}, " in capsys.readouterr().out
 
         biv = tmp_path / "sl2.json"
         biv.write_text(Multivector.build(3, 2, g.SL2).to_json())
@@ -365,11 +367,12 @@ class TestDeterminism:
              ["--bivector", str(biv), "--lam", str(lam)]),
         ]
         for method, out_name, extra in cases:
-            out1 = tmp_path / f"w1_{out_name}"
-            out4 = tmp_path / f"w4_{out_name}"
-            out4_again = tmp_path / f"w4b_{out_name}"
-            run(method, out1, 1, extra)
-            run(method, out4, 4, extra)
-            run(method, out4_again, 4, extra)
-            assert filecmp.cmp(out1, out4, shallow=False), method
-            assert filecmp.cmp(out4, out4_again, shallow=False), method
+            outs = []
+            for run_index, cores in enumerate((1, 2, 4, 4)):
+                outs.append(tmp_path / f"c{cores}_{run_index}_{out_name}")
+                run(method, outs[-1], cores, extra)
+            for out in outs[1:]:
+                assert filecmp.cmp(outs[0], out, shallow=False), (method, out)
+                if method == "num_gauge_transformation":
+                    mask, other = f"{outs[0]}.valid.npy", f"{out}.valid.npy"
+                    assert filecmp.cmp(mask, other, shallow=False), (method, out)

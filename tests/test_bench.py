@@ -1,5 +1,7 @@
 """Tests for the timing harness and log-log scaling fits."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -40,34 +42,26 @@ class TestTimingReport:
                 method="m", sizes=(1, 2), mean_s=(0.1,), std_s=(0.0, 0.0),
                 repeats=1, seed=0,
             )
+        with pytest.raises(MultivectorError, match="threads must align"):
+            make_report([10, 20], [0.1, 0.2], threads=(1,))
 
     def test_r2_range_enforced(self):
         with pytest.raises(MultivectorError, match="R\\^2"):
             make_report([10, 20], [0.1, 0.2], r2=1.5)
 
     def test_json_round_trip(self):
+        # Every field, in the key order ``bench`` writes, through JSON text.
         report = make_report(
-            [10, 20], [0.1, 0.2], slope=1.0, intercept=-2.0, r2=0.999
+            [10, 20], [0.1, 0.2], slope=1.0, intercept=-2.0, r2=0.999,
+            mode="dense", environment="env", threads=(1, 2),
         )
-        again = TimingReport.from_json_dict(report.to_json_dict())
-        assert again == report
-
-    def test_threads_round_trip_and_default_to_none(self):
-        report = make_report([10, 20], [0.1, 0.2], threads=(1, 2))
-        data = report.to_json_dict()
-        assert data["threads"] == [1, 2]
-        assert TimingReport.from_json_dict(data) == report
-        del data["threads"]  # a report written before the field existed
-        assert TimingReport.from_json_dict(data).threads is None
-        with pytest.raises(MultivectorError, match="threads must align"):
-            make_report([10, 20], [0.1, 0.2], threads=(1,))
-
-    def test_mode_round_trips_and_defaults_to_records(self):
-        report = make_report([10, 20], [0.1, 0.2], mode="dense")
-        data = report.to_json_dict()
-        assert TimingReport.from_json_dict(data).mode == "dense"
-        del data["mode"]  # a report written before the field existed
-        assert TimingReport.from_json_dict(data).mode == "records"
+        data = json.loads(json.dumps(report.to_json_dict()))
+        assert list(data.items()) == [
+            ("method", "num_bivector"), ("sizes", [10, 20]), ("mean_s", [0.1, 0.2]),
+            ("std_s", [0.0, 0.0]), ("slope", 1.0), ("intercept", -2.0), ("r2", 0.999),
+            ("repeats", 3), ("seed", 0), ("mode", "dense"), ("threads", [1, 2]),
+            ("environment", "env"),
+        ]
 
 
 class TestFitLoglog:
@@ -145,7 +139,7 @@ class TestTimeMethod:
             time_method(case, [10], repeats=0, seed=0)
 
     def test_reports_the_options_it_prepared_with(self):
-        # The report's mode and workers are those the factory was given,
+        # The report's mode is that of the options the factory was given,
         # and the factory runs once, before any timed call.
         suite_case = bench.benchmark_suite()["num_sharp_morphism"]
         given = []
@@ -155,11 +149,10 @@ class TestTimeMethod:
             return suite_case.factory(options)
 
         case = BenchCase(suite_case.method, suite_case.dim, factory)
-        options = EvalOptions(mode="dense", workers=2)
+        options = EvalOptions(mode="dense")
         report = fit_loglog(time_method(case, [100, 400], options, repeats=2, seed=4))
         assert given == [options]
         assert report.mode == "dense"
-        assert report.workers == 2
         assert report.method == "num_sharp_morphism"
         assert report.environment == bench.default_environment()
         assert report.slope is not None and report.r2 is not None
@@ -167,17 +160,17 @@ class TestTimeMethod:
     def test_default_options_report_records_single_threaded(self):
         case = bench.benchmark_suite()["num_bivector"]
         report = time_method(case, [10, 20], repeats=1, seed=0)
-        assert (report.mode, report.workers, report.threads) == ("records", None, (1, 1))
+        assert (report.mode, report.threads) == ("records", (1, 1))
 
-    def test_reports_the_threads_of_each_size(self):
-        # 300,000 points are 19 chunks of 16,384: the default runs them on up
-        # to 2 usable cores, and a slope across the two sizes mixes counts.
+    def test_reports_the_threads_of_each_size(self, monkeypatch):
+        # 300,000 points are 19 chunks of 16,384: they run on up to 2 usable
+        # cores, and a slope across the two sizes mixes counts.
         case = bench.benchmark_suite()["num_bivector"]
         sizes = (1_000, 300_000)
-        report = time_method(case, sizes, EvalOptions(mode="dense"), repeats=1)
-        assert report.threads == (1, min(ev._usable_cores(), 2))
-        report = time_method(case, sizes, EvalOptions(mode="dense", workers=1), repeats=1)
-        assert report.threads == (1, 1)
+        for cores, threads in ((1, (1, 1)), (4, (1, 2))):
+            monkeypatch.setattr(ev, "_usable_cores", lambda cores=cores: cores)
+            report = time_method(case, sizes, EvalOptions(mode="dense"), repeats=1)
+            assert report.threads == threads
 
 
 class TestBenchmarkSuite:

@@ -288,6 +288,27 @@ class TestEval:
         assert np.load(out) == pytest.approx(g.GAUGE_SO3_EXPECTED, abs=1e-9)
         assert np.load(str(out) + ".valid.npy").all()
 
+    @pytest.mark.parametrize("fmt", ["npy", "csv", "jsonl"])
+    def test_result_without_mask_removes_an_earlier_mask(self, tmp_path, fmt):
+        # The gauge's mask would otherwise sit beside a file it does not describe.
+        out = tmp_path / "o.npy"
+        assert run_cli(
+            "eval", "num_gauge_transformation",
+            "--bivector", EXAMPLES / "so3.json",
+            "--lam", EXAMPLES / "difference_two_form_r3.json",
+            "--mesh", "corners", "--out", out,
+        ) == 0
+        assert np.load(str(out) + ".valid.npy").shape == (8,)
+        assert run_cli(
+            "eval", "num_bivector_to_matrix", "--bivector", EXAMPLES / "so3.json",
+            "--mesh", "corners", "--out", out, "--format", fmt,
+        ) == 0
+        if fmt == "npy":
+            assert np.load(out).shape == (8, 3, 3)
+        else:
+            assert len(out.read_text().splitlines()) == 8
+        assert not Path(str(out) + ".valid.npy").exists()
+
     def test_gauge_singular_row_marked_invalid(self, tmp_path):
         lam_path = tmp_path / "lam.json"
         lam_path.write_text(Multivector.build(3, 2, {(1, 2): "1"}).to_json())
@@ -381,24 +402,30 @@ class TestEval:
         csv_rows = np.loadtxt(out_csv, delimiter=",")
         assert np.array_equal(csv_rows, np.load(out_npy))
 
-    def test_worker_count_gives_identical_files(self, tmp_path):
+    def test_worker_count_gives_identical_files(self, tmp_path, monkeypatch, capsys):
         mesh_path = tmp_path / "mesh.npy"
         assert run_cli(
             "mesh", "random", "--k", 5000, "--dim", 3, "--seed", 9,
             "--out", mesh_path,
         ) == 0
+        # 10 chunks of 512 points, one thread per chunk up to the cores.
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 512)
+        monkeypatch.setattr(ev, "_CHUNKS_PER_THREAD", 1)
         outs = []
-        for workers in (1, 4):
-            out = tmp_path / f"out_{workers}.npy"
+        for cores in (1, 2, 4):
+            monkeypatch.setattr(ev, "_usable_cores", lambda cores=cores: cores)
+            out = tmp_path / f"out_{cores}.npy"
+            capsys.readouterr()
             assert run_cli(
                 "eval", "num_hamiltonian_vf",
                 "--bivector", EXAMPLES / "sl2.json",
                 "--h", "x1**2 + x2**2 - x3**2",
-                "--workers", workers,
                 "--mesh", mesh_path, "--out", out,
             ) == 0
+            assert f" on {cores} thread{'s' * (cores > 1)}, " in capsys.readouterr().out
             outs.append(out)
         assert filecmp.cmp(outs[0], outs[1], shallow=False)
+        assert filecmp.cmp(outs[0], outs[2], shallow=False)
 
 
 @pytest.mark.parametrize("writer", ["save_mesh", "write_result"])
@@ -856,6 +883,18 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_DIMENSION
 
+    def test_complex_npy_mesh_is_validation(self, tmp_path, capsys):
+        mesh_path = tmp_path / "complex.npy"
+        np.save(mesh_path, np.array([[1 + 2j, 0, 1]]))
+        out = tmp_path / "out.jsonl"
+        code = run_cli(
+            "eval", "num_bivector", "--bivector", EXAMPLES / "so3.json",
+            "--mesh", mesh_path, "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "complex" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ragged_csv_mesh_is_validation(self, tmp_path, capsys):
         mesh_path = tmp_path / "ragged.csv"
         mesh_path.write_text("0,1,2\n3,4\n")
@@ -1051,30 +1090,19 @@ class TestExitCodes:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_bad_worker_count_is_validation(self, tmp_path, capsys, workers):
-        out = tmp_path / "out.npy"
-        code = run_cli(
-            "eval", "num_bivector", "--dim", 3,
-            "--bivector", EXAMPLES / "so3.json",
-            "--mesh", "corners", "--out", out, "--workers", workers,
-        )
-        assert code == cli.EXIT_VALIDATION
-        assert "workers" in capsys.readouterr().err
-        assert not out.exists()
-        code = run_cli(
-            "bench", "--method", "num_bivector", "--sizes", "100,200",
-            "--repeats", 1, "--out", tmp_path / "report.json", "--workers", workers,
-        )
-        assert code == cli.EXIT_VALIDATION
+    def test_thread_count_is_not_an_option(self, tmp_path):
+        # Threads follow from the usable cores; a user caps them with taskset.
+        for argv in (
+            ("eval", "num_bivector", "--dim", 3, "--bivector", EXAMPLES / "so3.json",
+             "--mesh", "corners", "--out", tmp_path / "out.npy"),
+            ("bench", "--method", "num_bivector", "--sizes", "100,200",
+             "--out", tmp_path / "report.json"),
+        ):
+            with pytest.raises(SystemExit) as err:
+                run_cli(*argv, "--workers", 2)
+            assert err.value.code == 2
+        assert not (tmp_path / "out.npy").exists()
         assert not (tmp_path / "report.json").exists()
-
-    def test_non_integer_worker_count_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run_cli("eval", "num_bivector", "--dim", 3,
-                    "--bivector", EXAMPLES / "so3.json", "--mesh", "corners",
-                    "--out", tmp_path / "out.npy", "--workers", "2.5")
-        assert err.value.code == 2
 
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -1119,7 +1147,7 @@ class TestBench:
         report = json.loads(out.read_text())
         assert set(report) == {
             "method", "sizes", "mean_s", "std_s", "slope", "intercept",
-            "r2", "repeats", "seed", "workers", "mode", "threads", "environment",
+            "r2", "repeats", "seed", "mode", "threads", "environment",
         }
         assert report["mode"] == "records"
         assert report["threads"] == [1, 1]
@@ -1148,14 +1176,12 @@ class TestBench:
     def test_report_names_the_options_it_ran_with(self, tmp_path, inputs):
         out = tmp_path / "report.json"
         code = run_cli(
-            "bench", "--method", "num_bivector", *inputs, "--workers", 2,
+            "bench", "--method", "num_bivector", *inputs,
             "--sizes", "100,300", "--repeats", 1, "--out", out,
         )
         assert code == 0
         report = json.loads(out.read_text())
-        assert (report["method"], report["mode"], report["workers"]) == (
-            "num_bivector", "records", 2
-        )
+        assert (report["method"], report["mode"]) == ("num_bivector", "records")
 
     def test_dim_without_custom_inputs_is_validation(self, tmp_path, capsys):
         # The suite case brings its own dimension; --dim once was dropped

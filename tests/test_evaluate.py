@@ -50,6 +50,14 @@ SEED = 20250825
 
 DENSE = EvalOptions(mode="dense")
 
+
+def use_cores(monkeypatch, cores: int) -> None:
+    """Calls run as on ``cores`` usable cores, with one thread per chunk (not
+    per 8), so that a small mesh is shared by up to ``cores`` threads."""
+    monkeypatch.setattr(ev, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(ev, "_CHUNKS_PER_THREAD", 1)
+
+
 # G = I - Lambda M has G[0, 0] = 0 everywhere, where an elimination without
 # pivoting would divide by zero; det G = (x1 x2 x3)^2.
 GAUGE_ALL_PIVOT_R4 = (
@@ -697,10 +705,11 @@ class TestGaugeTransformation:
         assert np.all(error <= 1e-14 * scale * np.linalg.cond(G[ok]))
         # Chunks cut through the mesh, and threads share them, bitwise.
         monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
+        use_cores(monkeypatch, 1)
         serial = ev.num_gauge_transformation(P, lam, mesh, DENSE, dim=m)
-        threaded = ev.num_gauge_transformation(
-            P, lam, mesh, EvalOptions(mode="dense", workers=2), dim=m
-        )
+        use_cores(monkeypatch, 2)
+        threaded = ev.num_gauge_transformation(P, lam, mesh, DENSE, dim=m)
+        assert (serial.threads, threaded.threads) == (1, 2)
         assert np.array_equal(serial.valid, ok)
         assert np.array_equal(threaded.valid, ok)
         assert serial.data.tobytes() == threaded.data.tobytes()
@@ -769,17 +778,19 @@ class TestGaugeTransformation:
     def test_bitwise_across_chunks_and_workers(self, mode, monkeypatch):
         mesh = gauge_pole_mesh()
 
-        def run(workers):
-            options = EvalOptions(mode=mode, workers=workers)
+        def run(cores):
+            use_cores(monkeypatch, cores)
+            options = EvalOptions(mode=mode)
             res = ev.num_gauge_transformation(GAUGE_POLE_P, GAUGE_POLE_LAM, mesh, options, dim=4)
+            assert res.threads == cores
             block = res.columns if mode == "records" else res.data
             return block.tobytes(), res.valid.tobytes(), res.nonfinite
 
-        reference = run(None)
+        reference = run(1)
         assert reference[2] > 0 and 0 < np.frombuffer(reference[1], bool).sum() < len(mesh)
-        monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
-        assert run(None) == reference
-        assert run(2) == reference
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)  # 16 chunks of the 256 points
+        for cores in (1, 2, 4):
+            assert run(cores) == reference
 
     def test_lambda_dimension_mismatch(self):
         with pytest.raises(MultivectorError):
@@ -917,74 +928,65 @@ class TestModesAndConcurrency:
                         assert val == den.data[row, key[0] - 1, key[1] - 1]
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setattr(ev, "_CHUNK_ROWS", 257)
+        monkeypatch.setattr(ev, "_CHUNK_ROWS", 257)  # 8 chunks of the 2,000 points
         mesh = random_mesh(2000, 3, seed=SEED + 21)
-        for workers in (None, 2, 4):
-            opts = EvalOptions(mode="dense", workers=workers)
-            res = ev.num_hamiltonian_vf(g.SO3, "x1*x2 - x3**2", mesh, opts, dim=3)
-            if workers is None:
-                baseline = res.data
-            else:
-                assert np.array_equal(res.data, baseline)
-        rec1 = ev.num_bivector(g.SO3, mesh, EvalOptions(workers=1), dim=3)
-        rec4 = ev.num_bivector(g.SO3, mesh, EvalOptions(workers=4), dim=3)
-        assert rec1.data == rec4.data
-
-    @pytest.mark.parametrize("workers", [None, 1, 2, 64])
-    def test_valid_worker_counts(self, workers):
-        assert EvalOptions(workers=workers).workers == workers
-
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, False, "2"])
-    def test_invalid_worker_counts_rejected(self, workers):
-        with pytest.raises(MultivectorError, match="workers"):
-            EvalOptions(mode="dense", workers=workers)
+        dense, records = [], []
+        for cores in (1, 2, 4):
+            use_cores(monkeypatch, cores)
+            res = ev.num_hamiltonian_vf(g.SO3, "x1*x2 - x3**2", mesh, DENSE, dim=3)
+            rec = ev.num_bivector(g.SO3, mesh, dim=3)
+            assert (res.threads, rec.threads) == (cores, cores)
+            dense.append(res.data.tobytes())
+            records.append(rec.data)
+        assert dense[1:] == dense[:-1]
+        assert records[1:] == records[:-1]
 
     def test_default_thread_count(self, monkeypatch):
-        # None: the usable cores, at most one thread per 8 chunks, so calls
-        # under 16 chunks run serially; a given count is kept up to the
-        # chunk count.
+        # The usable cores, at most one thread per 8 chunks of 16,384 rows,
+        # so calls under 16 chunks run serially.
         chunk = ev._CHUNK_ROWS
-        for cores in (1, 2, 64):
+        rows = (0, 8, 15 * chunk, 15 * chunk + 1, 24 * chunk + 1, 10**6)
+        table = {
+            1: [1, 1, 1, 1, 1, 1],
+            2: [1, 1, 1, 2, 2, 2],
+            64: [1, 1, 1, 2, 3, 7],
+        }
+        for cores, threads in table.items():
             monkeypatch.setattr(ev, "_usable_cores", lambda cores=cores: cores)
-            assert [ev._thread_count(rows, None) for rows in (
-                0, 8, 15 * chunk, 15 * chunk + 1, 24 * chunk + 1, 10**6
-            )] == [1, 1, 1, min(cores, 2), min(cores, 3), min(cores, 7)]
-            assert [ev._thread_count(rows, 4) for rows in (0, 8, chunk + 1, 10**6)] == [
-                1, 1, 2, 4
-            ]
-            assert ev._thread_count(10**6, 100) == 62
+            assert [ev._thread_count(k) for k in rows] == threads, cores
 
     def test_unbound_normal_form_across_threads(self, monkeypatch):
         # Residual-text records run through the same chunks and threads.
         monkeypatch.setattr(ev, "_CHUNK_ROWS", 3)
-        serial, threaded = (
-            ev.num_linear_normal_form_r3(
-                g.LINEAR_MIXED_R3, corners_mesh(3), EvalOptions(workers=w)
-            )
-            for w in (1, 3)
-        )
+        results = []
+        for cores in (1, 3):
+            use_cores(monkeypatch, cores)
+            results.append(ev.num_linear_normal_form_r3(g.LINEAR_MIXED_R3, corners_mesh(3)))
+        serial, threaded = results
+        assert (serial.threads, threaded.threads) == (1, 3)
         assert threaded.data == serial.data == g.NORMAL_FORM_RECORDS
 
     def test_more_workers_than_chunks(self, monkeypatch):
+        # 64 cores, 3 chunks: a thread per chunk, never more.
         monkeypatch.setattr(ev, "_CHUNK_ROWS", 100)
         mesh = random_mesh(250, 3, seed=SEED + 22)
         serial = ev.num_hamiltonian_vf(g.SO3, "x1*x3", mesh, DENSE, dim=3)
-        wide = ev.num_hamiltonian_vf(
-            g.SO3, "x1*x3", mesh, EvalOptions(mode="dense", workers=8), dim=3
-        )
+        use_cores(monkeypatch, 64)
+        wide = ev.num_hamiltonian_vf(g.SO3, "x1*x3", mesh, DENSE, dim=3)
+        assert (serial.threads, wide.threads) == (1, 3)
         assert wide.data.tobytes() == serial.data.tobytes()
 
     def test_multi_chunk_paths_used(self, monkeypatch):
         monkeypatch.setattr(ev, "_CHUNK_ROWS", 100)
         mesh = random_mesh(350, 3, seed=SEED + 22)
-        res = ev.num_gauge_transformation(
-            g.SO3, {(1, 2): "1"}, mesh, EvalOptions(mode="dense", workers=3), dim=3
-        )
-        assert res.data.shape == (350, 3, 3)
-        assert res.valid.shape == (350,)
         serial = ev.num_gauge_transformation(
             g.SO3, {(1, 2): "1"}, mesh, DENSE, dim=3
         )
+        use_cores(monkeypatch, 3)
+        res = ev.num_gauge_transformation(g.SO3, {(1, 2): "1"}, mesh, DENSE, dim=3)
+        assert (serial.threads, res.threads) == (1, 3)
+        assert res.data.shape == (350, 3, 3)
+        assert res.valid.shape == (350,)
         assert np.array_equal(res.valid, serial.valid)
         both = np.stack([res.data, serial.data])
         assert np.array_equal(
@@ -1115,16 +1117,19 @@ class TestOneProgramPerResult:
                 if case.method == "num_gauge_transformation":
                     assert calls == [4]  # the three upper entries, then det G
 
-    @pytest.mark.parametrize("workers", [None, 2])
+    @pytest.mark.parametrize("cores", [None, 2])  # None: the machine's own
     @pytest.mark.parametrize("mode", ["records", "dense"])
-    def test_suite_matches_per_coefficient_reference(self, mode, workers, monkeypatch):
+    def test_suite_matches_per_coefficient_reference(self, mode, cores, monkeypatch):
         monkeypatch.setattr(ev, "_CHUNK_ROWS", 16)
-        options = EvalOptions(mode=mode, workers=workers)
+        if cores is not None:
+            use_cores(monkeypatch, cores)
+        options = EvalOptions(mode=mode)
         references = suite_reference_fields()
         poles = 0
         for method, case in bench.benchmark_suite().items():
             mesh = pole_mesh(case.dim)
             res = case.factory(options)(mesh)
+            assert cores is None or res.threads == cores, method
             if method == "num_gauge_transformation":
                 self.check_gauge(res, mesh, mode)
                 continue
@@ -1253,9 +1258,11 @@ class TestReadOnlyPoints:
             assert points.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("chunk_rows", [16, 16384])
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_outputs_equal_per_coefficient_programs(self, chunk_rows, workers, monkeypatch):
+    @pytest.mark.parametrize("cores", [None, 2])  # None: the machine's own
+    def test_outputs_equal_per_coefficient_programs(self, chunk_rows, cores, monkeypatch):
         monkeypatch.setattr(ev, "_CHUNK_ROWS", chunk_rows)
+        if cores is not None:
+            use_cores(monkeypatch, cores)
         points = read_only_points(20_000, 5)
         before = points.copy()
         mesh = as_mesh(points)
@@ -1265,8 +1272,9 @@ class TestReadOnlyPoints:
             fn = compile_expression(parse(source, 5), 5, SHARED_VALUES_PARAMS)
             reference[key] = fn.evaluate_block(before.copy())
         for mode in ("records", "dense"):
-            options = EvalOptions(mode=mode, params=SHARED_VALUES_PARAMS, workers=workers)
+            options = EvalOptions(mode=mode, params=SHARED_VALUES_PARAMS)
             res = ev.prepare_bivector(SHARED_VALUES_FIELD, options, dim=5)(mesh)
+            assert cores is None or res.threads == cores
             for row, key in enumerate(sorted(SHARED_VALUES_FIELD)):
                 if mode == "records":
                     value = res.columns[row]

@@ -81,6 +81,12 @@ class TestMesh:
         with pytest.raises(ValueError):
             Mesh(np.array([[0.0, np.nan]]))
 
+    def test_rejects_complex(self):
+        # Converting to float64 would keep the real parts, with only a warning.
+        for points in (np.array([[1 + 2j, 0, 1]]), [[1 + 2j, 0, 1]], np.zeros((1, 3), complex)):
+            with pytest.raises(ValueError, match="complex"):
+                as_mesh(points)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             Mesh(np.zeros(3))
