@@ -423,8 +423,8 @@ def main(argv=None) -> int:
     except (ExpressionDepthError, RecursionError):
         # A set-up reports a tree too deep for its recursive walkers, such as
         # the derivative of a sum of about 990 terms, as ExpressionDepthError.
-        # Multivector files are read before it, and the JSON decoder and the
-        # expression parser recurse once per level of nesting.
+        # Multivector files are read before it, and the JSON decoder recurses
+        # once per level of nesting (the expression parser stops at its bound).
         print(f"error: invalid input: {ExpressionDepthError()}", file=sys.stderr)
         return EXIT_VALIDATION
     except ExpressionError as exc:

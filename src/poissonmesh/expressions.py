@@ -71,8 +71,9 @@ class ExpressionDepthError(ExpressionError):
         self,
         message: str = "an expression is nested too deeply to process; "
         "split it into smaller expressions",
+        position: int | None = None,
     ):
-        super().__init__(message)
+        super().__init__(message, position)
 
 
 class UnboundParameterError(ExpressionError):
@@ -534,6 +535,7 @@ _TOKEN_RE = re.compile(
     r"|(\S))"
 )
 _COORD_RE = re.compile(r"^x(\d+)$")
+_MAX_NESTING = 100  # parse_unary levels: parentheses, calls, signs, exponents
 
 
 class _Parser:
@@ -544,6 +546,11 @@ class _Parser:
     Token kinds are 'num', 'ident', 'end' or, for an operator, the operator
     itself.  Token positions are only needed for error messages, so they are
     found again when one is raised.
+
+    Every parenthesis, call argument, sign and ``**`` exponent nests one
+    more ``parse_unary``; past _MAX_NESTING levels (some four frames each)
+    the parser raises ExpressionDepthError, well before Python's recursion
+    limit.
     """
 
     def __init__(self, source: str, dim: int):
@@ -556,13 +563,17 @@ class _Parser:
         self.texts = [op or num or ident or bad for op, num, ident, bad in found] + [""]
         self.dim = dim
         self.at = 0  # index of the next token
+        self.depth = 0  # parse_unary calls open
         if "bad" in self.kinds:
             index = self.kinds.index("bad")
             self.error(f"unexpected character {self.texts[index]!r}", index)
 
-    def error(self, message: str, index: int):
+    def position(self, index: int) -> int:
         starts = [m.start(m.lastindex) for m in _TOKEN_RE.finditer(self.source)]
-        raise ExpressionError(message, (starts + [len(self.source)])[index])
+        return (starts + [len(self.source)])[index]
+
+    def error(self, message: str, index: int):
+        raise ExpressionError(message, self.position(index))
 
     def parse_sum(self) -> Expression:
         node = self.parse_term()
@@ -591,18 +602,23 @@ class _Parser:
                 return node
 
     def parse_unary(self) -> Expression:
+        if self.depth == _MAX_NESTING:
+            raise ExpressionDepthError(position=self.position(self.at))
+        self.depth += 1
         kind = self.kinds[self.at]
         if kind == "-":
             self.at += 1
-            return fold_neg(self.parse_unary())
-        if kind == "+":
+            node = fold_neg(self.parse_unary())
+        elif kind == "+":
             self.at += 1
-            return self.parse_unary()
-        base = self.parse_atom()
-        if self.kinds[self.at] == "**":
-            self.at += 1
-            return fold_pow(base, self.parse_unary())
-        return base
+            node = self.parse_unary()
+        else:
+            node = self.parse_atom()
+            if self.kinds[self.at] == "**":
+                self.at += 1
+                node = fold_pow(node, self.parse_unary())
+        self.depth -= 1
+        return node
 
     def expect_close(self) -> None:
         if self.kinds[self.at] != ")":

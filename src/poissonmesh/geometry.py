@@ -423,14 +423,20 @@ _HIGH, _HEAD, _TAIL, _LOW, _LEAST = _power_tables()
 _MAX = np.finfo(np.float64).max
 
 
-def _scaled(a: np.ndarray, e: np.ndarray) -> tuple:
-    """y = a * 10**(16 - e) as ``whole + rest``: an int64 and a float64 of
-    at most about 10, with an error below 1e-13."""
-    k = e - _EMIN
+def _product(a: np.ndarray, k: np.ndarray) -> tuple:
+    """a * 10**(16 - E), k = E - _EMIN, as ``p + rest``: p the rounded
+    product of ``a`` and _HIGH[k], and rest the exact error of p plus
+    a * _LOW[k]."""
     p = a * _HIGH[k]
     ah, at = _split(a)
     hh, ht = _HEAD[k], _TAIL[k]
-    rest = ((ah * hh - p) + ah * ht + at * hh) + at * ht + a * _LOW[k]
+    return p, ((ah * hh - p) + ah * ht + at * hh) + at * ht + a * _LOW[k]
+
+
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple:
+    """y = a * 10**(16 - e) as ``whole + rest``: an int64 and a float64 of
+    at most about 10, with an error below 1e-13."""
+    p, rest = _product(a, e - _EMIN)
     return p.astype(np.int64), rest  # p >= 2**53 is a whole number
 
 
@@ -729,26 +735,207 @@ def save_csv(path, data: np.ndarray) -> None:
     atomic_write(path, lambda fh: _write_csv(fh, data))
 
 
+# --- Csv meshes -----------------------------------------------------------------
+#
+# ``_read_csv`` reads a plain csv mesh (lines of equally many fields, each
+# a decimal such as "-0.12345678901234567", every line ended by "\n") to
+# the float64s ``np.loadtxt`` reads, bit for bit.  A first pass counts the
+# lines; the second streams the file through one buffer, _READ_BLOCK bytes
+# at a time after _PAD bytes of "0", and converts the whole lines of each
+# block while the unfinished last one moves to the front.  Per field:
+#
+#   1. the separators ("," and "\n") and points are found by byte compares;
+#   2. the 24 bytes that end at the field's separator are read as three
+#      words, and tables by field width (sign left out) and fraction length
+#      f keep only the field's bytes, turn its digits into 0..9 and its
+#      point into a 0, which leaves the 24-digit integer N' of the digits;
+#   3. SWAR steps (several digits at once inside one uint64) turn each word
+#      into its 8-digit number, and N' of at most 19 digits is formed;
+#   4. with I = floor(N' / 10**(f + 1)) the integer part, N = N' - 9 I 10**f
+#      is the field's digits without the point;
+#   5. N * 10**-f is formed as the double-double product of N and _HIGH +
+#      _LOW, whose rounding is the correctly rounded value unless it lies
+#      within _TOL ulp of a rounding boundary;
+#   6. the sign of a leading "-" is set last.
+#
+# Python's ``float`` reads, from the field's text, the values within _TOL
+# of a boundary (or just below a power of two), fields of more than 19
+# digits and fields with a "+" or an exponent.  Any other text (comments,
+# blank lines, spaces, CR, quotes, ragged rows, empty fields, no final
+# newline, a line longer than a block, nan, inf or any other byte) sends
+# the whole file to ``np.loadtxt``, for its values, warnings and errors.
+
+_READ_BLOCK = 1 << 18  # bytes of csv text converted at a time
+_PAD = 24  # bytes of "0" before a block; a field's window: the bytes before its separator
+_POINTLESS = 24  # the fraction length index of a field without a point
+
+
+def _window_tables() -> tuple:
+    """(keep, flip): three words per field width w, kept are the window's
+    last w bytes; and per fraction length f (_POINTLESS: none), the bytes
+    whose xor turns digits into 0..9 and the point, f bytes from the end,
+    into 0."""
+    keep = np.zeros((25, _PAD), np.uint8)
+    flip = np.full((25, _PAD), ord("0"), np.uint8)
+    for n in range(25):
+        keep[n, _PAD - n:] = 0xFF
+    for f in range(_POINTLESS):
+        flip[f, _PAD - 1 - f] = ord(".")
+    return keep.view(_WORD), flip.view(_WORD)
+
+
+_KEEP, _FLIP = _window_tables()
+_FRACTION = np.append(np.arange(_POINTLESS), 0)  # f by fraction length index: 0 without a point
+_TENS = 10 ** np.minimum(np.arange(25), 18).astype(np.uint64)  # 10**f; I is 0 from f = 18
+_PLAIN_FIELD = re.compile(rb"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+
+
+class _NotPlain(Exception):
+    """Csv text that ``_read_csv`` leaves to ``np.loadtxt``."""
+
+
+def _swar_digits(words: np.ndarray) -> np.ndarray:
+    """The 8-digit numbers of words of eight digits 0..9, the first digit
+    in the low byte: pairs, then fours, then all eight."""
+    for mul, shift, mask in ((10 << 8 | 1, 8, 0x00FF00FF00FF00FF),
+                             (100 << 16 | 1, 16, 0x0000FFFF0000FFFF)):
+        words *= np.uint64(mul)
+        words >>= np.uint64(shift)
+        words &= np.uint64(mask)
+    words *= np.uint64(10000 << 32 | 1)
+    words >>= np.uint64(32)
+    return words
+
+
+def _block_values(data: np.ndarray, windows: np.ndarray, stop: int, cols: int) -> tuple:
+    """The values of the whole lines ``data[_PAD:stop]`` of ``cols`` fields,
+    in order, and how many of them Python read; raises _NotPlain for text
+    that is not plain."""
+    marks = np.flatnonzero(data[_PAD:stop] < ord("/")) + _PAD  # "\n" "+" "," "-" "." and others
+    kinds = data[marks]
+    wanted = ((kinds | 2) == ord(".")) | (kinds == ord("\n"))  # "," "." "\n"
+    marks, kinds = marks[wanted], kinds[wanted]
+    separator = kinds != ord(".")
+    at = np.flatnonzero(separator)
+    ends = marks[at]
+    newline = kinds[at] == ord("\n")
+    if len(ends) % cols or np.count_nonzero(newline) * cols != len(ends) or not newline[cols - 1::cols].all():
+        raise _NotPlain  # ragged rows or blank lines
+    point = ~separator[at - 1]  # the mark before the separator is a point in its field
+    starts = np.empty_like(ends)
+    starts[0], starts[1:] = _PAD, ends[:-1] + 1
+    negative = data[starts] == ord("-")
+    width = ends - starts - negative
+    frac = np.where(point, ends - marks[at - 1] - 1, _POINTLESS)
+    python = (width <= point) | (width > _PAD)  # no digit, or wider than the window
+    np.minimum(frac, _POINTLESS, out=frac)
+    np.minimum(width, _PAD, out=width)
+    words = windows[ends - _PAD].view(_WORD).reshape(-1, 3)
+    words ^= np.take(_FLIP, frac, axis=0)
+    words &= np.take(_KEEP, width, axis=0)
+    over = words + np.uint64(0x7676767676767676)  # a byte's top bit: above 9
+    python |= ((over[:, 0] | over[:, 1] | over[:, 2]) & np.uint64(0x8080808080808080)) != 0
+    digits = _swar_digits(words)
+    python |= digits[:, 0] >= 1000  # N' of more than 19 digits
+    np.minimum(digits[:, 0], 999, out=digits[:, 0])
+    n = (digits[:, 0] * np.uint64(10 ** 8) + digits[:, 1]) * np.uint64(10 ** 8) + digits[:, 2]
+    tens = _TENS[frac]
+    n -= n // (tens * np.uint64(10)) * (tens * np.uint64(9))
+    high = n.astype(np.float64)
+    low = (n - high.astype(np.uint64)).view(np.int64).astype(np.float64)
+    k = 16 + _FRACTION[frac] - _EMIN  # 10**-f = _HIGH[k] + _LOW[k]
+    p, rest = _product(high, k)
+    rest += low * _HIGH[k]
+    values = p + rest
+    off = rest - (values - p)  # exact: the value's distance above ``values``
+    bits = values.view(np.uint64)
+    ulp = (bits & np.uint64(0x7FF << 52)).view(np.float64) * 2.0 ** -52
+    python |= np.abs(np.abs(off) - 0.5 * ulp) < _TOL * ulp
+    python |= ((bits & np.uint64(_ONE - 1)) == 0) & (off < 0)  # the gap below 2**q is half
+    bits |= negative.astype(np.uint64) << np.uint64(63)
+    rows = np.flatnonzero(python)
+    for i in rows.tolist():
+        text = data[starts[i]:ends[i]].tobytes()
+        if not _PLAIN_FIELD.fullmatch(text):
+            raise _NotPlain
+        values[i] = float(text)
+    return values, len(rows)
+
+
+def _read_csv(path) -> tuple:
+    """The (lines, fields) float64 array of a plain csv file, and how many
+    of its values Python read; raises _NotPlain for any other text."""
+    buf = bytearray(b"0" * _PAD + bytes(_READ_BLOCK))
+    data = np.frombuffer(buf, np.uint8)
+    windows = np.ndarray((len(buf) - _PAD + 1,), f"V{_PAD}", buffer=buf, strides=(1,))
+    block = memoryview(buf)[_PAD:]
+    with open(path, "rb", buffering=0) as fh:
+        lines = cols = 0
+        while size := fh.readinto(block):
+            if not cols:
+                first = buf.find(b"\n", _PAD, _PAD + size)
+                if first < 0:
+                    raise _NotPlain  # a first line longer than a block
+                cols = buf.count(b",", _PAD, first) + 1
+            lines += np.count_nonzero(data[_PAD:_PAD + size] == ord("\n"))
+        if not lines:
+            raise _NotPlain
+        values = np.empty(lines * cols)
+        fh.seek(0)
+        done = carry = python = 0
+        while size := fh.readinto(block[carry:]):
+            end = _PAD + carry + size
+            stop = buf.rfind(b"\n", _PAD, end) + 1
+            if not stop:
+                carry = end - _PAD
+                continue
+            got, read = _block_values(data, windows, stop, cols)
+            python += read
+            if done + len(got) > len(values):
+                raise _NotPlain  # the file grew
+            values[done:done + len(got)] = got
+            done += len(got)
+            carry = end - stop
+            buf[_PAD:_PAD + carry] = buf[stop:end]
+        if carry or done < len(values):
+            raise _NotPlain  # no final newline, a line longer than a block
+    return values.reshape(lines, cols), python
+
+
+def _mesh_format(path: str) -> str:
+    """The mesh format of ``path`` from its suffix, in any case."""
+    for fmt in ("npy", "csv"):
+        if path.lower().endswith("." + fmt):
+            return fmt
+    raise ValueError(f"unsupported mesh format: {path}")
+
+
 def save_mesh(mesh: Mesh, path: str) -> None:
     """Write a mesh as .npy (float64, shape (k, m)) or .csv (row per point)."""
     text = str(path)
-    if text.endswith(".npy"):
+    if _mesh_format(text) == "npy":
         atomic_write(text, lambda fh: np.save(fh, mesh.points))
-    elif text.endswith(".csv"):
-        save_csv(text, mesh.points)
     else:
-        raise ValueError(f"unsupported mesh format: {text}")
+        save_csv(text, mesh.points)
 
 
 def load_mesh(path: str) -> Mesh:
+    """Read a mesh from .npy or .csv (suffix in any case).
+
+    A csv is read as ``np.loadtxt(path, delimiter=",", ndmin=2)`` reads it:
+    the same float64 bits, or the same warning or exception.  Plain text,
+    lines of equally many decimals each ended by a newline as ``save_mesh``
+    and ``np.savetxt`` write them, goes through a NumPy digit kernel; any
+    other text is read by ``np.loadtxt`` itself.
+    """
     text = str(path)
-    if text.endswith(".npy"):
-        arr = np.load(text)
-    elif text.endswith(".csv"):
-        arr = np.loadtxt(text, delimiter=",", ndmin=2)
-    else:
-        raise ValueError(f"unsupported mesh format: {text}")
-    return as_mesh(arr)
+    if _mesh_format(text) == "npy":
+        return as_mesh(np.load(text))
+    try:
+        return as_mesh(_read_csv(text)[0])
+    except (_NotPlain, OSError):
+        pass  # outside the handler, np.loadtxt's errors carry no context
+    return as_mesh(np.loadtxt(text, delimiter=",", ndmin=2))
 
 
 # --- Batch results ----------------------------------------------------------

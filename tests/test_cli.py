@@ -1066,6 +1066,15 @@ class TestExitCodes:
         assert "nested too deeply" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_deeply_nested_expression_is_validation(self, tmp_path, capsys):
+        # The parser stops at its nesting bound, before Python's recursion limit.
+        out = tmp_path / "out.jsonl"
+        code = run_cli("eval", "num_hamiltonian_vf", "--bivector", EXAMPLES / "so3.json",
+                       "--h=" + "-" * 2000 + "x1", "--mesh", "corners", "--out", out)
+        assert code == cli.EXIT_VALIDATION
+        assert "nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deeply_nested_multivector_file_is_validation(self, tmp_path, capsys):
         # Multivector files are read before any set-up, and the parser recurses
         # once per parenthesis.
@@ -1133,6 +1142,16 @@ class TestMesh:
             "--out", tmp_path / "m.csv",
         )
         assert code == cli.EXIT_VALIDATION
+
+    def test_suffixes_in_any_case(self, tmp_path):
+        # m.CSV is a csv mesh and o.NPY an npy output, as in lower case.
+        for mesh, out in (("m.csv", "o.npy"), ("m.CSV", "o.NPY")):
+            assert run_cli("mesh", "random", "--k", 50, "--dim", 3, "--seed", 2,
+                           "--out", tmp_path / mesh) == 0
+            assert run_cli("eval", "num_bivector", "--bivector", EXAMPLES / "so3.json",
+                           "--mesh", tmp_path / mesh, "--out", tmp_path / out) == 0
+        assert (tmp_path / "m.CSV").read_bytes() == (tmp_path / "m.csv").read_bytes()
+        assert (tmp_path / "o.NPY").read_bytes() == (tmp_path / "o.npy").read_bytes()
 
 
 class TestBench:

@@ -1,7 +1,12 @@
 """Tests for multivector containers, meshes, and serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from poissonmesh import expressions as ex
 from poissonmesh import geometry
@@ -139,7 +144,7 @@ class TestMeshSerialization:
         assert ours.read_bytes() == ref.read_bytes()
 
     # load_mesh reads a csv exactly as np.loadtxt(delimiter=",", ndmin=2):
-    # the same array, or the same exception.
+    # the same array, or the same exception, with the same warnings.
     @pytest.mark.parametrize("text", [
         pytest.param(b"# x1,x2\n1,2\n3,4 # a point\n", id="comments"),
         pytest.param(b"\n1,2\n\n3,4\n\n", id="blank_lines"),
@@ -153,20 +158,87 @@ class TestMeshSerialization:
         pytest.param(b"1,2\n3\n", id="ragged"),
         pytest.param(b"1,x\n", id="not_a_number"),
         pytest.param(b"1,,2\n", id="empty_field"),
+        pytest.param(b"1,2\n3,4", id="no_final_newline"),
+        pytest.param(b"", id="empty_file"),
+        pytest.param(b"1,2,\n3,4,\n", id="trailing_comma"),
+        pytest.param(b"+1,-0\n-0.0,+.5\n-.25,5.\n", id="plus_and_negative_zero"),
+        pytest.param(b"12345678901234567890,-0.12345678901234567890123\n"
+                     b"1234567890123456789012345,2.000000000000000000000001\n", id="long_tokens"),
+        pytest.param(b"0,1,-2\n3,40,-500\n", id="integers"),
+        pytest.param(b"1,2\x00\n", id="nul_byte"),
+        pytest.param(b"1,\xc2\xb2\n", id="non_ascii_byte"),
+        pytest.param(b",".join([b"0.5"] * 70_000) + b"\n", id="line_longer_than_a_block"),
+        pytest.param(b"9007199254740993,4384900859089420.25,8789748785565816.50\n"
+                     b"9007199254740993.0,4402272062787084.25,0.30000000000000001665\n",
+                     id="exact_ties"),
+        pytest.param(b"1_0,2\n", id="underscore"),
     ])
     def test_csv_reads_as_loadtxt(self, tmp_path, text):
         path = tmp_path / "mesh.csv"
         path.write_bytes(text)
-        try:
-            expected = as_mesh(np.loadtxt(path, delimiter=",", ndmin=2))
-        except ValueError as exc:
-            with pytest.raises(type(exc)) as raised:
-                load_mesh(str(path))
-            assert str(raised.value) == str(exc)
+        outcomes = []
+        for read in (lambda: as_mesh(np.loadtxt(str(path), delimiter=",", ndmin=2)),
+                     lambda: load_mesh(str(path))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    points = read().points
+                    outcome = (points.shape, points.tobytes())
+                except ValueError as exc:
+                    outcome = (type(exc), str(exc), type(exc.__context__))
+            outcomes.append((outcome, [str(w.message) for w in caught]))
+        assert outcomes[1] == outcomes[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(points=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ))
+    def test_csv_round_trip_keeps_bits(self, tmp_path_factory, points):
+        # Negatives, -0.0, subnormals and huge values: %.17g text reads back
+        # to the same bits.
+        path = tmp_path_factory.mktemp("mesh") / "mesh.csv"
+        geometry.save_csv(str(path), points)
+        assert load_mesh(str(path)).points.tobytes() == points.tobytes()
+
+    @pytest.mark.parametrize("extra", [1, 2, 3, 5, 8, 13])
+    def test_fields_on_every_block_boundary(self, tmp_path, monkeypatch, extra):
+        # A block a few bytes longer than the longest line: the unfinished
+        # line moves to the front of each block, so block ends fall inside
+        # and between every kind of field.
+        rng = np.random.default_rng(extra)
+        points = rng.normal(size=(60, 3)) * 10.0 ** rng.integers(-6, 20, size=(60, 3))
+        points[::7, 1] = np.round(points[::7, 1])
+        path = tmp_path / "mesh.csv"
+        geometry.save_csv(str(path), points)
+        longest = max(map(len, path.read_bytes().splitlines(keepends=True)))
+        monkeypatch.setattr(geometry, "_READ_BLOCK", longest + extra)
+        assert geometry._read_csv(str(path))[0].tobytes() == points.tobytes()
+
+    def test_plain_csv_does_not_reach_loadtxt(self, tmp_path, monkeypatch):
+        # A silent fall back to np.loadtxt would only be slower; here it fails.
+        points = random_mesh(100_000, 3, seed=8).points
+        points[::3] -= 0.5
+        path = tmp_path / "mesh.csv"
+        save_mesh(Mesh(points), str(path))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        assert load_mesh(str(path)).points.tobytes() == points.tobytes()
+
+    @pytest.mark.parametrize("name", ["mesh.NPY", "mesh.CSV", "mesh.Csv"])
+    def test_suffix_in_any_case(self, tmp_path, name):
+        mesh = random_mesh(20, 3, seed=9)
+        path = str(tmp_path / name)
+        save_mesh(mesh, path)
+        assert load_mesh(path).points.tobytes() == mesh.points.tobytes()
+        if name.endswith("NPY"):
+            assert np.load(path).tobytes() == mesh.points.tobytes()
         else:
-            got = load_mesh(str(path))
-            assert got.points.shape == expected.points.shape
-            assert got.points.tobytes() == expected.points.tobytes()
+            assert np.loadtxt(path, delimiter=",").tobytes() == mesh.points.tobytes()
 
     def test_unknown_format(self, tmp_path):
         mesh = random_mesh(5, 2, seed=0)

@@ -1,9 +1,11 @@
-"""Exactness of the float64 text kernel, ``geometry._float_slots``.
+"""Exactness of the float64 text kernels, ``geometry._float_slots`` and
+the csv reader ``geometry._read_csv``.
 
 Both styles are checked against Python itself: "json" against
-``json.dumps`` and "%.17g" against ``'%.17g' %``.  Run as a script, the
-module sweeps random bit patterns and every power of 2 and of 10 with their
-neighbours, and prints the share of values Python formatted:
+``json.dumps`` and "%.17g" against ``'%.17g' %``; the finite "%.17g" text
+then reads back to the same bits.  Run as a script, the module sweeps random
+bit patterns and every power of 2 and of 10 with their neighbours, and
+prints the share of values Python formatted and read:
 
     PYTHONPATH=src python tests/test_textformat.py --count 10000000
 """
@@ -12,7 +14,9 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -60,6 +64,28 @@ def random_bits(count: int, seed: int) -> np.ndarray:
     """``count`` float64s with uniformly random bit patterns."""
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
+
+
+def plain_bits(count: int, seed: int) -> np.ndarray:
+    """``count`` float64s with random sign and significand bits and a
+    binary exponent from -13 to 55, so 1.2e-4 < |x| < 7.3e16: "%.17g"
+    writes them without an exponent, and the reader's digit kernel reads
+    them."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=count, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    bits |= rng.integers(1023 - 13, 1023 + 56, size=count).astype(np.uint64) << np.uint64(52)
+    return bits.view(np.float64)
+
+
+def round_trip(values, path: str) -> tuple:
+    """(values whose bits came back changed, values Python read, values
+    read) for the finite ``values`` saved as "%.17g" csv, three a line, and
+    read back by the csv reader."""
+    finite = values[np.isfinite(values)]
+    rows = finite[:len(finite) // 3 * 3].reshape(-1, 3)
+    geometry.save_csv(path, rows)
+    back, python = geometry._read_csv(path)
+    return np.count_nonzero(back.view(np.uint64) != rows.view(np.uint64)), python, rows.size
 
 
 STYLES = sorted(REFERENCE)
@@ -140,6 +166,15 @@ def test_exact_ties_and_interval_ends(style):
     assert mismatches(with_neighbours(values), style) == ([], 0)
 
 
+def test_csv_round_trip(tmp_path):
+    # Random bits are mostly text with an exponent, which Python reads; the
+    # digit kernel reads nearly all plain bits.
+    path = str(tmp_path / "values.csv")
+    assert round_trip(random_bits(10**6, seed=26), path)[0] == 0
+    changed, python, count = round_trip(plain_bits(10**6, seed=27), path)
+    assert changed == 0 and python < count // 1000
+
+
 def test_writer_mixes_every_kind(tmp_path, monkeypatch):
     # One chunk of each writer holds zeros, powers, integers, switch points,
     # subnormals, poles and (jsonl) invalid rows, next to random values.
@@ -176,9 +211,25 @@ def test_writer_mixes_every_kind(tmp_path, monkeypatch):
 
 def sweep(count: int, seed: int, batch: int = 250_000) -> int:
     """Check ``count`` random bit patterns and every power of 2 and 10 with
-    neighbours in both styles; print each style's Python share and return
+    neighbours in both styles, and read the finite "%.17g" text of those
+    and of as many ``plain_bits`` back; print each Python share and return
     the number of mismatches."""
     failures = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "values.csv")
+        for name, draw in (("random bits", random_bits), ("plain bits", plain_bits)):
+            changed = python = checked = 0
+            for start in range(0, count, batch):
+                values = draw(min(batch, count - start), seed + start)
+                if start == 0:
+                    values = np.concatenate((values, powers()))
+                bad, read, size = round_trip(values, path)
+                changed += bad
+                python += read
+                checked += size
+            failures += changed
+            print(f"csv reader, {name}: {checked} values read back, {changed} changed, "
+                  f"Python read {python} ({python / checked:.3%})")
     for style in STYLES:
         checked = python = 0
         for start in range(0, count, batch):
