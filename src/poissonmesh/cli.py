@@ -423,8 +423,9 @@ def main(argv=None) -> int:
     except (ExpressionDepthError, RecursionError):
         # A set-up reports a tree too deep for its recursive walkers, such as
         # the derivative of a sum of about 990 terms, as ExpressionDepthError.
-        # Multivector files are read before it, and the JSON decoder recurses
-        # once per level of nesting (the expression parser stops at its bound).
+        # Multivector files are read before it; the expression parser turns its
+        # own RecursionError into ExpressionDepthError, but the JSON decoder
+        # recurses once per level of nesting and raises it bare.
         print(f"error: invalid input: {ExpressionDepthError()}", file=sys.stderr)
         return EXIT_VALIDATION
     except ExpressionError as exc:

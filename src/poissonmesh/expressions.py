@@ -535,7 +535,6 @@ _TOKEN_RE = re.compile(
     r"|(\S))"
 )
 _COORD_RE = re.compile(r"^x(\d+)$")
-_MAX_NESTING = 100  # parse_unary levels: parentheses, calls, signs, exponents
 
 
 class _Parser:
@@ -546,11 +545,6 @@ class _Parser:
     Token kinds are 'num', 'ident', 'end' or, for an operator, the operator
     itself.  Token positions are only needed for error messages, so they are
     found again when one is raised.
-
-    Every parenthesis, call argument, sign and ``**`` exponent nests one
-    more ``parse_unary``; past _MAX_NESTING levels (some four frames each)
-    the parser raises ExpressionDepthError, well before Python's recursion
-    limit.
     """
 
     def __init__(self, source: str, dim: int):
@@ -563,7 +557,6 @@ class _Parser:
         self.texts = [op or num or ident or bad for op, num, ident, bad in found] + [""]
         self.dim = dim
         self.at = 0  # index of the next token
-        self.depth = 0  # parse_unary calls open
         if "bad" in self.kinds:
             index = self.kinds.index("bad")
             self.error(f"unexpected character {self.texts[index]!r}", index)
@@ -602,23 +595,18 @@ class _Parser:
                 return node
 
     def parse_unary(self) -> Expression:
-        if self.depth == _MAX_NESTING:
-            raise ExpressionDepthError(position=self.position(self.at))
-        self.depth += 1
         kind = self.kinds[self.at]
         if kind == "-":
             self.at += 1
-            node = fold_neg(self.parse_unary())
-        elif kind == "+":
+            return fold_neg(self.parse_unary())
+        if kind == "+":
             self.at += 1
-            node = self.parse_unary()
-        else:
-            node = self.parse_atom()
-            if self.kinds[self.at] == "**":
-                self.at += 1
-                node = fold_pow(node, self.parse_unary())
-        self.depth -= 1
-        return node
+            return self.parse_unary()
+        base = self.parse_atom()
+        if self.kinds[self.at] == "**":
+            self.at += 1
+            return fold_pow(base, self.parse_unary())
+        return base
 
     def expect_close(self) -> None:
         if self.kinds[self.at] != ")":
@@ -669,7 +657,11 @@ def parse(source: str, dim: int) -> Expression:
     if not isinstance(source, str):
         raise ExpressionError(f"expression source must be text, got {type(source).__name__}")
     parser = _Parser(source, dim)
-    node = parser.parse_sum()
+    try:
+        node = parser.parse_sum()
+    except RecursionError:
+        # Each parenthesis, call, sign or ``**`` nests the parser deeper.
+        raise ExpressionDepthError(position=parser.position(parser.at)) from None
     if parser.kinds[parser.at] != "end":
         parser.error(f"unexpected token {parser.texts[parser.at]!r}", parser.at)
     return node

@@ -763,7 +763,9 @@ def save_csv(path, data: np.ndarray) -> None:
 # digits and fields with a "+" or an exponent.  Any other text (comments,
 # blank lines, spaces, CR, quotes, ragged rows, empty fields, no final
 # newline, a line longer than a block, nan, inf or any other byte) sends
-# the whole file to ``np.loadtxt``, for its values, warnings and errors.
+# the whole file to ``np.loadtxt``, for its values, warnings and errors; so
+# does a path that is not a regular file, such as a named pipe, which the
+# two passes could not read.
 
 _READ_BLOCK = 1 << 18  # bytes of csv text converted at a time
 _PAD = 24  # bytes of "0" before a block; a field's window: the bytes before its separator
@@ -833,7 +835,8 @@ def _block_values(data: np.ndarray, windows: np.ndarray, stop: int, cols: int) -
     words = windows[ends - _PAD].view(_WORD).reshape(-1, 3)
     words ^= np.take(_FLIP, frac, axis=0)
     words &= np.take(_KEEP, width, axis=0)
-    over = words + np.uint64(0x7676767676767676)  # a byte's top bit: above 9
+    over = words + np.uint64(0x7676767676767676)  # top bit of a byte 10..0x7F
+    over |= words  # bytes from 0x80 up carry into the next byte: their own top bit
     python |= ((over[:, 0] | over[:, 1] | over[:, 2]) & np.uint64(0x8080808080808080)) != 0
     digits = _swar_digits(words)
     python |= digits[:, 0] >= 1000  # N' of more than 19 digits
@@ -865,6 +868,8 @@ def _block_values(data: np.ndarray, windows: np.ndarray, stop: int, cols: int) -
 def _read_csv(path) -> tuple:
     """The (lines, fields) float64 array of a plain csv file, and how many
     of its values Python read; raises _NotPlain for any other text."""
+    if not os.path.isfile(path):
+        raise _NotPlain  # a pipe or device is read once, by np.loadtxt
     buf = bytearray(b"0" * _PAD + bytes(_READ_BLOCK))
     data = np.frombuffer(buf, np.uint8)
     windows = np.ndarray((len(buf) - _PAD + 1,), f"V{_PAD}", buffer=buf, strides=(1,))

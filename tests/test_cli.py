@@ -1067,7 +1067,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_deeply_nested_expression_is_validation(self, tmp_path, capsys):
-        # The parser stops at its nesting bound, before Python's recursion limit.
+        # The parser reports its RecursionError as an ExpressionDepthError.
         out = tmp_path / "out.jsonl"
         code = run_cli("eval", "num_hamiltonian_vf", "--bivector", EXAMPLES / "so3.json",
                        "--h=" + "-" * 2000 + "x1", "--mesh", "corners", "--out", out)

