@@ -5,43 +5,18 @@ Exit codes: 0 success (the output file was fully written), 2 input
 validation failure, 3 expression parse failure, 4 unbound parameter,
 5 mesh dimension mismatch, 6 I/O failure.
 
-Output formats: ``jsonl`` (one JSON object per mesh point; coefficient keys
-are comma-joined index tuples under "coeffs", with a "valid" flag where the
-method produces one; a dense result, such as the always-dense
-``num_bivector_to_matrix``, gives {"matrix": [[...], ...]}, {"vector": [...]}
-or {"value": ...} lines, with the "valid" flag after them when the result
-has a mask), ``npy`` (a float64 tensor shaped (k,), (k, m), or
-(k, m, m); a sibling ``<out>.valid.npy`` carries the validity mask when
-present), and ``csv`` (the same tensor flattened to one row per point).
-A ``<out>.valid.npy`` that an earlier run left beside a file written
-without one is removed.
-``jsonl`` uses the records output mode; ``npy`` and ``csv`` use dense mode.
-Non-finite values are the non-strict JSON tokens NaN, Infinity and -Infinity
-(csv: nan, inf, -inf).  jsonl and csv are written in chunks of at most
-16,384 values.  jsonl bytes are those of ``json.dumps`` and csv bytes those
-of ``np.savetxt(fmt="%.17g", delimiter=",")``.  A float64 chunk is
-formatted in NumPy by ``geometry._chunk_text``: one digit kernel writes each
-value's ``float.__repr__`` or ``%.17g`` characters, zeros, poles, the line's
-literal pieces and each row's valid flag into fixed byte slots, and one
-``bytes.translate`` deletes the padding.  Python formats a value itself
-only where a rounding or shortest-digit decision falls within the kernel's
-error bound and is not an exact tie or integer (those are decided in
-int64), and for magnitudes below 1e-290 (subnormals included), so the
-bytes are exact.  Only a chunk that is not float64 (residual text, other
-dtypes) is filled into a line template from ``json.dumps`` tokens.  Both
-writers format each distinct column of a chunk once, and the bytes do not
-change for it: a float64 column constant over the chunk is one literal in
-its line, and a matrix entry (i, j), i > j, that is the sign flip of (j, i)
-over the chunk, or NaN with it, reuses that entry's text.
-Every file, ``mesh`` output included, is written beside its target and then
-renamed into place, so a failed write leaves no partial file.
+Output formats, from the ``--out`` suffix in any case: ``.npy`` (dense mode:
+the float64 block, with a sibling ``<out>.valid.npy`` mask where the method
+has one), ``.csv`` (dense mode, one flattened row per point) and jsonl for
+any other suffix (records mode, one JSON object per point; an always-dense
+result such as ``num_bivector_to_matrix`` gives {"matrix": [[...], ...]}
+lines).  ``geometry.write_result`` writes each of them atomically.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -53,20 +28,15 @@ from .bench import BenchCase, benchmark_suite, fit_loglog, method_case, time_met
 from .evaluate import EvalOptions, MeshDimensionError
 from .expressions import ExpressionDepthError, ExpressionError, UnboundParameterError
 from .geometry import (
-    BatchResult,
     Mesh,
     Multivector,
     MultivectorError,
-    _chunk_text,
-    _key_text,
-    _mirror_pairs,
-    _text_chunks,
     atomic_write,
     corners_mesh,
     load_mesh,
     random_mesh,
-    save_csv,
     save_mesh,
+    write_result,
 )
 
 EXIT_OK = 0
@@ -203,85 +173,16 @@ def _build_case(args) -> BenchCase:
 # --- Output writing ---------------------------------------------------------
 
 
-_SLOT = "%s"  # a value's place in a line template
-
-
-def _token_text(block: np.ndarray, pieces: tuple, flags=None) -> bytes:
-    """The lines of a chunk that is not float64 (residual text, other
-    dtypes): ``pieces`` with the ``json.dumps`` token of each value, and of
-    each flag, between them."""
-    columns = block.tolist() + ([] if flags is None else [flags.tolist()])
-    line = "%s".join(piece.decode().replace("%", "%%") for piece in pieces)
-    values = [value for row in zip(*columns) for value in row]
-    return (line * block.shape[1] % tuple(map(json.dumps, values))).encode()
-
-
-def _write_jsonl(result: BatchResult, fh) -> None:
-    """Write one line per row, a chunk of rows at a time, from line pieces
-    built once per result.
-
-    A record's slots are its ``keys``, read from ``columns``; a dense row's
-    are its entries in row-major order.  A row of a result with a valid
-    mask, records or dense, ends in a ``"valid"`` flag.  A float64 chunk is
-    formatted by ``geometry._chunk_text``, which writes each value, pole
-    and flag as ``json.dumps`` does; any other chunk (residual text, other
-    dtypes) is filled with ``json.dumps`` tokens.
-    """
-    valid, pairs = result.valid, ()
-    if result.kind == "records":
-        columns = result.columns
-        skeleton = {"coeffs": {
-            _key_text(key) if isinstance(key, tuple) else key: _SLOT for key in result.keys
-        }}
-    else:
-        columns = result.data.reshape(len(result), math.prod(result.data.shape[1:])).T
-        pairs = _mirror_pairs(result.data.shape[1:])
-        name = "value" if result.kind == "scalar" else result.kind
-        skeleton = {name: np.full(result.data.shape[1:], _SLOT, dtype=object).tolist()}
-    if valid is not None:
-        skeleton["valid"] = _SLOT
-    line = json.dumps(skeleton) + "\n"
-    pieces = tuple(piece.encode() for piece in line.split(json.dumps(_SLOT)))
-    for span in _text_chunks(len(result), len(columns) + (valid is not None)):
-        flags = None if valid is None else valid[span]
-        # Unnamed, so a chunk's text is freed before the next one is formatted.
-        fh.write(
-            _chunk_text(columns[:, span], "json", pieces, flags, pairs)
-            if columns.dtype == np.float64 else _token_text(columns[:, span], pieces, flags)
-        )
-
-
-def write_result(result: BatchResult, path: str, fmt: str):
-    if fmt == "jsonl":
-        atomic_write(path, lambda fh: _write_jsonl(result, fh))
-    elif result.kind == "records":
-        raise MultivectorError(
-            f"format {fmt!r} requires a dense result; use --format jsonl"
-        )
-    elif fmt == "npy":
-        data = np.asarray(result.data, dtype=np.float64)
-        atomic_write(path, lambda fh: np.save(fh, data))
-    elif fmt == "csv":
-        save_csv(path, np.asarray(result.data, dtype=np.float64))
-    else:
-        raise MultivectorError(f"unknown output format {fmt!r}")
-    sidecar = f"{path}.valid.npy"
-    if fmt == "npy" and result.valid is not None:
-        atomic_write(sidecar, lambda fh: np.save(fh, result.valid))
-    elif os.path.exists(sidecar):
-        os.unlink(sidecar)  # an earlier result's mask describes another file
-
-
-def _infer_format(path: str, explicit: str | None) -> str:
-    suffix = Path(path).suffix.lower()
-    return explicit or {".npy": "npy", ".csv": "csv"}.get(suffix, "jsonl")
+def _infer_format(path: str) -> str:
+    """The output format of ``path``: its suffix in any case, jsonl for any other."""
+    return {".npy": "npy", ".csv": "csv"}.get(Path(path).suffix.lower(), "jsonl")
 
 
 # --- Subcommands ------------------------------------------------------------
 
 
 def cmd_eval(args) -> int:
-    fmt = _infer_format(args.out, args.format)
+    fmt = _infer_format(args.out)
     mode = "records" if fmt == "jsonl" else "dense"
     options = EvalOptions(mode=mode, params=_parse_params(args.param))
     t0 = time.perf_counter()
@@ -380,10 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_eval_input_flags(p_eval)
     p_eval.add_argument("--mesh", required=True,
                         help="'corners' or a mesh file (.csv/.npy)")
-    p_eval.add_argument("--out", required=True, help="output file path")
-    p_eval.add_argument("--format", choices=("jsonl", "npy", "csv"),
-                        default=None,
-                        help="output format (default: from --out extension)")
+    p_eval.add_argument("--out", required=True,
+                        help="output file: .npy, .csv, or jsonl for any other suffix")
     p_eval.set_defaults(func=cmd_eval)
 
     p_mesh = sub.add_parser("mesh", help="generate a mesh file")

@@ -48,9 +48,9 @@ column (k,), a vector block (k, m), or an antisymmetric matrix block
 (k, m, m); degree three and up is records-only.  A guarded result (the
 gauge) also carries a valid mask, with NaN entries where it is False.  Only
 a normal form with an unbound modulus differs: its records keep the modulus
-as residual text, so each point is partially evaluated.  Non-finite values
-(poles on the mesh) propagate into the output and are tallied in
-``BatchResult.nonfinite``.
+as residual text, so each point is partially evaluated, in Python and on
+one thread.  Non-finite values (poles on the mesh) propagate into the output
+and are tallied in ``BatchResult.nonfinite``.
 """
 
 from __future__ import annotations
@@ -491,24 +491,17 @@ def prepare_linear_normal_form_r3(P, options=None):
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, 3)
         columns = np.empty((len(keys), len(mesh)), dtype=object)
-        counts = []
-
-        def kernel(pts, rows):
-            nonfinite = 0
-            for r, point in zip(range(rows.start, rows.stop), pts):
-                for j, key in enumerate(keys):
-                    value = partial_eval(rep.coefficient(key), 3, params, point)
-                    if isinstance(value, float):
-                        nonfinite += not np.isfinite(value)
-                    else:
-                        value = to_source(value)
-                    columns[j, r] = value
-            counts.append(nonfinite)
-
-        threads = _run_chunks(kernel, mesh)
-        return BatchResult(
-            "records", keys=keys, nonfinite=sum(counts), columns=columns, threads=threads
-        )
+        nonfinite = 0
+        # partial_eval is pure Python: threads would only queue for the GIL.
+        for r, point in enumerate(mesh.points):
+            for j, key in enumerate(keys):
+                value = partial_eval(rep.coefficient(key), 3, params, point)
+                if isinstance(value, float):
+                    nonfinite += not np.isfinite(value)
+                else:
+                    value = to_source(value)
+                columns[j, r] = value
+        return BatchResult("records", keys=keys, nonfinite=nonfinite, columns=columns)
 
     return evaluator
 

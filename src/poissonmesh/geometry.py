@@ -714,6 +714,32 @@ def _chunk_text(block: np.ndarray, style: str, pieces: tuple, flags=None,
     return text.translate(None, b"\0")
 
 
+def _token_text(block: np.ndarray, pieces: tuple, flags=None) -> bytes:
+    """The lines of a chunk that is not float64 (residual text, other
+    dtypes): ``pieces`` with the ``json.dumps`` token of each value, and of
+    each flag, between them."""
+    columns = block.tolist() + ([] if flags is None else [flags.tolist()])
+    line = "%s".join(piece.decode().replace("%", "%%") for piece in pieces)
+    values = [value for row in zip(*columns) for value in row]
+    return (line * block.shape[1] % tuple(map(json.dumps, values))).encode()
+
+
+def _write_text(fh: BinaryIO, columns: np.ndarray, style: str, pieces: tuple,
+                valid=None, pairs: tuple = ()) -> None:
+    """Write one line per row of the (width, k) block ``columns``, a chunk of
+    rows at a time: ``pieces`` with the row's values, and its ``valid``
+    flag, between them.  A float64 chunk is formatted by ``_chunk_text`` in
+    ``style`` (``pairs`` as it takes them); any other chunk (residual text,
+    other dtypes, only ever jsonl) is filled with ``json.dumps`` tokens."""
+    for span in _text_chunks(columns.shape[1], len(columns) + (valid is not None)):
+        flags = None if valid is None else valid[span]
+        # Unnamed, so a chunk's text is freed before the next one is formatted.
+        fh.write(
+            _chunk_text(columns[:, span], style, pieces, flags, pairs)
+            if columns.dtype == np.float64 else _token_text(columns[:, span], pieces, flags)
+        )
+
+
 def _write_csv(fh: BinaryIO, data: np.ndarray) -> None:
     """Write a float array of k rows as csv, each row flattened row-major.
 
@@ -725,14 +751,65 @@ def _write_csv(fh: BinaryIO, data: np.ndarray) -> None:
     """
     rows = np.asarray(data, dtype=np.float64).reshape(len(data), math.prod(data.shape[1:]))
     pieces = tuple((b",".join([b"%s"] * rows.shape[1]) + b"\n").split(b"%s"))
-    pairs = _mirror_pairs(data.shape[1:])
-    for span in _text_chunks(len(rows), rows.shape[1]):
-        fh.write(_chunk_text(rows[span].T, "%.17g", pieces, pairs=pairs))
+    _write_text(fh, rows.T, "%.17g", pieces, pairs=_mirror_pairs(data.shape[1:]))
 
 
 def save_csv(path, data: np.ndarray) -> None:
     """Atomically write a float array of k rows as csv, one row per line."""
     atomic_write(path, lambda fh: _write_csv(fh, data))
+
+
+_PLACE = "%s"  # a value's place in a jsonl line
+
+
+def _write_jsonl(result: "BatchResult", fh: BinaryIO) -> None:
+    """Write one line per row, from line pieces built once per result.
+
+    A record's places are its ``keys``, read from ``columns``; a dense row's
+    are its entries in row-major order.  A row of a result with a valid
+    mask, records or dense, ends in a ``"valid"`` flag.  Every value, pole
+    and flag is written as ``json.dumps`` writes it.
+    """
+    valid, pairs = result.valid, ()
+    if result.kind == "records":
+        columns = result.columns
+        skeleton = {"coeffs": {
+            _key_text(key) if isinstance(key, tuple) else key: _PLACE for key in result.keys
+        }}
+    else:
+        columns = result.data.reshape(len(result), math.prod(result.data.shape[1:])).T
+        pairs = _mirror_pairs(result.data.shape[1:])
+        name = "value" if result.kind == "scalar" else result.kind
+        skeleton = {name: np.full(result.data.shape[1:], _PLACE, dtype=object).tolist()}
+    if valid is not None:
+        skeleton["valid"] = _PLACE
+    line = json.dumps(skeleton) + "\n"
+    pieces = tuple(piece.encode() for piece in line.split(json.dumps(_PLACE)))
+    _write_text(fh, columns, "json", pieces, valid, pairs)
+
+
+def write_result(result: "BatchResult", path: str, fmt: str) -> None:
+    """Atomically write ``result`` to ``path`` as ``fmt``: "jsonl" (a line
+    per point), or for a dense result "npy" (the float64 block) or "csv"
+    (a row per point).  An npy of a result with a valid mask gets it as
+    ``<path>.valid.npy``; any other write removes a mask an earlier result
+    left there, since it describes another file."""
+    if fmt == "jsonl":
+        atomic_write(path, lambda fh: _write_jsonl(result, fh))
+    elif result.kind == "records":
+        raise MultivectorError(f"format {fmt!r} requires a dense result; use jsonl")
+    elif fmt == "npy":
+        data = np.asarray(result.data, dtype=np.float64)
+        atomic_write(path, lambda fh: np.save(fh, data))
+    elif fmt == "csv":
+        save_csv(path, np.asarray(result.data, dtype=np.float64))
+    else:
+        raise MultivectorError(f"unknown output format {fmt!r}")
+    sidecar = f"{path}.valid.npy"
+    if fmt == "npy" and result.valid is not None:
+        atomic_write(sidecar, lambda fh: np.save(fh, result.valid))
+    elif os.path.exists(sidecar):
+        os.unlink(sidecar)
 
 
 # --- Csv meshes -----------------------------------------------------------------

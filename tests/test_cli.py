@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import argparse
+import ast
 import filecmp
 import json
 import math
@@ -24,6 +25,7 @@ from poissonmesh.geometry import (
     BatchResult,
     Multivector,
     as_mesh,
+    corners_mesh,
     random_mesh,
     save_mesh,
 )
@@ -299,10 +301,7 @@ class TestEval:
             "--mesh", "corners", "--out", out,
         ) == 0
         assert np.load(str(out) + ".valid.npy").shape == (8,)
-        assert run_cli(
-            "eval", "num_bivector_to_matrix", "--bivector", EXAMPLES / "so3.json",
-            "--mesh", "corners", "--out", out, "--format", fmt,
-        ) == 0
+        cli.write_result(ev.num_bivector_to_matrix(g.SO3, corners_mesh(3), dim=3), str(out), fmt)
         if fmt == "npy":
             assert np.load(out).shape == (8, 3, 3)
         else:
@@ -450,6 +449,17 @@ def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer, suffix):
             cli.write_result(result, str(target), suffix[1:])
     assert target.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def test_cli_imports_no_private_geometry_name():
+    # The line, slot and chunk layout of the output files stays in geometry.
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("geometry", "poissonmesh.geometry")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def suite_results(k: int) -> list:
@@ -698,7 +708,7 @@ class TestColumnarOutput:
             raise AssertionError("a chunk was tokenized")
 
         monkeypatch.setattr(geometry, "_CHUNK_VALUES", 48)
-        monkeypatch.setattr(cli, "_token_text", refuse)
+        monkeypatch.setattr(geometry, "_token_text", refuse)
         out = tmp_path / "out.jsonl"
         results = [r for r in suite_results(70) if (
             r.columns if r.kind == "records" else r.data).dtype == np.float64]
@@ -1112,6 +1122,14 @@ class TestExitCodes:
             assert err.value.code == 2
         assert not (tmp_path / "out.npy").exists()
         assert not (tmp_path / "report.json").exists()
+
+    def test_format_is_not_an_option(self, tmp_path):
+        # The --out suffix alone decides the output format.
+        with pytest.raises(SystemExit) as err:
+            run_cli("eval", "num_bivector", "--bivector", EXAMPLES / "so3.json",
+                    "--mesh", "corners", "--out", tmp_path / "out.jsonl", "--format", "npy")
+        assert err.value.code == 2
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as err:

@@ -255,6 +255,46 @@ class TestMeshSerialization:
         monkeypatch.setattr(geometry, "_READ_BLOCK", longest + extra)
         assert geometry._read_csv(str(path))[0].tobytes() == points.tobytes()
 
+    @pytest.mark.parametrize("case", [
+        "length_a_multiple_of_the_block", "newline_ends_a_block", "line_over_three_blocks",
+    ])
+    def test_block_boundaries_read_as_loadtxt(self, tmp_path, monkeypatch, case):
+        # Zeros before a field's digits lengthen it without changing its
+        # value, so that the file meets the 64-byte blocks as the case says.
+        block = 64
+        points = np.random.default_rng(4).normal(size=(30, 2))
+        path = tmp_path / "mesh.csv"
+        geometry.save_csv(str(path), points)
+        lines = path.read_bytes().splitlines(keepends=True)
+        zeros = [0] * len(lines)
+        if case == "length_a_multiple_of_the_block":
+            for i in range(-len(b"".join(lines)) % block):
+                zeros[i % len(lines)] += 1
+        elif case == "newline_ends_a_block":
+            zeros[0] = block - len(lines[0])
+        else:  # line 1 starts in the first block and ends in the third
+            zeros[1] = 2 * block + 8 - len(lines[1])
+        text = b"".join(
+            line[:line[:1] == b"-"] + b"0" * n + line[line[:1] == b"-":]
+            for line, n in zip(lines, zeros)
+        )
+        start, stop = len(text.splitlines()[0]) + 1, sum(map(len, text.splitlines(True)[:2]))
+        assert {
+            "length_a_multiple_of_the_block": len(text) % block == 0,
+            "newline_ends_a_block": text[block - 1:block] == b"\n",
+            "line_over_three_blocks": (start // block, (stop - 1) // block) == (0, 2),
+        }[case]
+        path.write_bytes(text)
+        monkeypatch.setattr(geometry, "_READ_BLOCK", block)
+        expected = _read_outcome(_loadtxt_mesh, path)
+        assert expected == (((30, 2), points.tobytes()), [])
+        assert _read_outcome(load_mesh, path) == expected
+        if case == "line_over_three_blocks":
+            with pytest.raises(geometry._NotPlain):
+                geometry._read_csv(str(path))
+        else:  # read by the kernel itself
+            assert geometry._read_csv(str(path))[0].tobytes() == points.tobytes()
+
     def test_plain_csv_does_not_reach_loadtxt(self, tmp_path, monkeypatch):
         # A silent fall back to np.loadtxt would only be slower; here it fails.
         points = random_mesh(100_000, 3, seed=8).points
