@@ -2,20 +2,20 @@
 
 Every public method maps (inputs, Mesh) to a BatchResult and comes in two
 pieces: ``prepare_*`` validates the inputs, builds the derived symbolic
-field once (Schouten bracket, sharp image, curl, normal form, minors) and
+field once (Schouten bracket, sharp image, curl, normal form, Pfaffians) and
 compiles all its coefficients into one program, returning an evaluator
 closure; calling the evaluator with a mesh does only per-point work and
 output layout.  The ``num_*`` front ends chain the two.  Prepared evaluators
 are what the benchmark harness times, so the split also fixes the timed
 region: parsing, symbolic construction and compilation are outside it,
 per-point evaluation and assembly are inside.  The gauge transformation is
-such a field too, in cofactor form: X = M adj(G) / det G, G = I - Lambda M,
-with det G as one more output of its program, a guard that marks the points
-where G is singular invalid.
+such a field too, in Pfaffian form: X = M (I - Lambda M)^{-1} is a sum of
+Pfaffian products over F, with det(I - Lambda M) = F^2 as one more output
+of its program, a guard that marks the points where it vanishes invalid.
 
 Set-up: every ``prepare_*`` runs inside one ``expressions.interning()``
 scope, so the equal subtrees it builds (the Schouten brackets, one-forms
-bracket and cofactors repeat many) are one node, and the derivative memo
+bracket and Pfaffians repeat many) are one node, and the derivative memo
 and the compile table find them by identity instead of walking them.
 Equality stays structural, and the table is emptied when the set-up
 returns, so nothing is kept from one set-up to the next.  A tree too deep
@@ -463,8 +463,8 @@ def prepare_gauge_transformation(P, lam, options=None, dim=None):
 def num_gauge_transformation(P, lam, mesh, options=None, dim=None) -> BatchResult:
     """Evaluate the gauge transform M (I - Lambda M)^{-1} at every point.
 
-    It is compiled in cofactor form, M adj(G) / det G with G = I - Lambda M,
-    so no point is pivoted or solved.  The result is antisymmetric, as
+    It is compiled in Pfaffian form, G = I - Lambda M is never solved, and
+    the error grows like eps cond(G).  The result is antisymmetric, as
     M (I - Lambda M)^{-1} = (I - M Lambda)^{-1} M: records hold the upper
     entries, and dense blocks their negations below and an exact-zero
     diagonal.  det G is a guard output: points where it is not finite or

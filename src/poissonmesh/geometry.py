@@ -258,8 +258,11 @@ class Mesh:
 
     def __post_init__(self):
         arr = np.asarray(self.points)
-        if np.iscomplexobj(arr):  # float64 would keep only the real parts
-            raise ValueError("mesh has complex entries; coordinates must be real")
+        # float64 would keep a complex number's real part only, and would turn
+        # dates, durations, text or records into numbers or a TypeError.
+        if arr.dtype.kind not in "biuf":
+            kind = "complex" if arr.dtype.kind == "c" else arr.dtype
+            raise ValueError(f"mesh has {kind} entries; coordinates must be real numbers")
         arr = np.ascontiguousarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"mesh must be a 2-d array, got shape {arr.shape}")

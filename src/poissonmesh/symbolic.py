@@ -10,6 +10,7 @@ X_h = -M grad h; every operator below is consistent with that pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -237,39 +238,35 @@ def modular_vf_sym(
     return curl_sym(P, f0)
 
 
-# --- Flaschka-Ratiu bivector ------------------------------------------------
+# --- Pfaffians: Flaschka-Ratiu bivector and gauge transformation -----------
 
 
-def _minors(entries: Sequence[Sequence[Expression]]):
-    """``det(rows, cols)``: the determinant of the submatrix of ``entries`` on
-    those index tuples, expanded along its first row (a 2x2 as ad - bc).
+def _pfaffians(A: Sequence[Sequence[Expression]]):
+    """``pf(idx)``: the Pfaffian of the antisymmetric ``A`` on the increasing
+    index tuple ``idx``, expanded along its first index (pf(()) = 1).
 
-    Minors are memoized by (rows, cols), so the minors of one matrix share
-    their sub-minors: all of them together take O(m 2^m) nodes, not O(m!).
+    Only entries A[i][j] with i < j are read.  A term's sign goes on its
+    entry, so two negations fold away; a literal-zero entry, whose term
+    folds to zero, is skipped.  Memoized by index tuple, the Pfaffians of
+    one matrix share their sub-Pfaffians: O(m 2^m) nodes in all.
     """
-    memo: dict = {}
+    memo: dict = {(): Num(1.0)}
 
-    def det(rows: tuple, cols: tuple) -> Expression:
-        value = memo.get((rows, cols))
-        if value is not None:
-            return value
-        if not rows:
-            value = Num(1.0)
-        elif len(rows) == 2:
-            (r0, r1), (c0, c1) = rows, cols
-            value = fold_sub(
-                fold_mul(entries[r0][c0], entries[r1][c1]),
-                fold_mul(entries[r0][c1], entries[r1][c0]),
-            )
-        else:
+    def pf(idx: tuple) -> Expression:
+        value = memo.get(idx)
+        if value is None:
             value = Num(0.0)
-            for t, col in enumerate(cols):
-                term = fold_mul(entries[rows[0]][col], det(rows[1:], cols[:t] + cols[t + 1 :]))
-                value = fold_add(value, term if t % 2 == 0 else fold_neg(term))
-        memo[(rows, cols)] = value
+            first, rest = idx[0], idx[1:]
+            for t, j in enumerate(rest):
+                entry = A[first][j]
+                if isinstance(entry, Num) and entry.value == 0.0:
+                    continue
+                entry = entry if t % 2 == 0 else fold_neg(entry)
+                value = fold_add(value, fold_mul(entry, pf(rest[:t] + rest[t + 1 :])))
+            memo[idx] = value
         return value
 
-    return det
+    return pf
 
 
 def flaschka_ratiu_sym(
@@ -278,30 +275,33 @@ def flaschka_ratiu_sym(
     """Bivector with prescribed Casimir candidates K1..K_{m-2} on R^m.
 
     Coefficient (i, j) is -eps((i,j), complement) = (-1)^(i+j) times the
-    Jacobian minor of the K's over the complementary columns; degenerate
-    inputs yield the zero bivector rather than an error.
+    Jacobian minor of the K's over the complementary columns, expanded as a
+    Pfaffian; degenerate inputs yield the zero bivector rather than an error.
     """
     if dim < 3:
         raise MultivectorError(f"dimension must be >= 3, got {dim}")
-    if len(casimirs) != dim - 2:
+    n = dim - 2
+    if len(casimirs) != n:
         raise MultivectorError(
-            f"expected {dim - 2} scalar functions for dimension {dim}, "
+            f"expected {n} scalar functions for dimension {dim}, "
             f"got {len(casimirs)}"
         )
     exprs = [as_expression(k, dim) for k in casimirs]
     columns = [differentiate_all(exprs, j) for j in range(1, dim + 1)]
-    det = _minors([[column[r] for column in columns] for r in range(dim - 2)])
-    rows = tuple(range(dim - 2))
+    # With rows n-2, n-4, ... of the n x m Jacobian J negated, the Pfaffian of
+    # [[0, J], [-J^T, 0]] on all rows and the columns C is det J[:, C], term for term.
+    block = [
+        [Num(0.0)] * n + [c[r] if (n - r) % 2 else fold_neg(c[r]) for c in columns]
+        for r in range(n)
+    ]
+    pf = _pfaffians(block)
     out = {}
     for i in range(1, dim + 1):
         for j in range(i + 1, dim + 1):
-            comp = tuple(c for c in range(dim) if c not in (i - 1, j - 1))
-            minor = det(rows, comp)
+            comp = tuple(n + c for c in range(dim) if c not in (i - 1, j - 1))
+            minor = pf(tuple(range(n)) + comp)
             out[(i, j)] = minor if (i + j) % 2 == 0 else fold_neg(minor)
     return Multivector.build(dim, 2, out)
-
-
-# --- Gauge transformation ---------------------------------------------------
 
 
 def gauge_transformation_sym(
@@ -309,38 +309,33 @@ def gauge_transformation_sym(
     lam: Union[Multivector, Mapping],
     dim: int | None = None,
 ) -> tuple[Multivector, Expression]:
-    """The gauge transform M (I - Lambda M)^{-1} of P by the two-form lam, and
-    det G, G = I - Lambda M; the transform is singular where det G vanishes.
+    """The gauge transform X = M (I - Lambda M)^{-1} of P by the two-form lam,
+    and det G, G = I - Lambda M; the transform is singular where det G vanishes.
 
-    It is built as M adj(G) / det G, with det G and the cofactors taken from
-    one memoized determinant.  By M (I - Lambda M)^{-1} = (I - M Lambda)^{-1} M
-    it is antisymmetric, so only its upper entries are built.
+    By Pfaffian minor summation, det G = F^2 with F the sum over the even
+    index sets J of Pf(Lambda_J) Pf(M_J), and X_ij is the sum over the even
+    J without i and j of Pf(M on i, j, J in that order) Pf(Lambda_J) / F.
+    Nothing is solved or pivoted, so the error grows like eps cond(G).  X is
+    antisymmetric, so only its upper entries are built.
     """
     P = validate_multivector(P, dim, 2)
     m = P.dim
-    M = bivector_to_matrix_sym(P).entries
-    L = bivector_to_matrix_sym(validate_multivector(lam, m, 2)).entries
-    G = [[Num(float(i == j)) for j in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                G[i][j] = fold_sub(G[i][j], fold_mul(L[i][k], M[k][j]))
-    det = _minors(G)
-    full = tuple(range(m))
-    det_G = det(full, full)
-
-    def adjugate(k: int, j: int) -> Expression:
-        minor = det(full[:j] + full[j + 1 :], full[:k] + full[k + 1 :])
-        return minor if (j + k) % 2 == 0 else fold_neg(minor)
-
+    pf_M = _pfaffians(bivector_to_matrix_sym(P).entries)
+    pf_L = _pfaffians(bivector_to_matrix_sym(validate_multivector(lam, m, 2)).entries)
+    even = [J for k in range(0, m + 1, 2) for J in combinations(range(m), k)]
+    F = Num(0.0)
+    for J in even:
+        F = fold_add(F, fold_mul(pf_L(J), pf_M(J)))
     out = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            total: Expression = Num(0.0)
-            for k in range(m):
-                total = fold_add(total, fold_mul(M[i][k], adjugate(k, j)))
-            out[(i + 1, j + 1)] = fold_div(total, det_G)
-    return Multivector.build(m, 2, out), det_G
+    for i, j in combinations(range(m), 2):
+        total: Expression = Num(0.0)
+        for J in even:
+            if i in J or j in J:
+                continue
+            term = fold_mul(pf_M(tuple(sorted((i, j) + J))), pf_L(J))
+            total = fold_add(total, term) if _perm_sign((i, j) + J) > 0 else fold_sub(total, term)
+        out[(i + 1, j + 1)] = fold_div(total, F)
+    return Multivector.build(m, 2, out), fold_mul(F, F)
 
 
 # --- Linear normal forms on R^3 --------------------------------------------

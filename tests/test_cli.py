@@ -905,6 +905,18 @@ class TestExitCodes:
         assert "complex" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_structured_npy_mesh_is_validation(self, tmp_path, capsys):
+        mesh_path = tmp_path / "structured.npy"
+        np.save(mesh_path, np.zeros(4, dtype=[("x1", float), ("x2", float), ("x3", float)]))
+        out = tmp_path / "out.jsonl"
+        code = run_cli(
+            "eval", "num_bivector", "--bivector", EXAMPLES / "so3.json",
+            "--mesh", mesh_path, "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "coordinates must be real numbers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ragged_csv_mesh_is_validation(self, tmp_path, capsys):
         mesh_path = tmp_path / "ragged.csv"
         mesh_path.write_text("0,1,2\n3,4\n")

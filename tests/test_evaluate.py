@@ -1,9 +1,13 @@
 """Tests for the batch mesh-evaluation layer."""
 
+import hashlib
+import importlib.util
+import itertools
 import struct
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,17 @@ GAUGE_POLE_LAM = {(3, 4): "x1 + x3"}
 def gauge_pole_mesh():
     """{-1, 0, 1, 2}^4: poles at x1 = 0, singular points where (x1 + x3) x2 = -1."""
     return as_mesh(np.array(np.meshgrid(*[[-1.0, 0.0, 1.0, 2.0]] * 4)).reshape(4, -1).T)
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``, loaded by path and read only; it imports
+    nothing but numpy and poissonmesh."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def hamiltonian_product_mesh():
@@ -718,7 +733,7 @@ class TestGaugeTransformation:
     def test_singular_tolerance_under_rescaling(self, s):
         # I - Lambda M is unchanged by P -> sP, Lambda -> Lambda/s, so the
         # mask is too and the output scales by s; a power of two keeps both
-        # exact, since the elimination is linear in M.
+        # exact, since each Pfaffian product scales by a power of s.
         # With x1 = 0, det(I - Lambda M) = (1 + x3)^2: 0, 1, 0, 1e-10, 1e-14.
         pts = [(0.0, 0.0, -1.0), (0.0, 0.5, 0.0), (0.0, 2.0, -1.0)]
         pts += [(0.0, 0.5, -1.0 + 1e-5), (0.0, 0.5, -1.0 + 1e-7)]
@@ -758,6 +773,66 @@ class TestGaugeTransformation:
         assert checked > 140
         if len(near):
             assert res.valid[-14:].tolist() == [True] * 11 + [False] * 3
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_error_linear_in_cond(self, m):
+        # Uniform float points, so M and Lambda are rounded.  The exact solve
+        # takes the float M and Lambda, so forming G = I - Lambda M belongs to
+        # the problem, and its rounding weighs |Lambda| |M| / |G|, which
+        # cond(G) misses: for m = 2, G = F I has cond 1 however small F is.
+        rng = np.random.default_rng(SEED + 50 + m)
+        P = oracles.random_multivector_dict(rng, m, 2)
+        lam = oracles.random_multivector_dict(rng, m, 2)
+        mesh = random_mesh(300, m, seed=SEED + 50)
+        res = ev.num_gauge_transformation(P, lam, mesh, DENSE, dim=m)
+        M = ev.num_bivector_to_matrix(P, mesh, dim=m).data
+        L = ev.num_bivector_to_matrix(lam, mesh, dim=m).data
+        assert res.valid.sum() > 290
+        eps = np.finfo(float).eps
+        for r in np.flatnonzero(res.valid):
+            X, _ = oracles.exact_gauge(M[r], L[r])
+            exact = np.array(X, dtype=float)
+            G = np.eye(m) - L[r] @ M[r]
+            scale = max(1.0, np.abs(exact).max())
+            norms = np.linalg.norm([L[r], M[r], G], 2, axis=(1, 2))
+            growth = 1.0 + norms[0] * norms[1] / norms[2]
+            bound = 4 * eps * scale * np.linalg.cond(G) * growth
+            assert np.abs(res.data[r] - exact).max() <= bound, r
+
+    def test_matches_exact_solve_at_a_benchmark_point_near_singular(self):
+        # symbolic_many seed 1, op 27, row 426, where cond(G) is 9.1e7: a
+        # cofactor form M adj(G) / det G read a relative error of 3.6e-2.
+        workloads = benchmark_workloads()
+        workload = workloads.build("symbolic_many", 1)
+        op = workload.ops[27]
+        case = workload.cases[op.case_id]
+        assert case.method == "num_gauge_transformation"
+        P, lam = case.inputs["P"], case.inputs["lam"]
+        mesh = as_mesh(workloads.mesh_points(workload, op)[426:427])
+        res = ev.num_gauge_transformation(P, lam, mesh, DENSE, dim=4)
+        M = ev.num_bivector_to_matrix(P, mesh, dim=4).data[0]
+        L = ev.num_bivector_to_matrix(lam, mesh, dim=4).data[0]
+        X, _ = oracles.exact_gauge(M, L)
+        exact = np.array(X, dtype=float)
+        assert np.linalg.cond(np.eye(4) - L @ M) > 9e7
+        assert res.valid[0]
+        assert np.abs(res.data[0] - exact).max() <= 1e-9 * np.abs(exact).max()
+
+    def test_poles_keep_their_places(self):
+        # On this grid det G = (1 + (x1 + x3) x2)^2 is an integer, and the
+        # pole of P at x1 = 0 reaches X through M[0, 1] alone: there X[0, 1]
+        # is not finite, and every other entry is.
+        mesh = gauge_pole_mesh()
+        res = ev.num_gauge_transformation(GAUGE_POLE_P, GAUGE_POLE_LAM, mesh, DENSE, dim=4)
+        x1, x2, x3 = mesh.points[:, :3].T
+        assert np.array_equal(res.valid, 1 + (x1 + x3) * x2 != 0)
+        rows, cols = np.triu_indices(4, 1)
+        upper = res.data[res.valid][:, rows, cols]
+        expected = np.zeros(upper.shape, dtype=bool)
+        expected[x1[res.valid] == 0, 0] = True
+        assert np.array_equal(~np.isfinite(upper), expected)
+        assert res.nonfinite == expected.sum() == 56
+        assert not np.isnan(upper).all(axis=1).any()
 
     def test_dense_block_exactly_antisymmetric(self):
         cases = [
@@ -865,7 +940,46 @@ class TestNormalFormR3:
             ev.num_linear_normal_form_r3({(1, 2): "x3**2"}, corners_mesh(3))
 
 
+def _pinned_casimirs(m: int, kind: str) -> list:
+    rng = np.random.default_rng(SEED + 40 + m)
+    polys = [
+        f"{oracles.random_polynomial_text(rng, m, 5)} + x{k}*x{k + 1}**2"
+        for k in range(1, m - 1)
+    ]
+    if kind == "poly":
+        return polys
+    return ["1/x1"] + [f"{p} + x{k + 1}/(x{k + 2} - 0.5)" for k, p in enumerate(polys[1:], 1)]
+
+
+# sha256 of the dense blocks of ``_pinned_casimirs`` on the corners, the grid
+# {-1, -1/2, 0, 1/2}^m and 300 random points, with every NaN made one NaN.
+# The Pfaffian expansion must give the bits of a row-by-row expansion of the
+# Jacobian minors, which recorded these.
+FLASCHKA_RATIU_SHA256 = {
+    (3, "poly"): "8a03aa2e60dfb95b0ace7e851fb3280fc41af9c55fde21794e425e3fee74f773",
+    (3, "pole"): "c5c470d205c5f1e4474aefbd722107a8997279b60ed16db4455f8a0b453c80e6",
+    (4, "poly"): "cbfb51714a5249e65e45c4bd022f8ee2308cb5aed12ed9856001347d82d0471c",
+    (4, "pole"): "5ee1ec1868da5d8ab7d660990f90bea4d1ae716fe09b517416146781da6b6ae1",
+    (5, "poly"): "295eef691d0b73c4aaf54aa7f323fc20326ca1cfccc8d4dfd400b7524516bdf3",
+    (5, "pole"): "2201252d5937ac5a6786aee60b53544b9aeb5e9a48470b1f1127b963ee0ce885",
+    (6, "poly"): "18e9c10207a72c87c7b3acadbf299a1fa8f65d183950b4074612a66f290b9fb2",
+    (6, "pole"): "bfb381a3c960b447fea19c613103fa1c2817406e1eae2a530efab553632278c4",
+}
+
+
 class TestFlaschkaRatiu:
+    @pytest.mark.parametrize("m, kind", sorted(FLASCHKA_RATIU_SHA256))
+    def test_pinned_bits(self, m, kind):
+        grid = np.array(list(itertools.product((-1.0, -0.5, 0.0, 0.5), repeat=m)))
+        digest = hashlib.sha256()
+        nonfinite = 0
+        for mesh in (corners_mesh(m), as_mesh(grid), random_mesh(300, m, seed=SEED + 41)):
+            res = ev.num_flaschka_ratiu_bivector(_pinned_casimirs(m, kind), m, mesh, DENSE)
+            nonfinite += res.nonfinite
+            digest.update(np.where(np.isnan(res.data), np.nan, res.data).tobytes())
+        assert digest.hexdigest() == FLASCHKA_RATIU_SHA256[m, kind]
+        assert (nonfinite > 0) == (kind == "pole")
+
     def test_corner_records(self):
         res = ev.num_flaschka_ratiu_bivector(g.CASIMIR_PAIR_R4, 4, corners_mesh(4))
         assert res.keys == g.FLASCHKA_RATIU_KEYS

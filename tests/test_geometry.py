@@ -111,6 +111,21 @@ class TestMesh:
             with pytest.raises(ValueError, match="complex"):
                 as_mesh(points)
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            np.zeros((2, 3), dtype=[("x", float), ("y", float)]),
+            np.array([["2020-01-01", "2021-06-01"]], dtype="datetime64[D]"),
+            np.array([[1, 2, 3]], dtype="timedelta64[s]"),
+            np.array([["1", "2", "3"]]),
+            np.array([[b"1", b"2", b"3"]]),
+        ],
+        ids=["structured", "datetime64", "timedelta64", "str", "bytes"],
+    )
+    def test_rejects_entries_that_are_not_real_numbers(self, points):
+        with pytest.raises(ValueError, match="coordinates must be real numbers"):
+            as_mesh(points)
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             Mesh(np.zeros(3))
