@@ -322,7 +322,7 @@ def atomic_write(path, write: Callable[[BinaryIO], object]) -> None:
 
 
 # Values per chunk of csv or jsonl text: text is formatted one chunk at a
-# time, so only one chunk's slots, line and kernel temporaries (some 4 MB)
+# time, so only one chunk's slots, line and kernel temporaries (some 2.6 MB)
 # are alive, whatever the row width.
 _CHUNK_VALUES = 16_384
 
@@ -353,14 +353,9 @@ def _mirror_pairs(shape: tuple) -> tuple:
 # "json", the bytes of ``json.dumps`` (``float.__repr__``: the shortest
 # digits that read back to the value; NaN, Infinity, -Infinity), and
 # "%.17g", the bytes of ``'%.17g' %`` (17 significant digits; nan, inf,
-# -inf).  Each value gets a 48-byte slot; the bytes its text does not use
-# are NUL, and ``bytes.translate(None, b"\0")`` deletes them:
-#
-#   byte 0        "-" or NUL
-#   bytes 1-5     "0." and up to three zeros, for 1e-5 <= |x| < 1
-#   bytes 6-39    the 17 digits, digit j at byte 2j + 4, each followed by a
-#                 byte for the decimal point
-#   bytes 40-47   an exponent "e+XX" or "e-XXX", or the "0" of a json "12.0"
+# -inf).  Each value gets a 24-byte slot: "-" or NUL at byte 0, then the
+# rest of its text (at most 23 bytes) and NUL padding, which
+# ``bytes.translate(None, b"\0")`` deletes with the sign's NUL.
 #
 # With E = floor(log10 |x|), the digits are those of an integer near
 # y = |x| * 10**(16 - E), in [1e16, 1e17).  y is the double-double product
@@ -378,7 +373,7 @@ def _mirror_pairs(shape: tuple) -> tuple:
 
 _EMIN, _EMAX = -290, 308  # the decimal exponents the table covers
 _TOL = 2.0 ** -30
-_SLOT = 48
+_SLOT = 24
 _E16, _E17 = 10 ** 16, 10 ** 17
 
 
@@ -566,43 +561,38 @@ def _decimal(a: np.ndarray, shortest: bool) -> tuple:
     return digits, e, unsure
 
 
+def _table(texts, width: int, dtype=np.uint8) -> np.ndarray:
+    """The ``texts`` padded with NULs to ``width`` bytes, a row of ``dtype`` each."""
+    return np.array(list(texts), f"S{width}")[:, None].view(dtype)
+
+
+def _slot_text(text: bytes) -> bytes:
+    """``text`` as a slot holds it: its "-" at byte 0, the rest from byte 1."""
+    return text if text[:1] == b"-" else b"\0" + text
+
+
 _WORD = np.dtype("<u8")  # eight bytes of text, the first in the low byte
-
-
-def _words(texts, at: int = 0) -> np.ndarray:
-    """Each text of at most ``8 - at`` bytes as a word, its first byte at
-    byte ``at``."""
-    return np.array([int.from_bytes(bytes(at) + t, "little") for t in texts], dtype=_WORD)
-
-
-def _slot_bytes(text: bytes) -> bytes:
-    """``text`` laid out in a slot: its "-" at byte 0, the rest from byte 1."""
-    return (text if text[:1] == b"-" else b"\0" + text).ljust(_SLOT, b"\0")
-
-
-# Digits j = 2..17 in four words of four, each digit followed by a NUL.
-_GROUP_TEXT = np.zeros((10, 10, 10, 10, 8), np.uint8)
-for _place in range(4):
-    _GROUP_TEXT[..., 2 * _place] = np.arange(48, 58).reshape((10,) + (1,) * (3 - _place))
-_GROUP_TEXT = _GROUP_TEXT.view(_WORD).ravel()
-# Masks showing the first n digits of a group, n clipped to [0, 4]: _SHOWN[n + 12].
-_SHOWN = _words(b"\xff\0" * min(max(n, 0), 4) for n in range(-12, 17))
-_LEAD = _words((b"", b"0.", b"0.0", b"0.00", b"0.000"), at=1)
-_ENDS = _words([b"", b"0"] + [b"e%+03d" % e for e in range(_EMIN - 1, _EMAX + 2)])
+_TENS = 10 ** np.minimum(np.arange(25), 18).astype(np.uint64)  # 10**n, and 10**18 from n = 18 on
+# The text of 0 to 9999 as four digits; the masks of bytes 1 to n - 1 of a
+# slot (_SHOWN[n]); and XORs that turn a "0" at byte n > 0 into "." (_MARKS[n])
+# or, by ``stop`` and E, the one at byte 2 if stop > 2 and write "e-XXX" at stop.
+_FOUR = _table((b"%04d" % n for n in range(10_000)), 8, _WORD).ravel()
+_SHOWN = _table((b"\0" + b"\xff" * (n - 1) for n in range(_SLOT + 1)), _SLOT, _WORD)
+_MARKS = _table([bytes(n) + b"\x1e" * (n > 0) for n in range(_SLOT)] + [
+    (b"\0\0" + b"\x1e" * (stop > 2)).ljust(stop, b"\0") + b"e%+03d" % e
+    for stop in range(2, 20) for e in range(_EMIN - 1, _EMAX + 2)], _SLOT, _WORD)
 
 
 class _Style(NamedTuple):
     shortest: bool  # the shortest digits that read back, else 17
     exponent_from: int  # E at and above which the text has an exponent
-    tokens: np.ndarray  # the slots of 0, -0, nan, nan, inf, -inf
+    tokens: np.ndarray  # the slot words of 0, -0, nan, nan, inf, -inf
     python: Callable[[float], str]
 
 
 def _style(shortest: bool, exponent_from: int, python) -> _Style:
-    tokens = (0.0, -0.0, math.nan, math.nan, math.inf, -math.inf)
-    tokens = b"".join(_slot_bytes(python(x).encode()) for x in tokens)
-    return _Style(shortest, exponent_from,
-                  np.frombuffer(tokens, _WORD).reshape(6, _SLOT // 8), python)
+    tokens = (python(x).encode() for x in (0.0, -0.0, math.nan, math.nan, math.inf, -math.inf))
+    return _Style(shortest, exponent_from, _table(map(_slot_text, tokens), _SLOT, _WORD), python)
 
 
 _STYLES = {
@@ -613,49 +603,60 @@ _STYLES = {
 
 def _float_slots(values: np.ndarray, style: str) -> tuple:
     """The ``style`` text of each float64 of the 1-d ``values`` in its
-    (len(values), 48) uint8 slot, and how many of the values Python formatted."""
+    (len(values), 24) uint8 slot, and how many of the values Python formatted."""
     form = _STYLES[style]
-    size = len(values)
     a = np.abs(values)
     odd = ~((a >= _LEAST[0]) & (a < _MAX))
     a[odd] = 1.0
     digits, e, unsure = _decimal(a, form.shortest)
-    shown = np.full(size, 17)  # digits without trailing zeros
-    live = np.flatnonzero(digits % 10 == 0)
+    digits, e = digits.view(_WORD), e.astype(np.int16)
+    shown = np.full(len(values), 17, np.int16)  # digits without trailing zeros
+    live = np.flatnonzero(digits // 10 * 10 == digits)
     while len(live):
         shown[live] -= 1
-        live = live[digits[live] % 10 ** (18 - shown[live]) == 0]
+        live = live[digits[live] % _TENS.take(18 - shown[live]) == 0]
     plain = (e >= -4) & (e < form.exponent_from)
     integral = plain & (e >= 0)  # the point follows digit e + 1
-    zeros = integral & (shown <= e + 1)  # digits to fill with zeros: "1200"
-    kept = np.where(zeros, e + 1, shown)
-    sign = values.view(np.uint64) >> np.uint64(63)
-    words = np.empty((size, _SLOT // 8), _WORD)
-    words[:, 0] = sign * np.uint64(45) | _LEAD[np.where(plain & (e < 0), -e, 0)] | (
-        (digits // _E16).astype(np.uint64) + np.uint64(48) << np.uint64(48))
-    rest = digits % _E16
-    for word, unit in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1), 1):
-        group = rest // unit
-        rest -= group * unit
-        words[:, word] = _GROUP_TEXT[group] & _SHOWN[kept + (15 - 4 * word)]
-    words[:, 5] = _ENDS[np.where(plain, zeros & form.shortest, e + 3 - _EMIN)]
-    point = np.where(plain, (shown > e + 1) | form.shortest, shown > 1) & (integral | ~plain)
+    kept = np.maximum(shown, (e + 1 + form.shortest) * integral)  # "1200", json "12.0"
+    point = integral & ((shown > e + 1) | form.shortest) | ~plain & (shown > 1)
+    lead = plain & (e < 0)  # "0." and -e - 1 zeros before the digits
+    dotted = point | lead
+    # A 0 digit put after digit ``cut`` makes ``whole`` (cut = 17: no point,
+    # 0: a lead).  The text from byte 1 is then the 23 digits of
+    # whole * 10**(5 - z), z = -e in a lead and 0 otherwise, up to ``stop``:
+    # a lead's leading zeros give its "0." and zeros, and the "0" at byte
+    # cut + 1, or 2 in a lead, turns into the point.
+    cut = point * (1 + integral * e) + ~dotted * np.int16(17)
+    z = lead * -e
+    scale = _TENS.take(17 - cut)
+    whole = digits + digits // scale * 9 * scale
+    scale = _TENS.take(3 + z)
+    high = whole // scale
+    words = np.empty((len(values), 3), _WORD)  # the 8-digit number of each word, then its text
+    words[:, 0] = high // 10 ** 8
+    words[:, 1] = high - words[:, 0] * 10 ** 8
+    words[:, 2] = (whole - high * scale) * _TENS.take(5 - z)
+    four = (words // 10 ** 4).view(np.intp)
+    words = _FOUR.take(words.view(np.intp) - four * 10 ** 4) << 32 | _FOUR.take(four)
+    stop = kept + z + dotted + 1  # the first byte after the digits
+    words &= _SHOWN.take(stop, axis=0)
+    exponent = _SLOT + (stop - 2) * (_EMAX + 3 - _EMIN) + e + 1 - _EMIN
+    words ^= _MARKS.take(np.where(plain, (cut + 1 + lead) * dotted, exponent), axis=0)
+    words[:, 0] |= np.signbit(values) * np.uint64(45)
     slots = words.view(np.uint8)
-    holes = np.arange(5, size * _SLOT, _SLOT) + 2 * np.where(integral, e + 1, 1)
-    slots.ravel()[holes] = point * np.uint8(46)  # "." in the hole after its digit
     special = np.flatnonzero(odd)  # 0, nan and inf are tokens; Python formats the rest
     xs = values[special]
     token = ~np.isfinite(xs) | (xs == 0)
-    code = 2 * np.isnan(xs) + 4 * np.isinf(xs) + sign[special].astype(np.intp)
+    code = 2 * np.isnan(xs) + 4 * np.isinf(xs) + np.signbit(xs)
     words[special[token]] = form.tokens[code[token]]
     unsure[special[~token]] = True
     python = np.flatnonzero(unsure)
-    for i in python.tolist():
-        slots[i] = np.frombuffer(_slot_bytes(form.python(values[i].item()).encode()), np.uint8)
+    texts = (_slot_text(form.python(x).encode()) for x in values[python].tolist())
+    slots[python] = _table(texts, _SLOT)
     return slots, len(python)
 
 
-_FLAGS = _words((b"false", b"true"))
+_FLAGS = _table((b"false", b"true"), 8, _WORD).ravel()
 
 
 def _chunk_text(block: np.ndarray, style: str, pieces: tuple, flags=None,
@@ -868,7 +869,6 @@ def _window_tables() -> tuple:
 
 _KEEP, _FLIP = _window_tables()
 _FRACTION = np.append(np.arange(_POINTLESS), 0)  # f by fraction length index: 0 without a point
-_TENS = 10 ** np.minimum(np.arange(25), 18).astype(np.uint64)  # 10**f; I is 0 from f = 18
 _PLAIN_FIELD = re.compile(rb"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
@@ -922,7 +922,7 @@ def _block_values(data: np.ndarray, windows: np.ndarray, stop: int, cols: int) -
     python |= digits[:, 0] >= 1000  # N' of more than 19 digits
     np.minimum(digits[:, 0], 999, out=digits[:, 0])
     n = (digits[:, 0] * np.uint64(10 ** 8) + digits[:, 1]) * np.uint64(10 ** 8) + digits[:, 2]
-    tens = _TENS[frac]
+    tens = _TENS[frac]  # I is 0 from f = 18, where tens stays 10**18
     n -= n // (tens * np.uint64(10)) * (tens * np.uint64(9))
     high = n.astype(np.float64)
     low = (n - high.astype(np.uint64)).view(np.int64).astype(np.float64)

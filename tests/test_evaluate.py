@@ -62,15 +62,16 @@ def use_cores(monkeypatch, cores: int) -> None:
     monkeypatch.setattr(ev, "_CHUNKS_PER_THREAD", 1)
 
 
-# G = I - Lambda M has G[0, 0] = 0 everywhere, where an elimination without
-# pivoting would divide by zero; det G = (x1 x2 x3)^2.
+# G = I - Lambda M has G[0, 0] = 0 everywhere, and seven of the twelve
+# entries (i, j), i < j, of Lambda and M are literal zeros, whose terms the
+# Pfaffian expansion skips; det G = (x1 x2 x3)^2.
 GAUGE_ALL_PIVOT_R4 = (
     {(1, 2): "-1", (1, 3): "x2", (2, 4): "x3"},
     {(1, 2): "1", (3, 4): "x1"},
 )
 
 
-def _gauge_elimination_cases() -> list:
+def _pfaffian_gauge_cases() -> list:
     rng = np.random.default_rng(SEED + 23)
     cases = [
         pytest.param(
@@ -84,7 +85,7 @@ def _gauge_elimination_cases() -> list:
     return cases + [pytest.param(4, *GAUGE_ALL_PIVOT_R4, id="all-pivot-r4")]
 
 
-GAUGE_ELIMINATION_CASES = _gauge_elimination_cases()
+PFAFFIAN_GAUGE_CASES = _pfaffian_gauge_cases()
 
 
 def _gauge_exact_cases() -> list:
@@ -698,8 +699,8 @@ class TestGaugeTransformation:
         M = ev.num_bivector_to_matrix(g.TWIST_R6, mesh, dim=6).data
         assert res.data == pytest.approx(M, abs=1e-12)
 
-    @pytest.mark.parametrize("m, P, lam", GAUGE_ELIMINATION_CASES)
-    def test_elimination_matches_inverse(self, m, P, lam, monkeypatch):
+    @pytest.mark.parametrize("m, P, lam", PFAFFIAN_GAUGE_CASES)
+    def test_pfaffian_gauge_matches_inverse(self, m, P, lam, monkeypatch):
         pts = np.random.default_rng(SEED + 24).uniform(-1.0, 1.0, size=(300, m))
         for i in range(min(m, 3)):
             pts[i, i] = 0.0  # singular for the all-pivot case

@@ -209,6 +209,50 @@ def test_writer_mixes_every_kind(tmp_path, monkeypatch):
         assert (tmp_path / "out.csv").read_bytes() == ref.getvalue()
 
 
+def test_longest_texts_fill_the_slot(tmp_path):
+    # A slot holds 24 bytes, the longest text with its "-": values with 17
+    # digits and a three-digit exponent, a "0.000" lead, Python's own text
+    # below 1e-290, and json's "-1234567890123456.0"; as mirror pairs whose
+    # upper entry is positive, as constant columns (one literal a chunk),
+    # and in records with valid flags.
+    rng = np.random.default_rng(29)
+    rows = 64
+
+    def seventeen_digits(exponent: int) -> np.ndarray:
+        digits = rng.integers(10**16, 10**17, rows).astype(str)
+        return np.array([-float(f"{d[0]}.{d[1:]}e{exponent}") for d in digits])
+
+    exponent, lead, small, tiny = (seventeen_digits(e) for e in (-100, -4, -5, -300))
+    integral = -np.floor(rng.uniform(1e15, 9e15, rows))
+    values = np.concatenate((exponent, lead, small, tiny, integral))
+    for form in REFERENCE.values():
+        assert max(len(form(v)) for v in values.tolist()) == geometry._SLOT
+    matrix = np.zeros((rows, 3, 3))
+    matrix[:, 0, 1], matrix[:, 1, 2] = -exponent, -lead  # positive upper entries
+    matrix[:, 0, 2] = -1.2345678901234567e-100
+    matrix -= matrix.transpose(0, 2, 1)
+    matrix[:, 0, 0], matrix[:, 1, 1], matrix[:, 2, 2] = tiny, integral, -2.2250738585072014e-308
+    result = BatchResult("matrix", matrix)
+    out = tmp_path / "out"
+    cli.write_result(result, f"{out}.csv", "csv")
+    ref = io.BytesIO()
+    np.savetxt(ref, matrix.reshape(rows, -1), fmt="%.17g", delimiter=",")
+    assert (tmp_path / "out.csv").read_bytes() == ref.getvalue()
+    cli.write_result(result, f"{out}.jsonl", "jsonl")
+    lines = "".join(json.dumps({"matrix": row}) + "\n" for row in matrix.tolist())
+    assert (tmp_path / "out.jsonl").read_text() == lines
+    columns = np.stack((exponent, lead, small, tiny, integral, np.full(rows, -1e-5)))
+    keys = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+    valid = rng.random(rows) > 0.5
+    cli.write_result(BatchResult("records", keys=keys, columns=columns, valid=valid),
+                     f"{out}.jsonl", "jsonl")
+    expected = "".join(
+        json.dumps({"coeffs": {f"{i},{j}": x for (i, j), x in zip(keys, row)}, "valid": flag}) + "\n"
+        for row, flag in zip(columns.T.tolist(), valid.tolist())
+    )
+    assert (tmp_path / "out.jsonl").read_text() == expected
+
+
 def sweep(count: int, seed: int, batch: int = 250_000) -> int:
     """Check ``count`` random bit patterns and every power of 2 and 10 with
     neighbours in both styles, and read the finite "%.17g" text of those
