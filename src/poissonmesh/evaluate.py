@@ -35,26 +35,33 @@ thread count.
 Threads: a call runs on the process's usable cores (``os.sched_getaffinity``,
 so ``taskset`` and cpusets cap it), at most one thread per
 ``_CHUNKS_PER_THREAD`` = 8 chunks (``_thread_count``), and reports the count
-in ``BatchResult.threads``.  On 2 cores, over the dense suite calls, a second
-thread took 1.04x the serial time at 4 chunks, 0.89x at 8, 0.83x at 16 and
-0.69x at 62, while the smallest programs took 1.4-1.8x at 4 chunks and about
-1.0x at 16.  So calls under 16 chunks (up to 245,760 rows) stay serial and
-start no pool, which would also cost a second allocator arena.
+in ``BatchResult.threads``.  The threads take the chunks in row order, at
+most two per thread ahead of the one the writer takes next.  On 2 cores,
+over the dense suite calls, a second thread took 1.04x the serial time at 4
+chunks, 0.89x at 8, 0.83x at 16 and 0.69x at 62, while the smallest
+programs took 1.4-1.8x at 4 chunks and about 1.0x at 16.  So calls under 16
+chunks (up to 245,760 rows) stay serial and start no pool, which would also
+cost a second allocator arena.
 
-Output layout: a program writes each coefficient straight into the result.
-``records`` mode fills a (coefficients, k) block, the result's columns (its
-mappings are built when ``data`` is read); ``dense`` mode yields a scalar
-column (k,), a vector block (k, m), or an antisymmetric matrix block
-(k, m, m); degree three and up is records-only.  A guarded result (the
-gauge) also carries a valid mask, with NaN entries where it is False.  Only
-a normal form with an unbound modulus differs: its records keep the modulus
-as residual text, so each point is partially evaluated, in Python and on
-one thread.  Non-finite values (poles on the mesh) propagate into the output
+Output layout: an evaluator checks the mesh and returns a lazy result, which
+holds the program and the mesh.  Its chunks run when it is written, and a
+program writes each coefficient straight into its chunk's block, which the
+writer turns into bytes before later chunks are done; reading ``data`` or
+``columns`` runs them into the whole block instead.  ``records`` mode makes
+a (coefficients, k) block, the result's columns (its mappings are built
+when ``data`` is read); ``dense`` mode a scalar column (k,), a vector block
+(k, m), or an antisymmetric matrix block (k, m, m); degree three and up is
+records-only.  A guarded result (the gauge) also carries a valid mask, with
+NaN entries where it is False.  Only a normal form with an unbound modulus
+differs: its records keep the modulus as residual text, so each point is
+partially evaluated when the evaluator is called, in Python and on one
+thread.  Non-finite values (poles on the mesh) propagate into the output
 and are tallied in ``BatchResult.nonfinite``.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -81,6 +88,7 @@ from .geometry import (
     Multivector,
     MultivectorError,
     _row_chunks,
+    _Stream,
     as_expression,
     as_mesh,
     validate_multivector,
@@ -183,33 +191,29 @@ def _thread_count(rows: int) -> int:
     return max(1, min(_usable_cores(), chunks // _CHUNKS_PER_THREAD))
 
 
-def _run_chunks(kernel, mesh: Mesh) -> int:
-    """Call ``kernel(points, rows)`` on fixed-size row chunks of the mesh and
-    return the number of threads that ran them.
+def _run_chunks(kernel, pts: np.ndarray, spans: list, threads: int, out):
+    """``kernel(points, block)`` of each row chunk ``spans`` cuts from the
+    points, in row order, on ``threads`` threads.
 
-    ``rows`` is the chunk's slice; the kernel writes its output into those
-    rows of arrays the caller allocated, so chunks are never copied or
-    joined.  Chunk boundaries are independent of the thread count and chunks
-    write disjoint rows, so results are deterministic.  ``_thread_count``
-    sets how many threads share them.
+    ``block`` is ``out(rows)`` for the chunk's slice ``rows``, an array the
+    kernel fills: a chunk-sized one of its own when the caller streams the
+    chunks to a file, or a view of the whole block.  Chunk boundaries are
+    independent of the thread count, so results are deterministic.  With
+    threads, the caller takes each chunk in order while at most
+    ``2 * threads`` are in flight.
     """
-    pts = mesh.points
-    spans = _row_chunks(len(pts), _CHUNK_ROWS)
-
-    def run(share):
-        for rows in share:
-            kernel(pts[rows], rows)
-
-    threads = _thread_count(len(pts))
     if threads == 1:
-        run(spans)
-    else:
-        # One task per thread, each taking every threads-th chunk: a task
-        # per chunk would cost a future's overhead on every chunk.
-        shares = [spans[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(run, shares))  # re-raises a kernel's exception
-    return threads
+        for rows in spans:
+            yield kernel(pts[rows], out(rows))
+        return
+    with ThreadPoolExecutor(threads) as pool:
+        flight = collections.deque()
+        for rows in spans:
+            flight.append(pool.submit(kernel, pts[rows], out(rows)))
+            if len(flight) == 2 * threads:
+                yield flight.popleft().result()  # re-raises a kernel's exception
+        while flight:
+            yield flight.popleft().result()
 
 
 def _count_nonfinite(values: np.ndarray) -> int:
@@ -221,11 +225,13 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
 
     ``keys`` are the output coefficients, by default the structurally nonzero
     ones; the vector methods key all m components, the bracket its one value.
-    Each output goes straight to its row of a (len(keys), k) records block or
-    its entry of the dense block, a bivector's negation to the transposed one.
-    A ``guard`` expression is one more output, read and not written: a point
-    is valid where it is finite with modulus above GAUGE_SINGULAR_TOLERANCE.
-    An invalid point's entries are NaN and not counted as non-finite.
+    The evaluator checks the mesh and returns a lazy result: each chunk's
+    outputs go straight to their rows of a (len(keys), rows) records block or
+    their entries of a dense block, a bivector's negation to the transposed
+    one.  A ``guard`` expression is one more output, read and not written: a
+    point is valid where it is finite with modulus above
+    GAUGE_SINGULAR_TOLERANCE.  An invalid point's entries are NaN and not
+    counted as non-finite.
     """
     m, degree = sym.dim, sym.degree
     records = options.mode == "records"
@@ -238,6 +244,30 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
          (slice(None), key[1] - 1, key[0] - 1) if len(key) == 2 else None)
         for j, key in enumerate(keys)
     ]
+    # Counted per coefficient: a matrix block holds each one twice.
+    per_coefficient = 2 if degree == 2 and not records else 1
+
+    def kernel(pts, block):
+        det = None if guard is None else np.empty(len(pts))
+
+        def sink(j, value):
+            if j == len(targets):
+                det[...] = value
+                return
+            direct, transposed = targets[j]
+            block[direct] = value
+            if transposed is not None:
+                np.negative(value, out=block[transposed])
+
+        fn.run(pts, sink)
+        ok, count = None, 0
+        if guard is not None:
+            ok = np.isfinite(det) & (np.abs(det) > GAUGE_SINGULAR_TOLERANCE)
+            (block.T if records else block)[~ok] = np.nan
+            # An invalid point is NaN throughout and not counted.
+            count = -int(np.count_nonzero(~ok)) * (block.size // len(pts))
+        count += _count_nonfinite(block)
+        return block, ok, count // per_coefficient
 
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, m)
@@ -247,43 +277,14 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
                 "use records mode"
             )
         shape = (len(keys), len(mesh)) if records else (len(mesh),) + (m,) * degree
-        block = np.zeros(shape)
-        valid = None if guard is None else np.zeros(len(mesh), dtype=bool)
-        counts = []
-
-        def kernel(pts, rows):
-            view = block[:, rows] if records else block[rows]
-            det = None if valid is None else np.empty(len(pts))
-
-            def sink(j, value):
-                if j == len(targets):
-                    det[...] = value
-                    return
-                direct, transposed = targets[j]
-                view[direct] = value
-                if transposed is not None:
-                    np.negative(value, out=view[transposed])
-
-            fn.run(pts, sink)
-            if valid is not None:
-                ok = np.isfinite(det) & (np.abs(det) > GAUGE_SINGULAR_TOLERANCE)
-                valid[rows] = ok
-                (view.T if records else view)[~ok] = np.nan
-                # An invalid point is NaN throughout and not counted.
-                counts.append(-np.count_nonzero(~ok) * (view.size // len(pts)))
-            counts.append(_count_nonfinite(view))
-
-        threads = _run_chunks(kernel, mesh)
-        # Counted per coefficient: a matrix block holds each one twice.
-        nonfinite = sum(counts) // (2 if degree == 2 and not records else 1)
+        # The chunks and threads are fixed here, whenever the result runs.
+        spans, threads = _row_chunks(len(mesh), _CHUNK_ROWS), _thread_count(len(mesh))
+        run = functools.partial(_run_chunks, kernel, mesh.points, spans, threads)
+        stream = _Stream(shape, guard is not None, threads, run)
         if records:
             record_keys = tuple("value" if key == () else key for key in keys)
-            return BatchResult(
-                "records", keys=record_keys, valid=valid, nonfinite=nonfinite,
-                columns=block, threads=threads,
-            )
-        kind = ("scalar", "vector", "matrix")[degree]
-        return BatchResult(kind, block, valid=valid, nonfinite=nonfinite, threads=threads)
+            return BatchResult._lazy("records", record_keys, stream)
+        return BatchResult._lazy(("scalar", "vector", "matrix")[degree], None, stream)
 
     return evaluator
 

@@ -583,6 +583,22 @@ _MARKS = _table([bytes(n) + b"\x1e" * (n > 0) for n in range(_SLOT)] + [
     for stop in range(2, 20) for e in range(_EMIN - 1, _EMAX + 2)], _SLOT, _WORD)
 
 
+# The trailing zeros of 0 to 9999 as four digits.
+_ZEROS = sum((np.arange(10_000) % 10 ** n == 0).astype(np.int16) for n in range(1, 5))
+
+
+def _trailing_zeros(digits: np.ndarray) -> np.ndarray:
+    """The trailing decimal zeros of each nonzero uint64 of ``digits``, four
+    digits at a time: where the last four are all 0, count on above them."""
+    high = digits // 10 ** 4
+    low = digits - high * 10 ** 4
+    zeros = _ZEROS.take(low.view(np.intp))
+    more = np.flatnonzero(low == 0)
+    if len(more):
+        zeros[more] += _trailing_zeros(high[more])
+    return zeros
+
+
 class _Style(NamedTuple):
     shortest: bool  # the shortest digits that read back, else 17
     exponent_from: int  # E at and above which the text has an exponent
@@ -610,11 +626,7 @@ def _float_slots(values: np.ndarray, style: str) -> tuple:
     a[odd] = 1.0
     digits, e, unsure = _decimal(a, form.shortest)
     digits, e = digits.view(_WORD), e.astype(np.int16)
-    shown = np.full(len(values), 17, np.int16)  # digits without trailing zeros
-    live = np.flatnonzero(digits // 10 * 10 == digits)
-    while len(live):
-        shown[live] -= 1
-        live = live[digits[live] % _TENS.take(18 - shown[live]) == 0]
+    shown = 17 - _trailing_zeros(digits)  # the digits without trailing zeros
     plain = (e >= -4) & (e < form.exponent_from)
     integral = plain & (e >= 0)  # the point follows digit e + 1
     kept = np.maximum(shown, (e + 1 + form.shortest) * integral)  # "1200", json "12.0"
@@ -636,8 +648,14 @@ def _float_slots(values: np.ndarray, style: str) -> tuple:
     words[:, 0] = high // 10 ** 8
     words[:, 1] = high - words[:, 0] * 10 ** 8
     words[:, 2] = (whole - high * scale) * _TENS.take(5 - z)
-    four = (words // 10 ** 4).view(np.intp)
-    words = _FOUR.take(words.view(np.intp) - four * 10 ** 4) << 32 | _FOUR.take(four)
+    del whole, high, scale  # the text step holds three (n, 3) arrays at its peak
+    four = words // 10 ** 4  # each word's first four digits; its last four stay in place
+    np.remainder(words, 10 ** 4, out=words)
+    low = _FOUR.take(words.view(np.intp))
+    np.take(_FOUR, four.view(np.intp), out=words, mode="clip")  # "clip" writes out unbuffered
+    low <<= 32
+    words |= low
+    del four, low
     stop = kept + z + dotted + 1  # the first byte after the digits
     words &= _SHOWN.take(stop, axis=0)
     exponent = _SLOT + (stop - 2) * (_EMAX + 3 - _EMIN) + e + 1 - _EMIN
@@ -728,39 +746,53 @@ def _token_text(block: np.ndarray, pieces: tuple, flags=None) -> bytes:
     return (line * block.shape[1] % tuple(map(json.dumps, values))).encode()
 
 
-def _write_text(fh: BinaryIO, columns: np.ndarray, style: str, pieces: tuple,
-                valid=None, pairs: tuple = ()) -> None:
-    """Write one line per row of the (width, k) block ``columns``, a chunk of
-    rows at a time: ``pieces`` with the row's values, and its ``valid``
-    flag, between them.  A float64 chunk is formatted by ``_chunk_text`` in
-    ``style`` (``pairs`` as it takes them); any other chunk (residual text,
-    other dtypes, only ever jsonl) is filled with ``json.dumps`` tokens."""
-    for span in _text_chunks(columns.shape[1], len(columns) + (valid is not None)):
-        flags = None if valid is None else valid[span]
-        # Unnamed, so a chunk's text is freed before the next one is formatted.
-        fh.write(
-            _chunk_text(columns[:, span], style, pieces, flags, pairs)
-            if columns.dtype == np.float64 else _token_text(columns[:, span], pieces, flags)
-        )
+def _write_text(fh: BinaryIO, chunks: Iterable, style: str, pieces: tuple,
+                pairs: tuple = ()) -> None:
+    """Write one line per row of each (width, n) block of ``chunks``, given
+    with its (n,) valid flags or None, a text chunk of rows at a time:
+    ``pieces`` with the row's values, and its flag, between them.  A
+    float64 chunk is formatted by ``_chunk_text`` in ``style`` (``pairs`` as
+    it takes them); any other chunk (residual text, other dtypes, only ever
+    jsonl) is filled with ``json.dumps`` tokens."""
+    for columns, valid in chunks:
+        for span in _text_chunks(columns.shape[1], len(columns) + (valid is not None)):
+            flags = None if valid is None else valid[span]
+            # Unnamed, so a chunk's text is freed before the next one is formatted.
+            fh.write(
+                _chunk_text(columns[:, span], style, pieces, flags, pairs)
+                if columns.dtype == np.float64 else _token_text(columns[:, span], pieces, flags)
+            )
 
 
-def _write_csv(fh: BinaryIO, data: np.ndarray) -> None:
-    """Write a float array of k rows as csv, each row flattened row-major.
+def _write_csv(fh: BinaryIO, blocks: Iterable, shape: tuple) -> None:
+    """Write the float rows of ``blocks``, each an array of rows shaped
+    ``shape``, as csv, each row flattened row-major.
 
-    The bytes are those NumPy's savetxt writes with ``fmt="%.17g"`` and
-    ``delimiter=","``.  Each chunk formats each distinct column once
-    (``_chunk_text``): a column constant over the chunk is one literal, and
-    an entry (i, j), i > j, of a (k, m, m) array that is the exact negation
-    of (j, i), as in an antisymmetric matrix, reuses its text.
+    The bytes are those NumPy's savetxt writes of the rows with
+    ``fmt="%.17g"`` and ``delimiter=","``.  Each chunk formats each distinct
+    column once (``_chunk_text``): a column constant over the chunk is one
+    literal, and an entry (i, j), i > j, of (m, m) rows that is the exact
+    negation of (j, i), as in an antisymmetric matrix, reuses its text.
     """
-    rows = np.asarray(data, dtype=np.float64).reshape(len(data), math.prod(data.shape[1:]))
-    pieces = tuple((b",".join([b"%s"] * rows.shape[1]) + b"\n").split(b"%s"))
-    _write_text(fh, rows.T, "%.17g", pieces, pairs=_mirror_pairs(data.shape[1:]))
+    width = math.prod(shape)
+    pieces = tuple((b",".join([b"%s"] * width) + b"\n").split(b"%s"))
+    columns = (np.asarray(block, dtype=np.float64).reshape(len(block), width).T for block in blocks)
+    _write_text(fh, ((block, None) for block in columns), "%.17g", pieces, _mirror_pairs(shape))
 
 
 def save_csv(path, data: np.ndarray) -> None:
     """Atomically write a float array of k rows as csv, one row per line."""
-    atomic_write(path, lambda fh: _write_csv(fh, data))
+    atomic_write(path, lambda fh: _write_csv(fh, [data], np.shape(data)[1:]))
+
+
+def _write_npy(fh: BinaryIO, blocks: Iterable, shape: tuple) -> None:
+    """Write the rows of ``blocks`` as ``np.save`` writes the float64 array of
+    ``shape`` they make up: the header, then each block's bytes in turn."""
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+              "fortran_order": False, "shape": shape}
+    np.lib.format.write_array_header_1_0(fh, header)
+    for block in blocks:
+        fh.write(np.ascontiguousarray(block, dtype=np.float64))
 
 
 _PLACE = "%s"  # a value's place in a jsonl line
@@ -774,28 +806,30 @@ def _write_jsonl(result: "BatchResult", fh: BinaryIO) -> None:
     mask, records or dense, ends in a ``"valid"`` flag.  Every value, pole
     and flag is written as ``json.dumps`` writes it.
     """
-    valid, pairs = result.valid, ()
+    pairs, chunks = (), result._chunks()
     if result.kind == "records":
-        columns = result.columns
         skeleton = {"coeffs": {
             _key_text(key) if isinstance(key, tuple) else key: _PLACE for key in result.keys
         }}
     else:
-        columns = result.data.reshape(len(result), math.prod(result.data.shape[1:])).T
-        pairs = _mirror_pairs(result.data.shape[1:])
+        row = result._shape()[1:]
+        width = math.prod(row)
+        pairs = _mirror_pairs(row)
+        chunks = ((block.reshape(len(block), width).T, valid) for block, valid in chunks)
         name = "value" if result.kind == "scalar" else result.kind
-        skeleton = {name: np.full(result.data.shape[1:], _PLACE, dtype=object).tolist()}
-    if valid is not None:
+        skeleton = {name: np.full(row, _PLACE, dtype=object).tolist()}
+    if result._guarded():
         skeleton["valid"] = _PLACE
     line = json.dumps(skeleton) + "\n"
     pieces = tuple(piece.encode() for piece in line.split(json.dumps(_PLACE)))
-    _write_text(fh, columns, "json", pieces, valid, pairs)
+    _write_text(fh, chunks, "json", pieces, pairs)
 
 
 def write_result(result: "BatchResult", path: str, fmt: str) -> None:
     """Atomically write ``result`` to ``path`` as ``fmt``: "jsonl" (a line
     per point), or for a dense result "npy" (the float64 block) or "csv"
-    (a row per point).  An npy of a result with a valid mask gets it as
+    (a row per point).  A lazy result's chunks are computed as they are
+    written.  An npy of a result with a valid mask gets it as
     ``<path>.valid.npy``; any other write removes a mask an earlier result
     left there, since it describes another file."""
     if fmt == "jsonl":
@@ -803,10 +837,11 @@ def write_result(result: "BatchResult", path: str, fmt: str) -> None:
     elif result.kind == "records":
         raise MultivectorError(f"format {fmt!r} requires a dense result; use jsonl")
     elif fmt == "npy":
-        data = np.asarray(result.data, dtype=np.float64)
-        atomic_write(path, lambda fh: np.save(fh, data))
+        blocks = (block for block, _ in result._chunks())
+        atomic_write(path, lambda fh: _write_npy(fh, blocks, result._shape()))
     elif fmt == "csv":
-        save_csv(path, np.asarray(result.data, dtype=np.float64))
+        blocks = (block for block, _ in result._chunks())
+        atomic_write(path, lambda fh: _write_csv(fh, blocks, result._shape()[1:]))
     else:
         raise MultivectorError(f"unknown output format {fmt!r}")
     sidecar = f"{path}.valid.npy"
@@ -1039,17 +1074,52 @@ def _records_from_columns(result: "BatchResult") -> list:
     return [dict(zip(keys, row)) for row in rows]
 
 
-class _Data:
-    """``BatchResult.data``: what it was given, or for a records result the
-    dicts, built from ``columns`` on first read and kept."""
+class _Stream(NamedTuple):
+    """How a lazy BatchResult computes its block: ``run(out)`` is an
+    iterator, in row order, over each row chunk's (block, valid, nonfinite),
+    the chunk's ``block`` being ``out(rows)`` filled; ``shape`` is the whole
+    block's, ``guarded`` whether chunks carry a valid mask, and ``threads``
+    how many threads run them."""
+
+    shape: tuple
+    guarded: bool
+    threads: int
+    run: Callable
+
+
+_UNKNOWN = object()  # a lazy result's field before its chunks have run
+
+
+class _Lazy:
+    """A BatchResult field that a lazy result knows only once its chunks
+    have run: a read before that runs them into the whole block."""
+
+    def __init__(self, default=None):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = "_" + name
 
     def __get__(self, result, owner=None):
-        if result is not None and result._data is None and result.columns is not None:
-            result._data = _records_from_columns(result)
-        return None if result is None else result._data  # None: the field default
+        if result is None:
+            return self.default  # the field default
+        if result.__dict__[self.name] is _UNKNOWN:
+            result._fill()
+        return result.__dict__[self.name]
 
     def __set__(self, result, value) -> None:
-        result._data = value
+        result.__dict__[self.name] = value
+
+
+class _Data(_Lazy):
+    """``BatchResult.data``: the block or, for a records result, the dicts,
+    built from ``columns`` on first read and kept."""
+
+    def __get__(self, result, owner=None):
+        data = super().__get__(result, owner)
+        if data is None and result is not None and result.columns is not None:
+            data = result._data = _records_from_columns(result)
+        return data
 
 
 @dataclass
@@ -1063,19 +1133,86 @@ class BatchResult:
     dtype with residual text for an unbound normal-form modulus); ``data``
     is a list of k dicts built from it on first access.  Every record holds
     exactly ``keys``, in that order, then ``"valid"`` (a bool) when
-    ``valid`` is set; ``len`` and the writers read only the columns.
+    ``valid`` is set.
     ``valid`` (optional) marks points where the operation was defined;
     ``nonfinite`` counts non-finite coefficient evaluations; ``threads`` is
     the number of threads the evaluation ran on.
+
+    An evaluator returns a lazy result, which holds the compiled program
+    and the mesh (whose points must not change until it has run) but no
+    block.  ``write_result`` runs its row chunks and
+    writes each as it is done, so no whole block is ever allocated, and
+    then ``valid`` and ``nonfinite`` are known.  A read of ``data`` or
+    ``columns``, or of ``valid`` or ``nonfinite`` before a write, runs the
+    chunks into the whole block once and keeps it.  ``len``, ``threads``
+    and the writers never build the records.
     """
 
     kind: str
     data: Union[np.ndarray, list, None] = _Data()
     keys: tuple | None = None
-    valid: np.ndarray | None = None
-    nonfinite: int = 0
-    columns: np.ndarray | None = None
+    valid: np.ndarray | None = _Lazy()
+    nonfinite: int = _Lazy(0)
+    columns: np.ndarray | None = _Lazy()
     threads: int = 1
+    _stream: _Stream | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _lazy(cls, kind: str, keys: tuple | None, stream: _Stream) -> "BatchResult":
+        """A result whose block ``stream`` computes when it is written or read."""
+        records = kind == "records"
+        result = cls(kind, None if records else _UNKNOWN, keys, _UNKNOWN, _UNKNOWN,
+                     _UNKNOWN if records else None, stream.threads)
+        result._stream = stream
+        return result
 
     def __len__(self) -> int:
+        if self._stream is not None:
+            return self._stream.shape[self.kind == "records"]
         return len(self.data) if self.columns is None else self.columns.shape[1]
+
+    def _shape(self) -> tuple:
+        """The whole block's shape: (len(keys), k) for records, else (k, ...)."""
+        if self._stream is not None:
+            return self._stream.shape
+        return np.shape(self.columns if self.kind == "records" else self.data)
+
+    def _guarded(self) -> bool:
+        return self._stream.guarded if self._stream is not None else self.valid is not None
+
+    def _chunks(self, out: Callable | None = None):
+        """The result's (block, valid) chunks in row order: rows of a dense
+        block or columns of a records block, and their valid mask or None.
+
+        A lazy result runs its chunks into ``out(rows)``, by default a new
+        array each, and knows ``valid`` and ``nonfinite`` once the last one
+        is taken; any other result is one chunk.
+        """
+        if self._stream is None:
+            yield (self.columns if self.kind == "records" else self.data), self.valid
+            return
+        stream, records = self._stream, self.kind == "records"
+
+        def new(rows):
+            n = rows.stop - rows.start
+            return np.zeros((stream.shape[0], n) if records else (n,) + stream.shape[1:])
+
+        masks, nonfinite = [], 0
+        for block, valid, count in stream.run(out or new):
+            masks.append(valid)
+            nonfinite += count
+            yield block, valid
+        self.valid = np.concatenate(masks) if stream.guarded else None
+        self.nonfinite = nonfinite
+
+    def _fill(self) -> None:
+        """Run a lazy result's chunks into its whole block, and keep it."""
+        block = np.zeros(self._stream.shape)
+        records = self.kind == "records"
+        for _ in self._chunks(lambda rows: block[:, rows] if records else block[rows]):
+            pass
+        self._stream = None
+        if records:
+            self.columns = block
+        else:
+            self.data = block

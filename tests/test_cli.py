@@ -343,7 +343,7 @@ class TestEval:
         summary = capsys.readouterr().out
         threads = min(cores, 2) if chunks else 1
         assert re.search(
-            rf", eval [0-9.]+ s on {threads} thread{'s' if threads > 1 else ''}, write ", summary
+            rf", eval and write [0-9.]+ s on {threads} thread{'s' if threads > 1 else ''}, ", summary
         ), summary
         assert summary.endswith(" 0 non-finite\n")
 
@@ -439,8 +439,10 @@ def test_failed_write_keeps_old_file(tmp_path, monkeypatch, writer, suffix):
 
     if suffix == ".csv":  # the csv writer save_mesh and write_result share
         monkeypatch.setattr(geometry, "_write_csv", fail_midway)
-    else:
+    elif writer == "save_mesh":
         monkeypatch.setattr(np, "save", fail_midway)
+    else:  # a result's npy is streamed, a chunk at a time
+        monkeypatch.setattr(geometry, "_write_npy", fail_midway)
     with pytest.raises(OSError, match="disk full"):
         if writer == "save_mesh":
             save_mesh(as_mesh([(0.0, 1.0)]), str(target))
