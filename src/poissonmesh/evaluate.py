@@ -43,6 +43,11 @@ programs took 1.4-1.8x at 4 chunks and about 1.0x at 16.  So calls under 16
 chunks (up to 245,760 rows) stay serial and start no pool, which would also
 cost a second allocator arena.
 
+Input: a chunk reads its rows of ``mesh.points`` and, once its kernel is
+done, calls ``mesh._release`` on them.  For a .npy mesh ``load_mesh`` has
+mapped (not copied) that drops the chunk's pages, so a call holds about one
+chunk of its input in memory, as it does of its output.
+
 Output layout: an evaluator checks the mesh and returns a lazy result, which
 holds the program and the mesh.  Its chunks run when it is written, and a
 program writes each coefficient straight into its chunk's block, which the
@@ -191,25 +196,32 @@ def _thread_count(rows: int) -> int:
     return max(1, min(_usable_cores(), chunks // _CHUNKS_PER_THREAD))
 
 
-def _run_chunks(kernel, pts: np.ndarray, spans: list, threads: int, out):
+def _run_chunks(kernel, mesh: Mesh, spans: list, threads: int, out):
     """``kernel(points, block)`` of each row chunk ``spans`` cuts from the
-    points, in row order, on ``threads`` threads.
+    mesh, in row order, on ``threads`` threads.
 
     ``block`` is ``out(rows)`` for the chunk's slice ``rows``, an array the
     kernel fills: a chunk-sized one of its own when the caller streams the
-    chunks to a file, or a view of the whole block.  Chunk boundaries are
-    independent of the thread count, so results are deterministic.  With
-    threads, the caller takes each chunk in order while at most
-    ``2 * threads`` are in flight.
+    chunks to a file, or a view of the whole block.  Once the kernel is
+    done, ``mesh._release(rows)`` drops the chunk's pages of a mapped mesh.
+    Chunk boundaries are independent of the thread count, so results are
+    deterministic.  With threads, the caller takes each chunk in order while
+    at most ``2 * threads`` are in flight.
     """
+
+    def step(rows, block):
+        done = kernel(mesh.points[rows], block)
+        mesh._release(rows)
+        return done
+
     if threads == 1:
         for rows in spans:
-            yield kernel(pts[rows], out(rows))
+            yield step(rows, out(rows))
         return
     with ThreadPoolExecutor(threads) as pool:
         flight = collections.deque()
         for rows in spans:
-            flight.append(pool.submit(kernel, pts[rows], out(rows)))
+            flight.append(pool.submit(step, rows, out(rows)))
             if len(flight) == 2 * threads:
                 yield flight.popleft().result()  # re-raises a kernel's exception
         while flight:
@@ -279,7 +291,7 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
         shape = (len(keys), len(mesh)) if records else (len(mesh),) + (m,) * degree
         # The chunks and threads are fixed here, whenever the result runs.
         spans, threads = _row_chunks(len(mesh), _CHUNK_ROWS), _thread_count(len(mesh))
-        run = functools.partial(_run_chunks, kernel, mesh.points, spans, threads)
+        run = functools.partial(_run_chunks, kernel, mesh, spans, threads)
         stream = _Stream(shape, guard is not None, threads, run)
         if records:
             record_keys = tuple("value" if key == () else key for key in keys)

@@ -105,6 +105,20 @@ class TestBytes:
             ), case.method
 
 
+@pytest.mark.parametrize("width", [1, 3, 9, 16, 17, 41, 20_000])
+@pytest.mark.parametrize("k", [0, 1, 16_383, 16_384])
+def test_text_chunks_are_equal(k, width):
+    # A kernel chunk's rows are cut into the fewest text chunks of at most
+    # 16,384 values (at least a row each), of sizes that differ by at most
+    # one row: no short chunk at the end.
+    spans = geometry._text_chunks(k, width)
+    sizes = [span.stop - span.start for span in spans]
+    most = max(1, geometry._CHUNK_VALUES // width)
+    assert [span.start for span in spans] == [0, *(span.stop for span in spans)][:len(spans)]
+    assert sum(sizes) == k and len(spans) == -(-k // most)
+    assert all(0 < size <= most for size in sizes) and max(sizes, default=0) - min(sizes, default=0) <= 1
+
+
 def kernel_spy(monkeypatch, fail_at=None) -> list:
     """Record each ``CompiledFunction.run`` call; the one numbered
     ``fail_at`` (from 0) raises instead."""
