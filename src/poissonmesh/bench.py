@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 import platform
 import statistics
-import time
+import timeit
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -121,9 +121,9 @@ def time_method(
     times a single evaluator call and one read of its ``data`` (records
     build there).  Per size, garbage from earlier work is collected, then
     one untimed warm-up call pre-faults pages and rebuilds allocator
-    arenas, and the cyclic garbage collector stays paused across the timed
-    repeats (as ``timeit`` does; reference counting still frees each call's
-    output), so the repeats measure steady-state cost.
+    arenas, and each repeat runs under ``timeit``, which pauses the cyclic
+    garbage collector during the timed call (reference counting still frees
+    its output), so the repeats measure steady-state cost.
     """
     options = EvalOptions() if options is None else options
     # Prepared first, so that an input error outranks a bad repeat count.
@@ -132,29 +132,16 @@ def time_method(
         raise MultivectorError(f"repeats must be >= 1, got {repeats}")
     sizes = tuple(int(k) for k in sizes)
     means, stds, threads = [], [], []
-    gc_was_enabled = gc.isenabled()
-    try:
-        for index, k in enumerate(sizes):
-            mesh = random_mesh(k, case.dim, seed=seed + index)
-            gc.collect()
-            warm_up = evaluator(mesh)
-            warm_up.data
-            threads.append(warm_up.threads)
-            del warm_up  # freed before the timed calls, as each of them is
-            if gc_was_enabled:
-                gc.disable()
-            samples = []
-            for _ in range(repeats):
-                start = time.perf_counter()
-                evaluator(mesh).data
-                samples.append(time.perf_counter() - start)
-            if gc_was_enabled:
-                gc.enable()
-            means.append(statistics.fmean(samples))
-            stds.append(statistics.stdev(samples) if repeats > 1 else 0.0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    for index, k in enumerate(sizes):
+        mesh = random_mesh(k, case.dim, seed=seed + index)
+        gc.collect()
+        warm_up = evaluator(mesh)
+        warm_up.data
+        threads.append(warm_up.threads)
+        del warm_up  # freed before the timed calls, as each of them is
+        samples = timeit.Timer(lambda: evaluator(mesh).data).repeat(repeats, number=1)
+        means.append(statistics.fmean(samples))
+        stds.append(statistics.stdev(samples) if repeats > 1 else 0.0)
     return TimingReport(
         method=case.method,
         sizes=sizes,

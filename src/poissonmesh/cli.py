@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except MeshDimensionError as exc:
         print(f"error: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except (MultivectorError, ValueError) as exc:
+    except (MultivectorError, ValueError, EOFError) as exc:  # np.load: an empty .npy
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

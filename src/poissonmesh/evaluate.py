@@ -77,8 +77,8 @@ import numpy as np
 
 from .expressions import (
     Expression,
-    ExpressionDepthError,
     Num,
+    _depth_checked,
     compile_expressions,
     differentiate,
     fold_add,
@@ -228,10 +228,6 @@ def _run_chunks(kernel, mesh: Mesh, spans: list, threads: int, out):
             yield flight.popleft().result()
 
 
-def _count_nonfinite(values: np.ndarray) -> int:
-    return int(np.count_nonzero(~np.isfinite(values)))
-
-
 def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=None):
     """Compile ``sym`` once, to one program; the evaluator applies it to a mesh.
 
@@ -256,8 +252,6 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
          (slice(None), key[1] - 1, key[0] - 1) if len(key) == 2 else None)
         for j, key in enumerate(keys)
     ]
-    # Counted per coefficient: a matrix block holds each one twice.
-    per_coefficient = 2 if degree == 2 and not records else 1
 
     def kernel(pts, block):
         det = None if guard is None else np.empty(len(pts))
@@ -277,9 +271,10 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
             ok = np.isfinite(det) & (np.abs(det) > GAUGE_SINGULAR_TOLERANCE)
             (block.T if records else block)[~ok] = np.nan
             # An invalid point is NaN throughout and not counted.
-            count = -int(np.count_nonzero(~ok)) * (block.size // len(pts))
-        count += _count_nonfinite(block)
-        return block, ok, count // per_coefficient
+            count = -len(keys) * int(np.count_nonzero(~ok))
+        for direct, _ in targets:
+            count += int(np.count_nonzero(~np.isfinite(block[direct])))
+        return block, ok, count
 
     def evaluator(mesh) -> BatchResult:
         mesh = _check_mesh(mesh, m)
@@ -304,16 +299,14 @@ def _field_evaluator(sym: Multivector, options: EvalOptions, keys=None, guard=No
 def _set_up(prepare):
     """``prepare`` run in one intern scope (``expressions.interning``), so the
     equal subtrees it builds are one node, and with a tree too deep for the
-    recursive walkers (derivative, rendering, substitution) reported as an
-    ExpressionDepthError, not a bare RecursionError."""
+    recursive walkers reported as an ExpressionDepthError
+    (``expressions._depth_checked``)."""
 
+    @_depth_checked
     @functools.wraps(prepare)
     def set_up(*args, **kwargs):
-        try:
-            with interning():
-                return prepare(*args, **kwargs)
-        except RecursionError:
-            raise ExpressionDepthError() from None
+        with interning():
+            return prepare(*args, **kwargs)
 
     return set_up
 

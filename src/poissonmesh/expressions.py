@@ -18,6 +18,7 @@ evaluations never raise: they produce IEEE inf/-inf/nan.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import struct
@@ -74,6 +75,21 @@ class ExpressionDepthError(ExpressionError):
         position: int | None = None,
     ):
         super().__init__(message, position)
+
+
+def _depth_checked(walk):
+    """``walk`` with a tree too deep for the recursive walkers (derivative,
+    rendering, substitution, parameter collection) reported as an
+    ExpressionDepthError, not a bare RecursionError."""
+
+    @functools.wraps(walk)
+    def checked(*args, **kwargs):
+        try:
+            return walk(*args, **kwargs)
+        except RecursionError:
+            raise ExpressionDepthError() from None
+
+    return checked
 
 
 class UnboundParameterError(ExpressionError):
@@ -199,6 +215,7 @@ class Expression:
         # cached slots (a hash is only valid in the process that made it).
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
+    @_depth_checked
     def free_parameters(self) -> frozenset[str]:
         names: set[str] = set()
         _collect_parameters(self, names)
@@ -675,6 +692,7 @@ def differentiate(e: Expression, index: int) -> Expression:
     return differentiate_all([e], index)[0]
 
 
+@_depth_checked
 def differentiate_all(exprs: Sequence[Expression], index: int) -> list[Expression]:
     """Partial derivatives of several expressions w.r.t. one coordinate.
 
@@ -835,6 +853,7 @@ def _render(e: Expression, context: int) -> str:
     return text
 
 
+@_depth_checked
 def to_source(e: Expression) -> str:
     """Canonical compact source text of ``e``."""
     return _render(e, 0)
@@ -1005,6 +1024,7 @@ def compile_expressions(
 # --- Partial evaluation -----------------------------------------------------
 
 
+@_depth_checked
 def partial_eval(
     e: Expression,
     dim: int | None = None,

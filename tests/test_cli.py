@@ -919,6 +919,18 @@ class TestExitCodes:
         assert "coordinates must be real numbers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_npy_mesh_is_validation(self, tmp_path, capsys):
+        mesh_path = tmp_path / "empty.npy"
+        mesh_path.write_bytes(b"")
+        out = tmp_path / "out.npy"
+        code = run_cli(
+            "eval", "num_bivector", "--bivector", EXAMPLES / "so3.json",
+            "--mesh", mesh_path, "--out", out,
+        )
+        assert code == cli.EXIT_VALIDATION
+        assert "error: invalid input: No data left in file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ragged_csv_mesh_is_validation(self, tmp_path, capsys):
         mesh_path = tmp_path / "ragged.csv"
         mesh_path.write_text("0,1,2\n3,4\n")

@@ -313,6 +313,21 @@ class TestNodeIdentity:
         assert zero != negative_zero
         assert zero == ex.parse(" + ".join(["x1*0.0**x3"] + terms[1:]), 3)
 
+    # The walkers recurse once per level, and a 1,000-term sum nests 1,000 deep.
+    @pytest.mark.parametrize("walk", [
+        pytest.param(lambda e: ex.differentiate(e, 1), id="differentiate"),
+        pytest.param(ex.to_source, id="to_source"),
+        pytest.param(str, id="str"),
+        pytest.param(lambda e: ex.partial_eval(e, 3, None, (1.0, 2.0, 3.0)), id="partial_eval"),
+        pytest.param(lambda e: e.free_parameters(), id="free_parameters"),
+    ])
+    def test_walking_a_tree_past_the_stack_is_a_depth_error(self, walk):
+        e = ex.parse(" + ".join(f"x1*x2**{i}" for i in range(1000)), 3)
+        with pytest.raises(ex.ExpressionDepthError, match="nested too deeply") as err:
+            walk(e)
+        assert not isinstance(err.value, RecursionError)
+        assert ex.compile_expression(e, 3) is not None
+
     def test_interning_shares_equal_nodes_until_the_outermost_scope_exits(self):
         source = "x1*sin(x2) - x3**2/a + -x1"
         nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
