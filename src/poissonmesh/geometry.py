@@ -9,6 +9,7 @@ container.  Degree 0 stores its single coefficient under the empty tuple.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import math
@@ -398,13 +399,6 @@ _SLOT = 24
 _E16, _E17 = 10 ** 16, 10 ** 17
 
 
-def _split(a: np.ndarray) -> tuple:
-    """(head, tail) of ``a`` with ``head`` its top 27 significand bits: with
-    ``_halves`` of a power, every product of two parts is exact."""
-    head = (a.view(np.uint64) & np.uint64(0xFFFF_FFFF_FC00_0000)).view(np.float64)
-    return head, a - head
-
-
 def _halves(power: float) -> tuple:
     """(head, tail) of ``power`` with ``head`` its top 26 bits, rounded."""
     m, q = math.frexp(power)
@@ -419,8 +413,8 @@ def _ratio(e: int) -> tuple:
 
 def _power_tables() -> tuple:
     """For E in [_EMIN, _EMAX]: 10**(16 - E) as high part, its halves and low
-    part; and for E in [_EMIN, _EMAX + 1] the least float64 >= 10**E.  Each
-    int division is correctly rounded."""
+    part, a row each; and for E in [_EMIN, _EMAX + 1] the least float64 >=
+    10**E.  Each int division is correctly rounded."""
     high, low, least = [], [], []
     for e in range(_EMIN, _EMAX + 2):
         num, den = _ratio(e)
@@ -435,35 +429,44 @@ def _power_tables() -> tuple:
         low.append((num * h_den - h_num * den) / (den * h_den))
     del high[-1], low[-1]
     head, tail = zip(*map(_halves, high))
-    return tuple(map(np.array, (high, head, tail, low, least)))
+    return np.array([high, head, tail, low]).T.copy(), np.array(least)
 
 
-_HIGH, _HEAD, _TAIL, _LOW, _LEAST = _power_tables()
+_POWERS, _LEAST = _power_tables()  # a row of four, so one take gathers them
 _MAX = np.finfo(np.float64).max
 
 
 def _product(a: np.ndarray, k: np.ndarray) -> tuple:
     """a * 10**(16 - E), k = E - _EMIN, as ``p + rest``: p the rounded
-    product of ``a`` and _HIGH[k], and rest the exact error of p plus
-    a * _LOW[k]."""
-    p = a * _HIGH[k]
-    ah, at = _split(a)
-    hh, ht = _HEAD[k], _TAIL[k]
-    return p, ((ah * hh - p) + ah * ht + at * hh) + at * ht + a * _LOW[k]
+    product of ``a`` and the high part, and rest the exact error of p plus
+    a times the low part; and the high part.  With ``ah`` the top 27
+    significand bits of ``a``, every product of two parts is exact."""
+    high, hh, ht, low = _POWERS.take(k, axis=0).T
+    p = a * high
+    ah = (a.view(np.uint64) & np.uint64(0xFFFF_FFFF_FC00_0000)).view(np.float64)
+    at = a - ah
+    return p, ((ah * hh - p) + ah * ht + at * hh) + at * ht + a * low, high
 
 
-def _scaled(a: np.ndarray, e: np.ndarray) -> tuple:
-    """y = a * 10**(16 - e) as ``whole + rest``: an int64 and a float64 of
-    at most about 10, with an error below 1e-13."""
-    p, rest = _product(a, e - _EMIN)
-    return p.astype(np.int64), rest  # p >= 2**53 is a whole number
+def _divmod(x: np.ndarray, divisor: int) -> tuple:
+    """``np.divmod(x, divisor)`` of an int array: a floor-divide by the
+    constant and a multiply-subtract, a fraction of the time of ``%``."""
+    whole = x // divisor
+    rest = whole * divisor
+    return whole, np.subtract(x, rest, out=rest)
+
+
+def _neighbours(a: np.ndarray) -> tuple:
+    """``np.nextafter(a, 0)`` and ``np.nextafter(a, inf)`` of positive
+    normal float64s below _MAX: their bit patterns less and plus one."""
+    bits = a.view(np.int64)
+    return (bits - 1).view(np.float64), (bits + 1).view(np.float64)
 
 
 def _nearest(whole: np.ndarray, rest: np.ndarray) -> tuple:
     """The int64 nearest ``whole + rest``, and where that is within _TOL of a tie."""
-    fl = np.floor(rest)
-    frac = rest - fl
-    return whole + fl.astype(np.int64) + (frac > 0.5), np.abs(frac - 0.5) < _TOL
+    near = np.floor(rest + 0.5)
+    return whole + near.astype(np.int64), np.abs(rest - near) > 0.5 - _TOL
 
 
 _FIVES = 5 ** np.arange(28, dtype=np.int64)  # every power of 5 below 2**63
@@ -474,9 +477,9 @@ def _integer(n, twos, s) -> tuple:
     """Where n * 2**twos * 10**s, for odd int64 ``n``, is an integer, and
     its int64 value there (which must be below 2**63)."""
     fives = _FIVES[np.minimum(np.abs(s), len(_FIVES) - 1)]
-    twos = twos + s
-    where = (twos >= 0) & (np.abs(s) < len(_FIVES)) & ((s >= 0) | (n % fives == 0))
-    return where, np.where(s >= 0, n * fives, n // fives) << np.clip(twos, 0, 62)
+    twos, whole = twos + s, n // fives
+    where = (twos >= 0) & (np.abs(s) < len(_FIVES)) & ((s >= 0) | (whole * fives == n))
+    return where, np.where(s >= 0, n * fives, whole) << np.clip(twos, 0, 62)
 
 
 def _binary(a: np.ndarray) -> tuple:
@@ -511,7 +514,7 @@ def _integer_ends(a, e, whole, ends, marks) -> None:
         return
     m, q = _binary(a[rows])
     s = 16 - e[rows]
-    closed = m % 2 == 0
+    closed = (m & 1) == 0
     for side, (end, mark) in enumerate(zip(ends, marks)):
         n, twos = 2 * m + (2 * side - 1), q - 1
         if side == 0:  # the gap below a power of two is half the gap above
@@ -524,30 +527,30 @@ def _integer_ends(a, e, whole, ends, marks) -> None:
         mark[at] = False
 
 
-def _shortest(a, e, whole, rest, digits, unsure) -> None:
+def _shortest(a, e, half, whole, rest, digits, unsure) -> None:
     """Set ``digits`` (the integers nearest y) to the integers with the
     most trailing zeros in the rounding interval of ``a`` scaled as y is,
     the one nearest y of two or more, and mark ``unsure`` where an end of
     the interval is within _TOL of an integer or the nearest of a tie, and
     not exactly one."""
-    # The interval is (y - below, y + above).  ``first`` and ``last`` are
-    # its first and last integers, and a multiple of 10**p lies in it iff
+    # The interval is (whole + below, whole + above), y -+ the gaps to a's
+    # neighbours times ``half`` (10**(16 - e) / 2).  ``first`` and ``last``
+    # are its first and last integers, and a multiple of 10**p lies in it iff
     # the last p digits of ``last`` are below ``count``, its integer count.
-    high = _HIGH[e - _EMIN] * 0.5
-    below = rest - (a - np.nextafter(a, 0)) * high
-    above = rest + (np.nextafter(a, math.inf) - a) * high
+    below, above = (rest + (near - a) * half for near in _neighbours(a))
     first, last = np.floor(below), np.floor(above)
     marks = np.abs(below - first - 0.5) > 0.5 - _TOL, np.abs(above - last - 0.5) > 0.5 - _TOL
     _integer_ends(a, e, whole, (first, last), marks)
     unsure |= marks[0] | marks[1]
     count = last - first
     last = whole + last.astype(np.int64)
-    last2 = (last % 100).astype(np.float64)
+    last2 = _divmod(last, 100)[1].astype(np.float64)
     last1 = last2 - np.floor(last2 * 0.1) * 10
-    tens = np.flatnonzero((last1 < count) & (last2 >= count))
-    digits[tens] = last[tens] - last1[tens].astype(np.int64)
-    many = tens[last1[tens] + 10 < count[tens]]  # two or more multiples of ten
-    near, tie = _nearest(whole[many] // 10, (whole[many] % 10 + rest[many]) * 0.1)
+    ten = last1 < count  # the multiple of 100 (one at most) or else the last of ten
+    digits[:] = np.where(ten, last - np.where(last2 < count, last2, last1).astype(np.int64), digits)
+    many = np.flatnonzero(ten & (last2 >= count) & (last1 + 10 < count))  # several multiples of ten
+    tenth, unit = _divmod(whole[many], 10)
+    near, tie = _nearest(tenth, (unit + rest[many]) * 0.1)
     ties = np.flatnonzero(tie)
     if len(ties):
         exact, even = _even_ties(a, e, many[ties], 10)
@@ -555,8 +558,6 @@ def _shortest(a, e, whole, rest, digits, unsure) -> None:
         unsure[many[ties[~exact]]] = True
     least = digits[many] - ((count[many] - last1[many] - 1) // 10 * 10).astype(np.int64)
     digits[many] = np.clip(near * 10, least, digits[many])
-    hundreds = np.flatnonzero(last2 < count)  # one multiple of 100 at most
-    digits[hundreds] = last[hundreds] - last2[hundreds].astype(np.int64)
 
 
 def _decimal(a: np.ndarray, shortest: bool) -> tuple:
@@ -564,10 +565,12 @@ def _decimal(a: np.ndarray, shortest: bool) -> tuple:
     17-digit int64 in [1e16, 1e17) of ``a`` as "%.17g" or, if ``shortest``,
     as "json" has them, with trailing zeros; the decimal exponent of the
     first digit; and where the choice was within _TOL of undecidable."""
-    e = np.floor(np.log10(a)).astype(np.intp)  # off by one at worst, and >= _EMIN - 1
+    e = ((a.view(np.int64) >> 52) - 1023) * 78913 >> 18  # floor(q log10 2) for a >= 2**q: E or E - 1
     e += a >= _LEAST[e + 1 - _EMIN]
-    e -= a < _LEAST[e - _EMIN]
-    whole, rest = _scaled(a, e)
+    p, rest, high = _product(a, e - _EMIN)  # y = p + rest, with an error below 1e-13
+    whole = p.astype(np.int64)  # p >= 2**53 is a whole number
+    half = high * 0.5 if shortest else None
+    del p, high  # and so the rows gathered for the product
     digits, unsure = _nearest(whole, rest)
     rows = np.flatnonzero(unsure)
     if len(rows):
@@ -575,7 +578,7 @@ def _decimal(a: np.ndarray, shortest: bool) -> tuple:
         digits[rows[exact]] = even
         unsure[rows[exact]] = False
     if shortest:
-        _shortest(a, e, whole, rest, digits, unsure)
+        _shortest(a, e, half, whole, rest, digits, unsure)
     over = digits == _E17
     digits[over] = _E16
     e += over
@@ -611,8 +614,7 @@ _ZEROS = sum((np.arange(10_000) % 10 ** n == 0).astype(np.int16) for n in range(
 def _trailing_zeros(digits: np.ndarray) -> np.ndarray:
     """The trailing decimal zeros of each nonzero uint64 of ``digits``, four
     digits at a time: where the last four are all 0, count on above them."""
-    high = digits // 10 ** 4
-    low = digits - high * 10 ** 4
+    high, low = _divmod(digits, 10 ** 4)
     zeros = _ZEROS.take(low.view(np.intp))
     more = np.flatnonzero(low == 0)
     if len(more):
@@ -670,18 +672,17 @@ def _float_slots(values: np.ndarray, style: str) -> tuple:
     words[:, 1] = high - words[:, 0] * 10 ** 8
     words[:, 2] = (whole - high * scale) * _TENS.take(5 - z)
     del whole, high, scale  # the text step holds three (n, 3) arrays at its peak
-    four = words // 10 ** 4  # each word's first four digits; its last four stay in place
-    np.remainder(words, 10 ** 4, out=words)
-    low = _FOUR.take(words.view(np.intp))
-    np.take(_FOUR, four.view(np.intp), out=words, mode="clip")  # "clip" writes out unbuffered
+    four, low = _divmod(words, 10 ** 4)  # each word's first and last four digits
+    np.take(_FOUR, low.view(np.intp), out=low, mode="clip")  # "clip" writes out unbuffered
+    np.take(_FOUR, four.view(np.intp), out=words, mode="clip")
     low <<= 32
     words |= low
     del four, low
     stop = kept + z + dotted + 1  # the first byte after the digits
     words &= _SHOWN.take(stop, axis=0)
-    exponent = _SLOT + (stop - 2) * (_EMAX + 3 - _EMIN) + e + 1 - _EMIN
+    exponent = (stop - 2) * (_EMAX + 3 - _EMIN) + e + (_SLOT + 1 - _EMIN)
     words ^= _MARKS.take(np.where(plain, (cut + 1 + lead) * dotted, exponent), axis=0)
-    words[:, 0] |= np.signbit(values) * np.uint64(45)
+    words[:, 0] |= (values.view(np.uint64) >> np.uint64(63)) * np.uint64(45)  # "-"
     slots = words.view(np.uint8)
     special = np.flatnonzero(odd)  # 0, nan and inf are tokens; Python formats the rest
     xs = values[special]
@@ -883,16 +884,16 @@ def write_result(result: "BatchResult", path: str, fmt: str) -> None:
 #
 #   1. the separators ("," and "\n") and points are found by byte compares;
 #   2. the 24 bytes that end at the field's separator are read as three
-#      words, and tables by field width (sign left out) and fraction length
-#      f keep only the field's bytes, turn its digits into 0..9 and its
-#      point into a 0, which leaves the 24-digit integer N' of the digits;
+#      words, an xor turns digits into 0..9, and a table by field width
+#      (sign left out) and fraction length f keeps only the field's bytes
+#      but its point, which leaves the 24-digit integer N' of the digits;
 #   3. SWAR steps (several digits at once inside one uint64) turn each word
 #      into its 8-digit number, and N' of at most 19 digits is formed;
 #   4. with I = floor(N' / 10**(f + 1)) the integer part, N = N' - 9 I 10**f
 #      is the field's digits without the point;
-#   5. N * 10**-f is formed as the double-double product of N and _HIGH +
-#      _LOW, whose rounding is the correctly rounded value unless it lies
-#      within _TOL ulp of a rounding boundary;
+#   5. N * 10**-f is formed as the double-double product of N and the
+#      high and low parts of 10**-f, whose rounding is the correctly rounded
+#      value unless it lies within _TOL ulp of a rounding boundary;
 #   6. the sign of a leading "-" is set last.
 #
 # Python's ``float`` reads, from the field's text, the values within _TOL
@@ -909,22 +910,17 @@ _PAD = 24  # bytes of "0" before a block; a field's window: the bytes before its
 _POINTLESS = 24  # the fraction length index of a field without a point
 
 
-def _window_tables() -> tuple:
-    """(keep, flip): three words per field width w, kept are the window's
-    last w bytes; and per fraction length f (_POINTLESS: none), the bytes
-    whose xor turns digits into 0..9 and the point, f bytes from the end,
-    into 0."""
-    keep = np.zeros((25, _PAD), np.uint8)
-    flip = np.full((25, _PAD), ord("0"), np.uint8)
-    for n in range(25):
-        keep[n, _PAD - n:] = 0xFF
-    for f in range(_POINTLESS):
-        flip[f, _PAD - 1 - f] = ord(".")
-    return keep.view(_WORD), flip.view(_WORD)
+def _window_masks() -> np.ndarray:
+    """Three words per field width w and fraction length f (_POINTLESS: no
+    point), at row 25 w + f: they keep the window's last w bytes but the
+    point, f bytes from the end."""
+    w, f, byte = np.ogrid[:25, :25, :_PAD]
+    keep = (byte >= _PAD - w) & (byte != _PAD - 1 - f)
+    return (keep * np.uint8(0xFF)).reshape(-1, _PAD).view(_WORD)
 
 
-_KEEP, _FLIP = _window_tables()
-_FRACTION = np.append(np.arange(_POINTLESS), 0)  # f by fraction length index: 0 without a point
+_KEEP = _window_masks()
+_POWER = np.append(np.arange(_POINTLESS), 0) + 16 - _EMIN  # _POWERS row of 10**-f by fraction length
 _PLAIN_FIELD = re.compile(rb"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
 
 
@@ -949,10 +945,10 @@ def _block_values(data: np.ndarray, windows: np.ndarray, stop: int, cols: int) -
     """The values of the whole lines ``data[_PAD:stop]`` of ``cols`` fields,
     in order, and how many of them Python read; raises _NotPlain for text
     that is not plain."""
-    marks = np.flatnonzero(data[_PAD:stop] < ord("/")) + _PAD  # "\n" "+" "," "-" "." and others
+    marks = (data[:stop] | 2) == ord(".")  # "," and "."; the pad holds neither, nor "\n"
+    marks |= data[:stop] == ord("\n")
+    marks = np.flatnonzero(marks)
     kinds = data[marks]
-    wanted = ((kinds | 2) == ord(".")) | (kinds == ord("\n"))  # "," "." "\n"
-    marks, kinds = marks[wanted], kinds[wanted]
     separator = kinds != ord(".")
     at = np.flatnonzero(separator)
     ends = marks[at]
@@ -969,8 +965,8 @@ def _block_values(data: np.ndarray, windows: np.ndarray, stop: int, cols: int) -
     np.minimum(frac, _POINTLESS, out=frac)
     np.minimum(width, _PAD, out=width)
     words = windows[ends - _PAD].view(_WORD).reshape(-1, 3)
-    words ^= np.take(_FLIP, frac, axis=0)
-    words &= np.take(_KEEP, width, axis=0)
+    words ^= np.uint64(0x3030303030303030)  # digits into 0..9
+    words &= np.take(_KEEP, width * 25 + frac, axis=0)
     over = words + np.uint64(0x7676767676767676)  # top bit of a byte 10..0x7F
     over |= words  # bytes from 0x80 up carry into the next byte: their own top bit
     python |= ((over[:, 0] | over[:, 1] | over[:, 2]) & np.uint64(0x8080808080808080)) != 0
@@ -982,9 +978,9 @@ def _block_values(data: np.ndarray, windows: np.ndarray, stop: int, cols: int) -
     n -= n // (tens * np.uint64(10)) * (tens * np.uint64(9))
     high = n.astype(np.float64)
     low = (n - high.astype(np.uint64)).view(np.int64).astype(np.float64)
-    k = 16 + _FRACTION[frac] - _EMIN  # 10**-f = _HIGH[k] + _LOW[k]
-    p, rest = _product(high, k)
-    rest += low * _HIGH[k]
+    p, rest, power = _product(high, _POWER[frac])  # 10**-f as high and low parts
+    rest += low * power
+    del power  # and so the rows gathered for the product
     values = p + rest
     off = rest - (values - p)  # exact: the value's distance above ``values``
     bits = values.view(np.uint64)
@@ -1088,7 +1084,7 @@ def _map_npy(path: str) -> Mesh | None:
     float64 array, read through a read-only mapping, never copied; None for
     any other file, which ``np.load`` then reads (or rejects)."""
     if not os.path.isfile(path):
-        return None  # a pipe or device is read once, by np.load
+        return None  # a pipe or device is read once, then by np.load
     try:
         with open(path, "rb") as fh:
             read = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
@@ -1114,9 +1110,10 @@ def load_mesh(path: str) -> Mesh:
     and each whole-mesh pass releases the pages of the rows it is done with
     (``Mesh._release``), so memory stays at about one chunk however large
     the mesh.  The file may be replaced (renamed over) while the mesh is in
-    use, but not truncated or rewritten in place.  Any other .npy (a pipe,
-    an empty or short body, another dtype or order) is read by ``np.load``,
-    with its values and errors.
+    use, but not truncated or rewritten in place.  Any other .npy (an
+    empty or short body, another dtype or order) is read by ``np.load``,
+    with its values and errors; a pipe or device is read into memory once,
+    and ``np.load`` reads those bytes.
 
     A csv is read as ``np.loadtxt(path, delimiter=",", ndmin=2)`` reads it:
     the same float64 bits, or the same warning or exception.  Plain text,
@@ -1127,6 +1124,9 @@ def load_mesh(path: str) -> Mesh:
     text = str(path)
     if _mesh_format(text) == "npy":
         mesh = _map_npy(text)
+        if mesh is None and not os.path.isfile(text):  # a pipe or device: np.load seeks
+            with open(text, "rb") as fh:  # back after the magic string, so read it once
+                text = io.BytesIO(fh.read())
         return mesh if mesh is not None else as_mesh(np.load(text))
     try:
         return as_mesh(_read_csv(text)[0])

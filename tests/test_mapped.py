@@ -3,7 +3,7 @@
 ``load_mesh`` maps a regular .npy file that holds a 2-d C-order float64
 array and never copies it; each whole-mesh pass releases the pages of the
 rows it is done with.  Every other .npy is read by ``np.load``, with its
-values, errors and exit codes.
+values, errors and exit codes; a pipe is read into memory first.
 """
 
 import io
@@ -196,23 +196,57 @@ class TestFallback:
         assert codes[:2] == codes[2:]
 
     def test_pipe_reads_as_np_load(self, tmp_path):
-        # np.load seeks back after the magic string, which a pipe cannot do:
-        # a named pipe gets np.load's error, and exit code 2.
-        path = tmp_path / "mesh.npy"
-        os.mkfifo(path)
-        results = []
-        for read in (load_mesh, np_load_mesh):
-            writer = _feed(path, npy_bytes(POINTS))
-            results.append(outcome(read, path))
+        # np.load seeks back after the magic string, which a pipe cannot do,
+        # so a named pipe is read into memory once: the mesh, or the error,
+        # is np.load's of those bytes in a regular file, and the CLI's exit
+        # code and output are those of that file.  The bytes: the points, an
+        # empty stream, a float32 array (np.load keeps it, as_mesh converts
+        # it) and text that is not a .npy at all.
+        for case in ("points", "empty_file", "float32", "not_npy"):
+            data = npy_bytes(POINTS) if case == "points" else FALLBACKS[case]()
+            path, regular = tmp_path / f"{case}.npy", tmp_path / f"{case}_file.npy"
+            os.mkfifo(path)
+            regular.write_bytes(data)
+            writer = _feed(path, data)
+            got = outcome(load_mesh, path)
             writer.join(10)
             assert not writer.is_alive()
-        assert results[0] == results[1]
-        writer = _feed(path, npy_bytes(POINTS))
-        code = cli.main(["eval", "num_bivector", "--bivector", str(EXAMPLES / "so3.json"),
-                         "--mesh", str(path), "--out", str(tmp_path / "out.npy")])
-        writer.join(10)
-        assert not writer.is_alive()
-        assert code == (0 if isinstance(results[1][0], str) else 2)
+            assert got == outcome(np_load_mesh, regular)
+            writer = _feed(path, data)
+            results = []
+            for mesh in (path, regular):
+                out = tmp_path / f"out_{mesh.stem}.npy"
+                results.append(cli.main(["eval", "num_bivector", "--bivector",
+                                         str(EXAMPLES / "so3.json"), "--mesh", str(mesh),
+                                         "--out", str(out)]))
+                results.append(out.read_bytes() if out.exists() else None)
+            writer.join(10)
+            assert not writer.is_alive()
+            assert results[:2] == results[2:]
+            assert results[0] == (0 if case in ("points", "float32") else 2)
+
+    def test_stdin_reads_as_a_file(self, tmp_path):
+        # A .npy name for standard input (a link to /dev/stdin): fed by a
+        # pipe it is read once; fed from a file it is mapped.  Both give the
+        # output of the mesh file itself.
+        mesh, link = tmp_path / "mesh.npy", tmp_path / "stdin.npy"
+        mesh.write_bytes(npy_bytes(POINTS))
+        link.symlink_to("/dev/stdin")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        outputs = []
+        for tag, source in (("file", str(mesh)), ("pipe", str(link)), ("redirect", str(link))):
+            out = tmp_path / f"out_{tag}.csv"
+            argv = [sys.executable, "-m", "poissonmesh.cli", "eval", "num_bivector",
+                    "--bivector", str(EXAMPLES / "so3.json"), "--mesh", source, "--out", str(out)]
+            if tag == "pipe":
+                done = subprocess.run(argv, env=env, input=mesh.read_bytes(), capture_output=True,
+                                      timeout=60)
+            else:
+                with open(mesh, "rb") as stdin:
+                    done = subprocess.run(argv, env=env, stdin=stdin, capture_output=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_last_row_exits_2_without_output(self, tmp_path, capsys, value):

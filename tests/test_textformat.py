@@ -5,7 +5,9 @@ Both styles are checked against Python itself: "json" against
 ``json.dumps`` and "%.17g" against ``'%.17g' %``; the finite "%.17g" text
 then reads back to the same bits.  Run as a script, the module sweeps random
 bit patterns and every power of 2 and of 10 with their neighbours, and
-prints the share of values Python formatted and read:
+prints the share of values Python formatted and read; it fails on any
+mismatch, and where ``PYTHON_AT_MOST`` bounds the sweep, on more values
+left to Python than the bound:
 
     PYTHONPATH=src python tests/test_textformat.py --count 10000000
 """
@@ -90,6 +92,13 @@ def round_trip(values, path: str) -> tuple:
 
 STYLES = sorted(REFERENCE)
 
+# The values Python read or formatted in the sweep of (count, seed), as the
+# kernels stood when the bound was set: the share that keeps the kernels
+# exact must not grow, so a change that moves values off them fails.
+PYTHON_AT_MOST = {
+    (10**7, 0): {"random bits": 9_670_585, "plain bits": 15_833, "%.17g": 291_757, "json": 291_757},
+}
+
 
 @pytest.mark.parametrize("style", STYLES)
 @given(values=st.lists(st.floats(), min_size=1, max_size=40))
@@ -164,6 +173,52 @@ def test_exact_ties_and_interval_ends(style):
     large = (10.0 ** rng.uniform(15, 40, n)).view(np.int64) ^ rng.integers(0, 2**12, n)
     values = np.concatenate((few_bits, large.view(np.float64)))
     assert mismatches(with_neighbours(values), style) == ([], 0)
+
+
+class TestDivisionFreeSteps:
+    """The kernels' steps that replace a slow NumPy op, against that op."""
+
+    def test_neighbours_are_nextafter(self):
+        # Every a the kernel sees is a positive normal below _MAX: the least,
+        # every power of two in range with its neighbours, the largest double
+        # below _MAX, and random magnitudes.
+        twos = np.ldexp(1.0, np.arange(-1022, 1024))
+        twos = twos[twos >= geometry._LEAST[0]]
+        a = np.concatenate((
+            [geometry._LEAST[0], np.nextafter(geometry._MAX, 0)], twos,
+            np.nextafter(twos, 0)[1:], np.nextafter(twos, np.inf)[:-1],
+            np.abs(random_bits(10**5, seed=30)),
+        ))
+        a = a[(a >= geometry._LEAST[0]) & (a < geometry._MAX)]
+        down, up = geometry._neighbours(a)
+        assert down.tobytes() == np.nextafter(a, 0).tobytes()
+        assert up.tobytes() == np.nextafter(a, np.inf).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_divmod_is_np_divmod(self, dtype):
+        # The edges of the words, digit groups and 17-digit integers the
+        # kernels split, and their neighbours.
+        edges = np.array([0, 9_999, 10_000, 99_999_999, 10**8, 10**16, 10**17 - 1, 10**17,
+                          2**53, 2**63 - 1], np.uint64)
+        x = np.concatenate((edges, edges[1:] - 1, edges[:-1] + 1)).astype(dtype)
+        if dtype == np.int64:
+            x = np.concatenate((x, -x))
+        for divisor in (10, 100, 10**4, 10**8):
+            whole, rest = geometry._divmod(x, divisor)
+            expected = np.divmod(x, divisor)
+            assert whole.dtype == expected[0].dtype and rest.dtype == expected[1].dtype
+            assert np.array_equal(whole, expected[0]) and np.array_equal(rest, expected[1])
+
+    def test_decimal_exponent(self):
+        # The exponent estimate from the binary exponent, corrected once by
+        # the table of powers of ten, against Python's "%.16e" at every power
+        # of two and of ten in range and their neighbours.
+        values = powers()
+        values = np.abs(values[np.isfinite(values)])
+        values = values[(values >= geometry._LEAST[0]) & (values < geometry._MAX)]
+        _, e, unsure = geometry._decimal(values, False)
+        python = np.array([int(("%.16e" % v).split("e")[1]) for v in values.tolist()])
+        assert np.array_equal(e[~unsure], python[~unsure])
 
 
 def test_csv_round_trip(tmp_path):
@@ -257,8 +312,15 @@ def sweep(count: int, seed: int, batch: int = 250_000) -> int:
     """Check ``count`` random bit patterns and every power of 2 and 10 with
     neighbours in both styles, and read the finite "%.17g" text of those
     and of as many ``plain_bits`` back; print each Python share and return
-    the number of mismatches."""
+    the number of mismatches, plus one for each share over its bound."""
     failures = 0
+    bounds = PYTHON_AT_MOST.get((count, seed), {})
+
+    def over_bound(name: str, python: int) -> int:
+        if name in bounds and python > bounds[name]:
+            print(f"{name}: Python took {python} values, more than the bound {bounds[name]}")
+            return 1
+        return 0
     with tempfile.TemporaryDirectory() as scratch:
         path = os.path.join(scratch, "values.csv")
         for name, draw in (("random bits", random_bits), ("plain bits", plain_bits)):
@@ -271,7 +333,7 @@ def sweep(count: int, seed: int, batch: int = 250_000) -> int:
                 changed += bad
                 python += read
                 checked += size
-            failures += changed
+            failures += changed + over_bound(name, python)
             print(f"csv reader, {name}: {checked} values read back, {changed} changed, "
                   f"Python read {python} ({python / checked:.3%})")
     for style in STYLES:
@@ -288,6 +350,7 @@ def sweep(count: int, seed: int, batch: int = 250_000) -> int:
             python += formatted
         print(f"{style}: {checked} values checked, "
               f"Python formatted {python} ({python / checked:.3%})")
+        failures += over_bound(style, python)
     return failures
 
 
